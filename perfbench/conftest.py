@@ -1,0 +1,6 @@
+"""Self-tests of the benchmark import ncadmm from this checkout's src/."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
