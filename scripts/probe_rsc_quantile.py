@@ -9,8 +9,6 @@ is summary data for inspection).
 
 import argparse
 
-import numpy as np
-
 from ncadmm import diagnostics as D
 from ncadmm import engine
 from ncadmm import quantile as Q
@@ -36,10 +34,12 @@ def main() -> int:
     selector = Q.subgradient_selector(spec, ds)
 
     iterates = []
-    state = engine.AdmmState.initial(np.zeros(spec.d), np.zeros(spec.n), np.zeros(spec.n))
-    for _ in range(args.iters):
-        state = engine.admm_step(problem, state, record_time=False)
-        iterates.append((state.x, state.y))
+    engine.run(
+        problem,
+        iters=args.iters,
+        record_time=False,
+        iteration_hook=lambda t, state: iterates.append((state.x, state.y)),
+    )
     results = D.probe_trajectory(
         problem, selector, iterates, ds.x_true, ds.phi @ ds.x_true, xi_star, zeta_star
     )

@@ -157,7 +157,7 @@ def _run_custom_sigma(cfg: ExperimentConfig, sigma: float, record_time: bool) ->
         g=CompositeObjective(prox_step=prox_y),
         D_f=DiagonalMatrix(np.full(p.d, sigma * gamma)),
         D_g=DiagonalMatrix(np.full(p.n, 1.0 + sigma)),
-        objective=lambda x, y: 0.5 * float(np.sum((a @ x - w) ** 2))
+        objective=lambda x, y, ax: 0.5 * float(np.sum((ax - w) ** 2))
         + p.lam * float(np.abs(x).sum()),
     )
     result = engine.run(problem, iters=cfg.iters, record_time=record_time)

@@ -177,9 +177,6 @@ def _coerce(section_name: str, key: str, raw, template) -> object:
             if name == "materials":
                 return name, tuple(parts)
             return name, tuple(float(p) for p in parts)
-        if current is None:
-            return name, raw  # path-like optional
-        return name, raw
     return name, raw
 
 

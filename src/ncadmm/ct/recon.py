@@ -201,11 +201,16 @@ def alpha_t_diagnostic(
     y: np.ndarray,
     y_star: np.ndarray,
     grad_star: np.ndarray | None = None,
+    grad_y: np.ndarray | None = None,
 ) -> float | None:
-    """Empirical curvature ratio along the trajectory, for the CT loss."""
+    """Empirical curvature ratio along the trajectory, for the CT loss.
+
+    The loss gradients at y_star and y are computed unless passed in.
+    """
     if grad_star is None:
         grad_star = ct_loss_parts(model, y_star, counts).grad
-    grad_y = ct_loss_parts(model, y, counts).grad
+    if grad_y is None:
+        grad_y = ct_loss_parts(model, y, counts).grad
     penalty = 0.5 * float((sigma_tilde.diag[:, None] * (proj_x - y) ** 2).sum())
     return alpha_ratio(y, y_star, grad_y, grad_star, penalty)
 
@@ -266,8 +271,8 @@ def build_ct_problem(
         parts = ct_loss_parts(model, y_flat.reshape(n_rays, n_m), counts)
         return parts.grad_d.ravel()
 
-    def objective(x_flat, y_flat):
-        proj = projector.matmat(x_flat.reshape(projector.cols, n_m))
+    def objective(x_flat, y_flat, proj_flat):
+        proj = proj_flat.reshape(n_rays, n_m)
         return ct_loss_parts(model, proj, counts, want_grad=False).value
 
     problem = AdmmProblem(
@@ -294,19 +299,34 @@ def run_ct_reconstruction(
     newton_iters: int = DEFAULT_NEWTON_ITERS,
     record_time: bool = True,
 ) -> tuple[RunResult, CtPreconditioners]:
-    """Run the full loop at one sigma; records alpha_t when y_star is given."""
+    """Run the full loop at one sigma; records alpha_t when y_star is given.
+
+    The alpha hook evaluates the loss gradient at y_{t+1}; the next step's
+    grad_d, which linearizes g_d at that same y_{t+1}, reuses it.
+    """
     problem, pre = build_ct_problem(model, projector, counts, sigma, newton_iters)
-    n_m = model.n_materials
+    shape = (projector.rows, model.n_materials)
     alpha_hook = None
     if y_star is not None:
         grad_star = ct_loss_parts(model, y_star, counts).grad
+        fresh_grad_d = problem.g.grad_d
+        latest = {}  # the y_{t+1} the hook last saw, and grad g_d there
 
-        def alpha_hook(t, x_flat, y_flat, u_flat):
-            x = x_flat.reshape(projector.cols, n_m)
-            y = y_flat.reshape(projector.rows, n_m)
+        def alpha_hook(t, x_flat, y_flat, u_flat, proj_flat):
+            y = y_flat.reshape(shape)
+            parts = ct_loss_parts(model, y, counts)
+            latest.update(y=y_flat, grad_d=parts.grad_d.ravel())
             return alpha_t_diagnostic(
-                model, counts, pre.sigma_tilde, projector.matmat(x), y, y_star, grad_star
+                model, counts, pre.sigma_tilde, proj_flat.reshape(shape), y, y_star,
+                grad_star, grad_y=parts.grad,
             )
+
+        def shared_grad_d(y_flat):
+            if latest.get("y") is y_flat:
+                return latest["grad_d"]
+            return fresh_grad_d(y_flat)
+
+        problem.g.grad_d = shared_grad_d
 
     result = engine_run(
         problem, iters=iters, alpha_hook=alpha_hook, record_time=record_time

@@ -18,6 +18,7 @@ Completing the square shows this is the same minimization.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -189,6 +190,8 @@ class AdmmProblem:
     them None to have dense versions built for small problems. H_f / H_g may
     be None (meaning zero), a DiagonalMatrix, or a dense ndarray; they are
     only consulted by `validate_stepsizes`, never by the iteration itself.
+    `objective(x, y, ax)`, if given, is evaluated at every iterate; ax = A x
+    is the product the step already computed.
     """
 
     A: object
@@ -201,7 +204,7 @@ class AdmmProblem:
     H_g: object = None
     D_f: object = None
     D_g: object = None
-    objective: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
+    objective: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], float]] = None
 
     def __post_init__(self):
         k_a, self.dim_x = self.A.shape
@@ -257,15 +260,17 @@ class KahanSum:
         self._comp = (t - self.total) - y
         self.total = t
 
-    def copy(self) -> "KahanSum":
-        out = KahanSum(self.total.size)
-        out.total = self.total.copy()
-        out._comp = self._comp.copy()
-        return out
-
 
 @dataclass
 class AdmmState:
+    """Iterate (x_t, y_t, u_t), the running sums and the trace so far.
+
+    `ax` caches A x_t for the next step; None (as from `initial`) makes the
+    next step compute it. Each step returns fresh x, y, u and ax arrays but
+    advances `sum_x`, `sum_y` and `trace` in place and hands them on, so only
+    the newest state's averages and trace are current.
+    """
+
     t: int
     x: np.ndarray
     y: np.ndarray
@@ -273,6 +278,7 @@ class AdmmState:
     sum_x: KahanSum
     sum_y: KahanSum
     trace: list = field(default_factory=list)
+    ax: Optional[np.ndarray] = None
 
     @classmethod
     def initial(cls, x0: np.ndarray, y0: np.ndarray, u0: np.ndarray) -> "AdmmState":
@@ -299,7 +305,7 @@ class AdmmState:
 
 
 class AdmmStepError(RuntimeError):
-    """Raised when a subproblem solve fails; carries the iteration index."""
+    """Raised when a step callback fails or goes non-finite; carries the iteration index."""
 
     def __init__(self, iteration: int, message: str):
         super().__init__(f"iteration {iteration}: {message}")
@@ -312,57 +318,63 @@ def _check_finite(v: np.ndarray, iteration: int, what: str) -> np.ndarray:
     return v
 
 
+def _call(iteration: int, what: str, fn: Callable, *args):
+    """fn(*args), with any failure re-raised as AdmmStepError at `iteration`."""
+    try:
+        return fn(*args)
+    except AdmmStepError:
+        raise
+    except Exception as exc:
+        raise AdmmStepError(iteration, f"{what} failed: {exc}") from exc
+
+
 def admm_step(
     problem: AdmmProblem,
     state: AdmmState,
     alpha_hook: Optional[Callable] = None,
     record_time: bool = True,
 ) -> AdmmState:
-    """Run one full x/y/u cycle and return the advanced state."""
+    """Run one full x/y/u cycle and return the advanced state.
+
+    A x_{t+1} is computed once: the residual, `problem.objective(x, y, ax)`
+    and `alpha_hook(t, x, y, u, ax)` all receive it, and the returned state
+    carries it as the next step's A x_t. A failing callback or a non-finite
+    iterate or objective raises AdmmStepError and leaves `state` as it was.
+    """
     t0 = time.perf_counter()
     it = state.t + 1
     x, y, u = state.x, state.y, state.u
     sig = problem.sigma
 
-    ax = problem.A.matvec(x)
+    ax = problem.A.matvec(x) if state.ax is None else state.ax
     by = problem.B.matvec(y)
     lin_x = problem.A.rmatvec(u + sig.matvec(ax + by - problem.c))
     if problem.f.grad_d is not None:
-        lin_x = lin_x + problem.f.grad_d(x)
-    try:
-        x_new = problem.f.prox_step(lin_x, problem.D_f, x)
-    except AdmmStepError:
-        raise
-    except Exception as exc:
-        raise AdmmStepError(it, f"x prox_step failed: {exc}") from exc
+        lin_x = lin_x + _call(it, "x grad_d", problem.f.grad_d, x)
+    x_new = _call(it, "x prox_step", problem.f.prox_step, lin_x, problem.D_f, x)
     x_new = _check_finite(np.asarray(x_new, dtype=float), it, "x update")
 
     ax_new = problem.A.matvec(x_new)
     lin_y = problem.B.rmatvec(u + sig.matvec(ax_new + by - problem.c))
     if problem.g.grad_d is not None:
-        lin_y = lin_y + problem.g.grad_d(y)
-    try:
-        y_new = problem.g.prox_step(lin_y, problem.D_g, y)
-    except AdmmStepError:
-        raise
-    except Exception as exc:
-        raise AdmmStepError(it, f"y prox_step failed: {exc}") from exc
+        lin_y = lin_y + _call(it, "y grad_d", problem.g.grad_d, y)
+    y_new = _call(it, "y prox_step", problem.g.prox_step, lin_y, problem.D_g, y)
     y_new = _check_finite(np.asarray(y_new, dtype=float), it, "y update")
 
     residual = ax_new + problem.B.matvec(y_new) - problem.c
     u_new = _check_finite(u + sig.matvec(residual), it, "u update")
 
-    sum_x = state.sum_x.copy()
-    sum_y = state.sum_y.copy()
-    sum_x.add(x_new)
-    sum_y.add(y_new)
-
     obj = float("nan")
     if problem.objective is not None:
-        obj = float(problem.objective(x_new, y_new))
+        obj = float(_call(it, "objective", problem.objective, x_new, y_new, ax_new))
+        if not math.isfinite(obj):
+            raise AdmmStepError(it, f"objective is not finite ({obj!r})")
     alpha = None
     if alpha_hook is not None:
-        alpha = alpha_hook(it, x_new, y_new, u_new)
+        alpha = _call(it, "alpha_hook", alpha_hook, it, x_new, y_new, u_new, ax_new)
+
+    state.sum_x.add(x_new)
+    state.sum_y.add(y_new)
     seconds = time.perf_counter() - t0 if record_time else 0.0
     record = TraceRecord(
         t=it,
@@ -371,14 +383,16 @@ def admm_step(
         alpha_t=alpha,
         seconds=seconds,
     )
+    state.trace.append(record)
     return AdmmState(
         t=it,
         x=x_new,
         y=y_new,
         u=u_new,
-        sum_x=sum_x,
-        sum_y=sum_y,
-        trace=state.trace + [record],
+        sum_x=state.sum_x,
+        sum_y=state.sum_y,
+        trace=state.trace,
+        ax=ax_new,
     )
 
 
@@ -401,10 +415,11 @@ def run(
 ) -> RunResult:
     """Run `iters` cycles from `init` (default all-zeros) and return averages.
 
-    `alpha_hook(t, x, y, u)` may return a diagnostic scalar recorded in the
-    trace; `iteration_hook(t, state)` is called after every step (used by the
-    experiments to log extra per-iteration quantities). `primal_tol` adds an
-    optional early stop on the primal residual.
+    `alpha_hook(t, x, y, u, ax)` may return a diagnostic scalar recorded in
+    the trace, where ax = A x comes from the step; `iteration_hook(t, state)`
+    is called after every step (used by the experiments to log extra
+    per-iteration quantities). `primal_tol` adds an optional early stop on
+    the primal residual.
     """
     if iters < 1:
         raise ValueError("iters must be at least 1")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import engine
-from .engine import AdmmProblem, CompositeObjective, DenseMap, RunResult, ScaledIdentity
+from .engine import AdmmProblem, CompositeObjective, DenseMap, KahanSum, RunResult, ScaledIdentity
 from .numerics import DiagonalMatrix, spectral_norm
 from .prox import (
     LogL1Penalty,
@@ -101,7 +101,12 @@ def generate_dataset(spec: QuantileProblemSpec) -> QuantileDataset:
 
 def quantile_objective(spec: QuantileProblemSpec, dataset: QuantileDataset, x: np.ndarray) -> float:
     """Penalized pinball loss (1/n) sum l_q(w - Phi x) + penalty(x)."""
-    resid = dataset.w - dataset.phi @ x
+    return _objective_at(spec, dataset, dataset.phi @ x, x)
+
+
+def _objective_at(spec: QuantileProblemSpec, dataset: QuantileDataset, phi_x, x) -> float:
+    """quantile_objective with the product Phi x already computed."""
+    resid = dataset.w - phi_x
     return float(np.mean(quantile_loss(resid, spec.q))) + spec.penalty.value(x)
 
 
@@ -188,7 +193,7 @@ def build_problem(
         H_g=None,
         D_f=DiagonalMatrix(np.full(spec.d, sig * gamma), require_psd=True),
         D_g=DiagonalMatrix(np.full(spec.n, sig), require_psd=True),
-        objective=lambda x, y: quantile_objective(spec, dataset, x),
+        objective=lambda x, y, phi_x: _objective_at(spec, dataset, phi_x, x),
     )
 
 
@@ -209,12 +214,18 @@ def run_quantile(
     gamma: float | None = None,
     record_time: bool = True,
 ) -> tuple[RunResult, list[float]]:
-    """Run the sigma given by `spec`; returns the run plus Loss(x_bar_t) per t."""
+    """Run the sigma given by `spec`; returns the run plus Loss(x_bar_t) per t.
+
+    Phi x_bar_t is the running mean of the Phi x_t the engine already
+    computed (by linearity), so the average loss costs no extra product.
+    """
     problem = build_problem(spec, dataset, gamma=gamma)
+    sum_phi_x = KahanSum(spec.n)
     avg_losses: list[float] = []
 
     def log_average(t, state):
-        avg_losses.append(quantile_objective(spec, dataset, state.x_bar))
+        sum_phi_x.add(state.ax)
+        avg_losses.append(_objective_at(spec, dataset, sum_phi_x.total / t, state.x_bar))
 
     result = engine.run(
         problem,

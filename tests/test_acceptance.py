@@ -22,6 +22,8 @@ from _oracles import bisect_min, fd_gradient, quantile_l1_optimum, ray_sample_le
 from test_ct_recon import random_ray_model, subproblem_gradient
 from test_quantile import x_subproblem_residual
 
+pytestmark = pytest.mark.acceptance
+
 QUANTILE_SIGMAS = (5e-5, 1e-4, 2e-4, 5e-4)
 CT_SIGMAS = (1.0, 10.0, 100.0)
 

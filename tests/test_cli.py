@@ -170,6 +170,23 @@ class TestRunCommand:
         assert "iteration 7" in capsys.readouterr().err
 
 
+    def test_failing_step_callback_exits_3(self, tmp_path, monkeypatch, capsys):
+        from ncadmm.ct import recon
+
+        real = recon.ct_loss_parts
+
+        def loss_parts(model, y, counts, want_grad=True, want_hess=False):
+            if not want_grad:  # only the per-iterate objective asks for no gradient
+                raise ValueError("nonpositive window mean; cannot take its log")
+            return real(model, y, counts, want_grad, want_hess)
+
+        monkeypatch.setattr(recon, "ct_loss_parts", loss_parts)
+        path, _ = write_config(tmp_path, CT_SMALL)
+        assert cli.main(["run", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "iteration 1: objective failed: nonpositive window mean" in err
+
+
 class TestValidateCommand:
     def test_ok(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, QUANTILE_SMALL)

@@ -251,6 +251,20 @@ class TestDiagnostics:
         assert all(a is not None and np.isfinite(a) for a in alphas)
         assert min(alphas) > 0
 
+    def test_alpha_hook_gradient_reuse_keeps_run_bitwise(self, small_ct):
+        # With y_star the next step reuses the hook's gradient at y_{t+1}.
+        _, model, phantom, active, counts = small_ct
+        runs = [
+            R.run_ct_reconstruction(
+                model, active, counts, sigma=5.0, iters=15, y_star=y_star, record_time=False
+            )[0]
+            for y_star in (None, active.matmat(phantom))
+        ]
+        plain, with_alpha = runs
+        for v in ("x", "y", "u"):
+            assert np.array_equal(getattr(plain.state, v), getattr(with_alpha.state, v))
+        assert [r.objective for r in plain.trace] == [r.objective for r in with_alpha.trace]
+
     def test_fosp_zero_for_exact_single_bin_counts(self):
         rng = np.random.default_rng(9)
         model = random_ray_model(rng, n_i=1, n_m=2)

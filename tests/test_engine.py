@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ def lasso_problem(a, w, lam, sigma):
         g=CompositeObjective(prox_step=prox_y),
         D_f=DiagonalMatrix(np.full(d, sigma * gamma)),
         D_g=DiagonalMatrix(np.full(n, 1.0 + sigma)),
-        objective=lambda x, y: 0.5 * np.sum((a @ x - w) ** 2) + lam * np.abs(x).sum(),
+        objective=lambda x, y, ax: 0.5 * np.sum((ax - w) ** 2) + lam * np.abs(x).sum(),
     )
 
 
@@ -141,6 +142,112 @@ class TestAdmmStep:
         with pytest.raises(AdmmStepError, match="non-finite"):
             engine.run(prob, iters=5)
 
+    @pytest.mark.parametrize("callback", ["grad_d", "objective", "alpha_hook"])
+    def test_callback_failure_carries_iteration(self, callback):
+        calls = []
+
+        def fail_on_third(value):
+            calls.append(1)
+            if len(calls) >= 3:
+                raise ValueError("nonpositive window mean")
+            return value
+
+        prob, alpha_hook = scalar_problem(), None
+        if callback == "grad_d":
+            prob.g.grad_d = lambda y: fail_on_third(0.0 * y)
+        elif callback == "objective":
+            prob.objective = lambda x, y, ax: fail_on_third(0.0)
+        else:
+            alpha_hook = lambda t, x, y, u, ax: fail_on_third(1.0)
+        with pytest.raises(AdmmStepError, match=f"{callback} failed: nonpositive") as err:
+            engine.run(prob, init=(np.ones(1), np.ones(1), np.ones(1)), iters=10,
+                       alpha_hook=alpha_hook)
+        assert err.value.iteration == 3
+
+    def test_nonfinite_objective_raises_and_leaves_state(self):
+        values = iter([1.0, float("nan")])
+        prob = scalar_problem(objective=lambda x, y, ax: next(values))
+        state = engine.admm_step(prob, AdmmState.initial(np.ones(1), np.full(1, 2.0), np.zeros(1)))
+        sums = (state.sum_x.total.copy(), state.sum_y.total.copy())
+        with pytest.raises(AdmmStepError, match="objective is not finite") as err:
+            engine.admm_step(prob, state)
+        assert err.value.iteration == 2
+        assert len(state.trace) == 1
+        assert np.array_equal(state.sum_x.total, sums[0])
+        assert np.array_equal(state.sum_y.total, sums[1])
+
+    def test_step_leaves_previous_iterate_unchanged(self):
+        rng = np.random.default_rng(6)
+        prob = lasso_problem(rng.standard_normal((4, 3)), rng.standard_normal(4), 0.05, 0.5)
+        state = AdmmState.initial(
+            rng.standard_normal(3), rng.standard_normal(4), rng.standard_normal(4)
+        )
+        for _ in range(3):
+            before = (state.x.copy(), state.y.copy(), state.u.copy())
+            new = engine.admm_step(prob, state)
+            for old, kept in zip((state.x, state.y, state.u), before):
+                assert np.array_equal(old, kept)
+            for old, fresh in zip((state.x, state.y, state.u), (new.x, new.y, new.u)):
+                assert not np.shares_memory(old, fresh)
+            state = new
+
+
+class CountingMap(DenseMap):
+    """DenseMap that counts its products and remembers the last A x."""
+
+    def __init__(self, a):
+        super().__init__(a)
+        self.matvecs = self.rmatvecs = 0
+        self.last = None
+
+    def matvec(self, v):
+        self.matvecs += 1
+        self.last = super().matvec(v)
+        return self.last
+
+    def rmatvec(self, v):
+        self.rmatvecs += 1
+        return super().rmatvec(v)
+
+
+class TestProductReuse:
+    def test_one_product_each_way_per_step(self):
+        rng = np.random.default_rng(8)
+        a, w = rng.standard_normal((5, 4)), rng.standard_normal(5)
+        prob = lasso_problem(a, w, 0.05, 0.5)
+        counting = CountingMap(a)
+        prob.A = counting
+        seen = []
+
+        def objective(x, y, ax):
+            seen.append(ax is counting.last)
+            return 0.5 * float(np.sum((ax - w) ** 2))
+
+        def alpha_hook(t, x, y, u, ax):
+            seen.append(ax is counting.last)
+            return None
+
+        prob.objective = objective
+        state = engine.admm_step(prob, AdmmState.initial(np.ones(4), np.ones(5), np.zeros(5)),
+                                 alpha_hook=alpha_hook)
+        assert (counting.matvecs, counting.rmatvecs) == (2, 1)  # first step also forms A x_0
+        for step in range(1, 11):
+            state = engine.admm_step(prob, state, alpha_hook=alpha_hook)
+            assert (counting.matvecs, counting.rmatvecs) == (2 + step, 1 + step)
+            assert np.array_equal(state.ax, a @ state.x)
+        assert seen == [True] * 22
+
+    def test_carried_product_matches_a_fresh_one_bitwise(self):
+        rng = np.random.default_rng(9)
+        prob = lasso_problem(rng.standard_normal((5, 4)), rng.standard_normal(5), 0.05, 0.5)
+        carried = AdmmState.initial(np.zeros(4), np.zeros(5), np.zeros(5))
+        fresh = AdmmState.initial(np.zeros(4), np.zeros(5), np.zeros(5))
+        for _ in range(20):
+            carried = engine.admm_step(prob, carried, record_time=False)
+            fresh = engine.admm_step(prob, replace(fresh, ax=None), record_time=False)
+            for v in ("x", "y", "u"):
+                assert np.array_equal(getattr(carried, v), getattr(fresh, v))
+
 
 class TestRun:
     def test_single_iteration_average_is_first_iterate(self):
@@ -185,7 +292,7 @@ class TestRun:
 
     def test_alpha_hook_recorded(self):
         prob = scalar_problem()
-        res = engine.run(prob, iters=3, alpha_hook=lambda t, x, y, u: float(t) * 2.0)
+        res = engine.run(prob, iters=3, alpha_hook=lambda t, x, y, u, ax: float(t) * 2.0)
         assert [r.alpha_t for r in res.trace] == [2.0, 4.0, 6.0]
 
 

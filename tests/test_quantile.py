@@ -291,3 +291,16 @@ class TestSigmaSweepRunner:
         sp = replace(spec, sigma=5e-3)
         expected = Q.quantile_objective(sp, ds, res.x_bar)
         assert entry["objective_avg"][-1] == pytest.approx(expected, rel=1e-12)
+
+    def test_average_loss_matches_objective_at_every_running_average(self):
+        # run_quantile forms Phi x_bar_t as the Kahan mean of the Phi x_t.
+        spec = small_spec(seed=7)
+        ds = Q.generate_dataset(spec)
+        _, avg_losses = Q.run_quantile(spec, ds, iters=300, record_time=False)
+        x_bars = []
+        engine.run(
+            Q.build_problem(spec, ds), iters=300, record_time=False,
+            iteration_hook=lambda t, state: x_bars.append(state.x_bar),
+        )
+        expected = [Q.quantile_objective(spec, ds, x_bar) for x_bar in x_bars]
+        assert avg_losses == pytest.approx(expected, rel=1e-12, abs=0.0)
