@@ -107,7 +107,10 @@ def _ct_pieces(cfg: ExperimentConfig):
 def _run_ct(cfg: ExperimentConfig, record_time: bool) -> list[str]:
     from .ct import recon as R
 
-    geom, model, phantom = _ct_pieces(cfg)
+    try:
+        geom, model, phantom = _ct_pieces(cfg)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"ct inputs: {exc}") from exc
     summary = R.run_ct_experiment(
         geom,
         model,
@@ -248,15 +251,14 @@ def cmd_run(args) -> int:
                 paths = [p for chunk in pool.map(_worker_entry, jobs) for p in chunk]
         else:
             paths = _EXPERIMENTS[cfg.kind](cfg, record_time)
-    except AdmmStepError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (FloatingPointError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (AdmmStepError, FloatingPointError, ValueError) as exc:
+        # ValueError also covers np.linalg.LinAlgError and set-up failures
+        # outside the engine, e.g. a nonpositive CT window mean at y*.
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     manifest = _write_manifest(cfg)
     print(f"wrote {len(paths)} trace file(s) and {manifest}")
     for p in paths:

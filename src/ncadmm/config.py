@@ -144,17 +144,6 @@ class ExperimentConfig:
         self.problem.validate()
 
 
-def _parse_scalar(raw: str, kind):
-    raw = raw.strip()
-    if kind is int:
-        return int(raw)
-    if kind is float:
-        if raw.lower() in ("inf", "+inf", "infinity"):
-            return math.inf
-        return float(raw)
-    return raw
-
-
 def _coerce(section_name: str, key: str, raw, template) -> object:
     aliases = getattr(template, "ALIASES", None) or {}
     name = aliases.get(key, key)
@@ -166,12 +155,10 @@ def _coerce(section_name: str, key: str, raw, template) -> object:
         raw = raw.strip()
         if raw.lower() in ("none", "auto"):
             return name, None
-        if isinstance(current, bool):
-            return name, raw.lower() in ("1", "true", "yes")
-        if isinstance(current, int) and not isinstance(current, bool):
+        if isinstance(current, int):
             return name, int(raw)
         if isinstance(current, float) or current is None and name.endswith("_cm"):
-            return name, _parse_scalar(raw, float)
+            return name, float(raw)
         if isinstance(current, tuple) or name in ("materials", "window_thresholds_kev"):
             parts = [p.strip() for p in raw.split(",") if p.strip()]
             if name == "materials":

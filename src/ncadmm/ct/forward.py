@@ -3,8 +3,7 @@
 Parallel-beam 2-D geometry with an exact ray/pixel intersection-length
 projector, a beam spectrum split into blurry energy windows, tabulated
 attenuation curves per material, Poisson count sampling, and the
-quadratically-tamed negative log-likelihood with its gradient and per-ray
-Hessian blocks.
+quadratically-tamed negative log-likelihood with its gradient.
 
 Images are (n_pixels, n_materials) arrays of material fractions; projections
 live in (n_rays, n_materials) arrays; counts in (n_windows, n_rays) arrays.
@@ -35,7 +34,6 @@ __all__ = [
     "load_phantom",
     "forward_counts",
     "ct_loss_parts",
-    "ct_loss",
 ]
 
 DEFAULT_MATERIALS = ("pmma", "aluminum", "gadolinium")
@@ -451,21 +449,12 @@ def forward_counts(
     return rng.poisson(means).astype(np.int64)
 
 
-def expected_counts(model: SpectralModel, projector: SparseMatrix, image: np.ndarray) -> np.ndarray:
-    """Noise-free means of the count model (same layout as forward_counts)."""
-    proj = projector.matmat(np.asarray(image, dtype=float))
-    trans = np.exp(-(proj @ model.mu))
-    scale = model.scales(projector.rows)
-    return scale[None, :] * (model.response @ trans.T)
-
-
 @dataclass
 class LossParts:
     g_c: float
     g_d: float
     grad_c: np.ndarray | None = None
     grad_d: np.ndarray | None = None
-    hess_c: np.ndarray | None = None  # (n_rays, n_m, n_m) per-ray blocks
 
     @property
     def value(self) -> float:
@@ -481,14 +470,12 @@ def ct_loss_parts(
     y: np.ndarray,
     counts: np.ndarray,
     want_grad: bool = True,
-    want_hess: bool = False,
 ) -> LossParts:
     """Split loss at projections y (n_rays x n_m): convex part, concave part.
 
     g_c(y) sums response * qexp(-mu.y) over windows, rays, energies; g_d(y) is
     -sum counts * log(window mean). Gradients chain through the first
-    derivative of the spliced exponential; the per-ray Hessian blocks of g_c
-    are sums of outer products mu_i mu_i' with positive weights, hence PSD.
+    derivative of the spliced exponential.
     """
     y = np.asarray(y, dtype=float)
     counts = np.asarray(counts, dtype=float)
@@ -500,7 +487,7 @@ def ct_loss_parts(
     scale = model.scales(n_rays)
 
     exponent = -(y @ model.mu)                           # (n_rays, n_i)
-    val, d1, d2 = qexp(exponent)
+    val, d1, _ = qexp(exponent)
     sb = model.response                                  # (n_w, n_i)
     means = scale[None, :] * (sb @ val.T)                # (n_w, n_rays)
     if means.min() <= 0:
@@ -510,18 +497,10 @@ def ct_loss_parts(
     g_c = float((val * beam_w).sum())
     g_d = float(-(counts * np.log(means)).sum())
 
-    grad_c = grad_d = hess_c = None
-    if want_grad or want_hess:
-        if want_grad:
-            grad_c = -(d1 * beam_w) @ model.mu.T
-            ratio = counts / means                       # (n_w, n_rays)
-            w_d = scale[:, None] * (ratio.T @ sb)        # (n_rays, n_i)
-            grad_d = (d1 * w_d) @ model.mu.T
-        if want_hess:
-            hess_c = np.einsum("li,mi,ni->lmn", d2 * beam_w, model.mu, model.mu)
-    return LossParts(g_c=g_c, g_d=g_d, grad_c=grad_c, grad_d=grad_d, hess_c=hess_c)
-
-
-def ct_loss(model: SpectralModel, y: np.ndarray, counts: np.ndarray) -> float:
-    parts = ct_loss_parts(model, y, counts, want_grad=False)
-    return parts.value
+    grad_c = grad_d = None
+    if want_grad:
+        grad_c = -(d1 * beam_w) @ model.mu.T
+        ratio = counts / means                           # (n_w, n_rays)
+        w_d = scale[:, None] * (ratio.T @ sb)            # (n_rays, n_i)
+        grad_d = (d1 * w_d) @ model.mu.T
+    return LossParts(g_c=g_c, g_d=g_d, grad_c=grad_c, grad_d=grad_d)

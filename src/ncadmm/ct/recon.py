@@ -1,4 +1,4 @@
-"""Spectral CT reconstruction: preconditioned ADMM updates and diagnostics.
+"""Spectral CT reconstruction: preconditioned ADMM wiring and diagnostics.
 
 The splitting puts nothing on the image block (f = 0) and the whole
 likelihood on the projection block, tied by y = Px. Step sizes follow the
@@ -32,20 +32,14 @@ __all__ = [
     "CtPreconditioners",
     "alpha_ratio",
     "run_ct_experiment",
-    "run_ct_specialized",
     "trace_filename",
     "active_ray_mask",
     "build_preconditioners",
-    "ct_x_update",
-    "ct_y_update",
-    "ct_u_update",
     "newton_ray_solve",
-    "ray_subproblem_objective",
     "alpha_t_diagnostic",
     "fosp_ratio",
     "build_ct_problem",
     "run_ct_reconstruction",
-    "stepsize_matrix_factor",
     "save_image_grid",
     "save_pgm",
 ]
@@ -88,18 +82,6 @@ def build_preconditioners(projector: SparseMatrix, sigma: float) -> CtPreconditi
     )
 
 
-def ct_x_update(
-    projector: SparseMatrix,
-    pre: CtPreconditioners,
-    x: np.ndarray,
-    y: np.ndarray,
-    u: np.ndarray,
-) -> np.ndarray:
-    """x + Q_f^{-1} P' (sigma_tilde (y - Px) - u), columnwise per material."""
-    resid = pre.sigma_tilde.diag[:, None] * (y - projector.matmat(x)) - u
-    return x + projector.rmatmat(resid) / pre.q_f.diag[:, None]
-
-
 def newton_ray_solve(
     model: SpectralModel,
     lin: np.ndarray,
@@ -130,47 +112,6 @@ def newton_ray_solve(
         hess[:, diag_idx, diag_idx] += sigma_diag[:, None]
         v = v - np.linalg.solve(hess, grad[..., None])[..., 0]
     return v
-
-
-def ray_subproblem_objective(
-    model: SpectralModel,
-    lin: np.ndarray,
-    center: np.ndarray,
-    sigma_diag: np.ndarray,
-    v: np.ndarray,
-) -> np.ndarray:
-    """Per-ray value of the y-subproblem objective (for monotonicity checks)."""
-    scale = model.scales(center.shape[0])
-    beam_w = scale[:, None] * model.beam[None, :]
-    val, _, _ = qexp(-(v @ model.mu))
-    gc = (val * beam_w).sum(axis=1)
-    quad = 0.5 * sigma_diag * ((v - center) ** 2).sum(axis=1)
-    return gc + (lin * v).sum(axis=1) + quad
-
-
-def ct_y_update(
-    model: SpectralModel,
-    counts: np.ndarray,
-    pre: CtPreconditioners,
-    proj_x_next: np.ndarray,
-    y: np.ndarray,
-    u: np.ndarray,
-    newton_iters: int = DEFAULT_NEWTON_ITERS,
-) -> np.ndarray:
-    """Per-ray Newton step block: the concave part enters via its gradient at y_t."""
-    grad_d = ct_loss_parts(model, y, counts).grad_d
-    lin = grad_d - u - pre.sigma_tilde.diag[:, None] * (proj_x_next - y)
-    return newton_ray_solve(model, lin, y, pre.sigma_tilde.diag, newton_iters)
-
-
-def ct_u_update(
-    pre: CtPreconditioners,
-    proj_x_next: np.ndarray,
-    y_next: np.ndarray,
-    u: np.ndarray,
-) -> np.ndarray:
-    """u + sigma_tilde (P x_{t+1} - y_{t+1})."""
-    return u + pre.sigma_tilde.diag[:, None] * (proj_x_next - y_next)
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +168,6 @@ def fosp_ratio(model: SpectralModel, counts: np.ndarray, y_star: np.ndarray) -> 
 
 # ---------------------------------------------------------------------------
 # Engine wiring and the full reconstruction loop
-
-
-def stepsize_matrix_factor(projector: SparseMatrix, pre: CtPreconditioners) -> np.ndarray:
-    """Dense pixel-space factor Q_f - P' sigma_tilde P of the x step-size matrix.
-
-    The actual step-size matrix is this factor Kronecker the identity over
-    materials, so PSD of the factor is PSD of the whole matrix.
-    """
-    dense = projector.dense()
-    gram = dense.T @ (pre.sigma_tilde.diag[:, None] * dense)
-    return np.diag(pre.q_f.diag) - gram
 
 
 def build_ct_problem(
@@ -334,30 +264,6 @@ def run_ct_reconstruction(
     return result, pre
 
 
-def run_ct_specialized(
-    model: SpectralModel,
-    projector: SparseMatrix,
-    counts: np.ndarray,
-    sigma: float,
-    iters: int,
-    newton_iters: int = DEFAULT_NEWTON_ITERS,
-):
-    """Reference loop using the closed-form matrix updates (for equivalence tests)."""
-    pre = build_preconditioners(projector, sigma)
-    n_m = model.n_materials
-    x = np.zeros((projector.cols, n_m))
-    y = np.zeros((projector.rows, n_m))
-    u = np.zeros((projector.rows, n_m))
-    iterates = []
-    for _ in range(iters):
-        x = ct_x_update(projector, pre, x, y, u)
-        proj_x = projector.matmat(x)
-        y = ct_y_update(model, counts, pre, proj_x, y, u, newton_iters)
-        u = ct_u_update(pre, proj_x, y, u)
-        iterates.append((x.copy(), y.copy(), u.copy()))
-    return iterates
-
-
 def trace_filename(sigma: float) -> str:
     return f"ct_sigma{sigma:g}.csv"
 
@@ -372,14 +278,13 @@ def run_ct_experiment(
     out_dir=None,
     newton_iters: int = DEFAULT_NEWTON_ITERS,
     record_time: bool = True,
-    write_pgm: bool = True,
 ) -> dict:
     """Full simulation + sigma sweep: sample counts once, reconstruct per sigma.
 
     Rays that miss the grid are dropped before reconstruction. Persists (when
     out_dir is given) one trace per sigma, with the projection-domain loss in
     the objective column and the curvature ratio in the alpha_t column, plus
-    one reconstructed image grid per material (text and optional graymap).
+    one reconstructed image grid per material (text and graymap).
     """
     from .forward import build_projector, forward_counts
 
@@ -414,8 +319,7 @@ def run_ct_experiment(
             for m, name in enumerate(model.materials):
                 stem = f"{out_dir}/ct_sigma{sigma:g}_{name}"
                 save_image_grid(f"{stem}.txt", x_final[:, m], geom.grid_nx, geom.grid_ny)
-                if write_pgm:
-                    save_pgm(f"{stem}.pgm", x_final[:, m], geom.grid_nx, geom.grid_ny)
+                save_pgm(f"{stem}.pgm", x_final[:, m], geom.grid_nx, geom.grid_ny)
         runs[sigma] = entry
     return {
         "runs": runs,

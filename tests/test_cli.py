@@ -3,6 +3,7 @@ import json
 import pytest
 
 from ncadmm import cli
+from ncadmm.ct import forward as F
 from ncadmm.config import ConfigError, default_config, parse_config
 from ncadmm.engine import AdmmStepError, load_trace
 
@@ -85,9 +86,10 @@ class TestConfigParsing:
 
     def test_inf_radius_accepted(self, tmp_path):
         path = tmp_path / "ok.ini"
-        path.write_text("[experiment]\nkind = quantile\n[quantile]\nR = inf\n")
-        cfg = parse_config(path)
-        assert cfg.problem.radius == float("inf")
+        for spelling in ("inf", "Infinity", "+inf", "INF"):
+            path.write_text(f"[experiment]\nkind = quantile\n[quantile]\nR = {spelling}\n")
+            cfg = parse_config(path)
+            assert cfg.problem.radius == float("inf")
 
 
 class TestRunCommand:
@@ -175,16 +177,35 @@ class TestRunCommand:
 
         real = recon.ct_loss_parts
 
-        def loss_parts(model, y, counts, want_grad=True, want_hess=False):
+        def loss_parts(model, y, counts, want_grad=True):
             if not want_grad:  # only the per-iterate objective asks for no gradient
                 raise ValueError("nonpositive window mean; cannot take its log")
-            return real(model, y, counts, want_grad, want_hess)
+            return real(model, y, counts, want_grad)
 
         monkeypatch.setattr(recon, "ct_loss_parts", loss_parts)
         path, _ = write_config(tmp_path, CT_SMALL)
         assert cli.main(["run", "--config", str(path)]) == 3
         err = capsys.readouterr().err
         assert "iteration 1: objective failed: nonpositive window mean" in err
+
+    def test_ct_setup_failure_exits_3(self, tmp_path, capsys):
+        # A phantom 1e4 times too dense absorbs every photon: the window means
+        # at y* vanish, so the stationarity ratio of the set-up cannot be formed.
+        geom = F.CtGeometry(grid_nx=5, grid_ny=5, pixel_size=0.5, n_angles=6, n_detectors=6)
+        phantom = tmp_path / "dense_phantom.txt"
+        F.save_phantom(phantom, F.default_phantom(geom) * 1e4, geom)
+        path, out = write_config(tmp_path, CT_SMALL + f"phantom = {phantom}\n")
+        assert cli.main(["run", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: nonpositive window mean; cannot take its log\n"
+        assert not (out / "manifest.json").exists()
+
+    def test_bad_ct_phantom_exits_2(self, tmp_path, capsys):
+        phantom = tmp_path / "phantom.txt"
+        phantom.write_text("0 0\n0 0\n")  # a 2x2 block for a 5x5 grid
+        path, _ = write_config(tmp_path, CT_SMALL + f"phantom = {phantom}\n")
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "config error: ct inputs: phantom block shape" in capsys.readouterr().err
 
 
 class TestValidateCommand:

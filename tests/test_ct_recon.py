@@ -8,7 +8,15 @@ from ncadmm.engine import load_trace
 from ncadmm.numerics import DiagonalMatrix
 from ncadmm.prox import qexp
 
-from _oracles import bisect_min
+from _oracles import (
+    bisect_min,
+    ct_u_update,
+    ct_x_update,
+    ct_y_update,
+    ray_subproblem_objective,
+    run_ct_specialized,
+    stepsize_matrix_factor,
+)
 
 
 def subproblem_gradient(model, lin, center, sigma_diag, v):
@@ -55,7 +63,7 @@ class TestPreconditioners:
     def test_stepsize_factor_psd(self, small_ct):
         _, _, _, active, _ = small_ct
         pre = R.build_preconditioners(active, sigma=3.0)
-        factor = R.stepsize_matrix_factor(active, pre)
+        factor = stepsize_matrix_factor(active, pre)
         eigs = np.linalg.eigvalsh(0.5 * (factor + factor.T))
         assert eigs[0] >= -1e-8
 
@@ -67,7 +75,7 @@ class TestXUpdate:
         x = np.array(phantom)
         y = active.matmat(x)
         u = np.zeros_like(y)
-        out = R.ct_x_update(active, pre, x, y, u)
+        out = ct_x_update(active, pre, x, y, u)
         assert np.abs(out - x).max() <= 1e-14
 
     def test_scalar_hand_trace(self):
@@ -83,7 +91,7 @@ class TestXUpdate:
         y = np.array([[0.2]])
         u = np.array([[0.05]])
         expected = 0.4 + 0.7 * (s_t * (0.2 - 0.7 * 0.4) - 0.05) / q_f
-        out = R.ct_x_update(p, pre, x, y, u)
+        out = ct_x_update(p, pre, x, y, u)
         assert out[0, 0] == pytest.approx(expected, rel=1e-14)
 
     def test_matches_dense_subproblem_oracle(self, small_ct):
@@ -95,14 +103,14 @@ class TestXUpdate:
         x_t = rng.standard_normal((active.cols, n_m))
         y = rng.standard_normal((active.rows, n_m))
         u = rng.standard_normal((active.rows, n_m))
-        factor = R.stepsize_matrix_factor(active, pre)  # Q_f - P'SP
+        factor = stepsize_matrix_factor(active, pre)  # Q_f - P'SP
         h_f = np.kron(factor, np.eye(n_m))
         a = np.kron(active.dense(), np.eye(n_m))
         s = np.kron(np.diag(pre.sigma_tilde.diag), np.eye(n_m))
         lhs = h_f + a.T @ s @ a
         rhs = h_f @ x_t.ravel() + a.T @ s @ y.ravel() - a.T @ u.ravel()
         ref = np.linalg.solve(lhs, rhs).reshape(active.cols, n_m)
-        out = R.ct_x_update(active, pre, x_t, y, u)
+        out = ct_x_update(active, pre, x_t, y, u)
         assert np.abs(out - ref).max() <= 1e-10
 
 
@@ -148,10 +156,10 @@ class TestNewtonSolve:
             center = v_star + rng.uniform(-0.2, 0.2, (n_rays, n_m))
             lin = -subproblem_gradient(model, 0.0, center, sigma_diag, v_star)
             v = center.copy()
-            prev = R.ray_subproblem_objective(model, lin, center, sigma_diag, v)
+            prev = ray_subproblem_objective(model, lin, center, sigma_diag, v)
             for _ in range(10):
                 v = R.newton_ray_solve(model, lin, center, sigma_diag, iters=1, start=v)
-                vals = R.ray_subproblem_objective(model, lin, center, sigma_diag, v)
+                vals = ray_subproblem_objective(model, lin, center, sigma_diag, v)
                 assert np.all(vals <= prev + 1e-12 * np.maximum(1.0, np.abs(prev)))
                 prev = vals
 
@@ -186,12 +194,12 @@ class TestYUpdateAndDual:
         pre = R.build_preconditioners(active, sigma=1.0)
         proj = active.matmat(phantom)
         u = np.full_like(proj, 0.3)
-        assert np.array_equal(R.ct_u_update(pre, proj, proj, u), u)
+        assert np.array_equal(ct_u_update(pre, proj, proj, u), u)
 
     def test_dual_identity_over_specialized_run(self, small_ct):
         _, model, phantom, active, counts = small_ct
         pre = R.build_preconditioners(active, sigma=2.0)
-        iterates = R.run_ct_specialized(model, active, counts, sigma=2.0, iters=8)
+        iterates = run_ct_specialized(model, active, counts, sigma=2.0, iters=8)
         u_prev = np.zeros((active.rows, model.n_materials))
         for x, y, u in iterates:
             expected = u_prev + pre.sigma_tilde.diag[:, None] * (active.matmat(x) - y)
@@ -206,7 +214,7 @@ class TestYUpdateAndDual:
         x = 0.1 * rng.standard_normal((active.cols, model.n_materials))
         u = 0.05 * rng.standard_normal((active.rows, model.n_materials))
         proj = active.matmat(x)
-        out = R.ct_y_update(model, counts, pre, proj, y, u, newton_iters=30)
+        out = ct_y_update(model, counts, pre, proj, y, u, newton_iters=30)
         grad_d = F.ct_loss_parts(model, y, counts).grad_d
         lin = grad_d - u - pre.sigma_tilde.diag[:, None] * (proj - y)
         grad = subproblem_gradient(model, lin, y, pre.sigma_tilde.diag, out)
@@ -217,7 +225,7 @@ class TestEngineEquivalence:
     def test_specialized_matches_engine_ten_iters(self, small_ct):
         _, model, phantom, active, counts = small_ct
         sigma = 10.0
-        specialized = R.run_ct_specialized(model, active, counts, sigma=sigma, iters=10)
+        specialized = run_ct_specialized(model, active, counts, sigma=sigma, iters=10)
         problem, _ = R.build_ct_problem(model, active, counts, sigma=sigma)
         state = engine.AdmmState.initial(
             np.zeros(problem.dim_x), np.zeros(problem.dim_y), np.zeros(problem.dim_u)

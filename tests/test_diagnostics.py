@@ -17,6 +17,9 @@ def toy_problem(a):
         sigma=DiagonalMatrix(np.full(n, 0.5)),
         f=CompositeObjective(prox_step=quadratic_prox),
         g=CompositeObjective(prox_step=quadratic_prox),
+        # the probes read only A, B, c and Sigma; no step is taken
+        D_f=DiagonalMatrix(np.ones(a.shape[1])),
+        D_g=DiagonalMatrix(np.ones(n)),
     )
 
 

@@ -17,22 +17,26 @@ from ncadmm.engine import (
     load_trace,
     quadratic_prox,
     save_trace,
-    validate_stepsizes,
 )
 from ncadmm.numerics import DiagonalMatrix, spectral_norm
 from ncadmm.prox import soft_threshold
 
-from _oracles import fista_lasso
+from _oracles import fista_lasso, validate_stepsizes
+
+# A = I, B = -I, Sigma = I in one dimension: both subproblem quadratics are 1.
+UNIT = DiagonalMatrix(np.ones(1))
 
 
-def scalar_problem(**kwargs):
+def scalar_problem(f=None, **kwargs):
     return AdmmProblem(
         A=ScaledIdentity(1, 1.0),
         B=ScaledIdentity(1, -1.0),
         c=np.zeros(1),
-        sigma=DiagonalMatrix(np.ones(1)),
-        f=CompositeObjective(prox_step=quadratic_prox),
+        sigma=UNIT,
+        f=f or CompositeObjective(prox_step=quadratic_prox),
         g=CompositeObjective(prox_step=quadratic_prox),
+        D_f=UNIT,
+        D_g=UNIT,
         **kwargs,
     )
 
@@ -115,14 +119,7 @@ class TestAdmmStep:
                 raise RuntimeError("inner solve diverged")
             return quadratic_prox(lin, D, center)
 
-        prob = AdmmProblem(
-            A=ScaledIdentity(1, 1.0),
-            B=ScaledIdentity(1, -1.0),
-            c=np.zeros(1),
-            sigma=DiagonalMatrix(np.ones(1)),
-            f=CompositeObjective(prox_step=bad_prox),
-            g=CompositeObjective(prox_step=quadratic_prox),
-        )
+        prob = scalar_problem(f=CompositeObjective(prox_step=bad_prox))
         with pytest.raises(AdmmStepError) as err:
             engine.run(prob, init=(np.ones(1), np.ones(1), np.ones(1)), iters=10)
         assert err.value.iteration == 3
@@ -131,14 +128,7 @@ class TestAdmmStep:
         def nan_prox(lin, D, center):
             return np.array([float("nan")])
 
-        prob = AdmmProblem(
-            A=ScaledIdentity(1, 1.0),
-            B=ScaledIdentity(1, -1.0),
-            c=np.zeros(1),
-            sigma=DiagonalMatrix(np.ones(1)),
-            f=CompositeObjective(prox_step=nan_prox),
-            g=CompositeObjective(prox_step=quadratic_prox),
-        )
+        prob = scalar_problem(f=CompositeObjective(prox_step=nan_prox))
         with pytest.raises(AdmmStepError, match="non-finite"):
             engine.run(prob, iters=5)
 
@@ -320,59 +310,41 @@ class TestAveraging:
         assert np.abs(state.x_bar - exact).max() <= 1e-12
 
 
+SCALAR_CONSTRAINT = dict(a=np.eye(1), b=-np.eye(1), sigma=np.ones(1))
+
+
 class TestValidateStepsizes:
     def test_identity_stepsize_passes(self):
-        prob = scalar_problem(H_f=np.eye(1), H_g=np.eye(1))
-        report = validate_stepsizes(prob)
+        report = validate_stepsizes(**SCALAR_CONSTRAINT, h_f=np.eye(1), h_g=np.eye(1))
         assert report.ok
 
     def test_negative_stepsize_fails_named(self):
-        # H_f = -I/2 keeps the subproblem quadratic PD so the problem builds,
-        # but the PSD condition on H_f itself must be reported as violated
-        prob = scalar_problem(H_f=-0.5 * np.eye(1))
-        report = validate_stepsizes(prob)
+        # H_f = -I/2 keeps the subproblem quadratic PD, but the PSD
+        # condition on H_f itself must be reported as violated
+        report = validate_stepsizes(**SCALAR_CONSTRAINT, h_f=-0.5 * np.eye(1))
         assert not report.ok
         assert "H_f PSD" in report.failures()
 
-    def test_indefinite_subproblem_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="not positive definite"):
-            scalar_problem(H_f=-np.eye(1))
+    def test_indefinite_subproblem_reported(self):
+        report = validate_stepsizes(**SCALAR_CONSTRAINT, h_f=-np.eye(1))
+        assert "H_f + M'Sigma M positive definite" in report.failures()
 
     def test_hessian_domination_checked_at_probes(self):
         # concave differentiable part: zero step-size matrix still dominates
-        def prox_id(lin, D, center):
-            return quadratic_prox(lin, D, center)
-
-        prob = AdmmProblem(
-            A=ScaledIdentity(2, 1.0),
-            B=ScaledIdentity(2, -1.0),
-            c=np.zeros(2),
-            sigma=DiagonalMatrix(np.ones(2)),
-            f=CompositeObjective(
-                prox_step=prox_id,
-                grad_d=lambda x: -0.1 * x / (0.5 + np.abs(x)),
-                hessian_d=lambda x: np.diag(-0.05 / (0.5 + np.abs(x)) ** 2),
-            ),
-            g=CompositeObjective(prox_step=quadratic_prox),
-        )
         rng = np.random.default_rng(5)
-        report = validate_stepsizes(prob, probe_points=[rng.standard_normal(2) for _ in range(20)])
+        report = validate_stepsizes(
+            np.eye(2), -np.eye(2), np.ones(2),
+            hess_f=lambda x: np.diag(-0.05 / (0.5 + np.abs(x)) ** 2),
+            probes_x=[rng.standard_normal(2) for _ in range(20)],
+        )
         assert report.ok
 
     def test_hessian_violation_detected(self):
-        prob = AdmmProblem(
-            A=ScaledIdentity(1, 1.0),
-            B=ScaledIdentity(1, -1.0),
-            c=np.zeros(1),
-            sigma=DiagonalMatrix(np.ones(1)),
-            f=CompositeObjective(
-                prox_step=quadratic_prox,
-                grad_d=lambda x: x,
-                hessian_d=lambda x: np.eye(1),  # curvature +1 > H_f = 0
-            ),
-            g=CompositeObjective(prox_step=quadratic_prox),
+        report = validate_stepsizes(
+            **SCALAR_CONSTRAINT,
+            hess_f=lambda x: np.eye(1),  # curvature +1 > H_f = 0
+            probes_x=[np.zeros(1)],
         )
-        report = validate_stepsizes(prob, probe_points=[np.zeros(1)])
         assert not report.ok
         assert any("dominates" in name for name in report.failures())
 
@@ -387,6 +359,8 @@ class TestProblemValidation:
                 sigma=DiagonalMatrix(np.ones(2)),
                 f=CompositeObjective(prox_step=quadratic_prox),
                 g=CompositeObjective(prox_step=quadratic_prox),
+                D_f=DiagonalMatrix(np.ones(2)),
+                D_g=DiagonalMatrix(np.ones(3)),
             )
 
     def test_nonpositive_sigma_rejected(self):
@@ -398,6 +372,8 @@ class TestProblemValidation:
                 sigma=DiagonalMatrix(np.zeros(1)),
                 f=CompositeObjective(prox_step=quadratic_prox),
                 g=CompositeObjective(prox_step=quadratic_prox),
+                D_f=UNIT,
+                D_g=UNIT,
             )
 
 

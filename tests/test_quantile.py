@@ -6,10 +6,16 @@ import pytest
 
 from ncadmm import engine
 from ncadmm import quantile as Q
-from ncadmm.engine import AdmmState, load_trace, validate_stepsizes
+from ncadmm.engine import AdmmState, load_trace
 from ncadmm.prox import quantile_loss
 
-from _oracles import quantile_l1_optimum
+from _oracles import (
+    quantile_l1_optimum,
+    quantile_x_update,
+    quantile_y_update,
+    stepsize_margin,
+    validate_stepsizes,
+)
 
 
 def small_spec(**overrides):
@@ -115,7 +121,7 @@ class TestUpdates:
     def test_x_update_zero_fixed_point(self):
         spec = small_spec()
         ds = Q.generate_dataset(spec)
-        out = Q.quantile_x_update(
+        out = quantile_x_update(
             spec, ds, np.zeros(spec.d), np.zeros(spec.n), np.zeros(spec.n), gamma=100.0
         )
         assert np.array_equal(out, np.zeros(spec.d))
@@ -132,7 +138,7 @@ class TestUpdates:
         x_tilde = 0.3 - 2.0 * resid / gamma + (0.2 / (0.5 * gamma)) * 0.3 / (1.0 + 0.3)
         thresh = 0.2 / (0.5 * gamma)
         expected = math.copysign(max(abs(x_tilde) - thresh, 0.0), x_tilde)
-        out = Q.quantile_x_update(spec, ds, x, y, u, gamma)
+        out = quantile_x_update(spec, ds, x, y, u, gamma)
         assert out[0] == pytest.approx(expected, abs=1e-15)
 
     def test_x_update_first_order_optimality(self):
@@ -144,7 +150,7 @@ class TestUpdates:
             x = rng.standard_normal(spec.d)
             y = rng.standard_normal(spec.n)
             u = 0.01 * rng.standard_normal(spec.n)
-            x_next = Q.quantile_x_update(spec, ds, x, y, u, gamma)
+            x_next = quantile_x_update(spec, ds, x, y, u, gamma)
             assert x_subproblem_residual(spec, ds, gamma, x, y, u, x_next) <= 1e-8
 
     def test_y_update_separability(self):
@@ -154,7 +160,7 @@ class TestUpdates:
         )
         proj = np.array([0.2, -0.4, 1.9])
         u = np.array([0.01, 0.0, -0.02])
-        got = Q.quantile_y_update(spec, ds, proj, u)
+        got = quantile_y_update(spec, ds, proj, u)
         from ncadmm.prox import quantile_prox_update
 
         for i in range(3):
@@ -168,7 +174,7 @@ class TestUpdates:
         ds = Q.generate_dataset(spec)
         proj = np.linspace(-2, 2, spec.n)
         u = np.zeros(spec.n)
-        out = Q.quantile_y_update(spec, ds, proj, u)
+        out = quantile_y_update(spec, ds, proj, u)
         bound = max(spec.q, 1 - spec.q) / (spec.n * spec.sigma)
         assert np.abs(out - proj).max() <= bound + 1e-15
 
@@ -182,8 +188,8 @@ class TestUpdates:
         y = rng.standard_normal(spec.n)
         u = 0.01 * rng.standard_normal(spec.n)
         stepped = engine.admm_step(problem, AdmmState.initial(x, y, u))
-        x_ref = Q.quantile_x_update(spec, ds, x, y, u, gamma)
-        y_ref = Q.quantile_y_update(spec, ds, ds.phi @ x_ref, u)
+        x_ref = quantile_x_update(spec, ds, x, y, u, gamma)
+        y_ref = quantile_y_update(spec, ds, ds.phi @ x_ref, u)
         assert np.abs(stepped.x - x_ref).max() <= 1e-12
         assert np.abs(stepped.y - y_ref).max() <= 1e-12
         assert np.abs(stepped.u - (u + spec.sigma * (ds.phi @ x_ref - y_ref))).max() <= 1e-14
@@ -193,7 +199,7 @@ class TestUpdates:
         ds = Q.generate_dataset(spec)
         gamma = Q.quantile_gamma(ds.phi)
         rng = np.random.default_rng(4)
-        out = Q.quantile_x_update(
+        out = quantile_x_update(
             spec, ds, rng.standard_normal(spec.d), rng.standard_normal(spec.n),
             np.zeros(spec.n), gamma,
         )
@@ -205,15 +211,24 @@ class TestStepsizes:
         spec = small_spec()
         ds = Q.generate_dataset(spec)
         gamma = Q.quantile_gamma(ds.phi)
-        assert Q.stepsize_margin(ds, gamma) > 0
+        assert stepsize_margin(ds, gamma) > 0
 
     def test_explicit_stepsize_matrices_validate(self):
         spec = small_spec()
         ds = Q.generate_dataset(spec)
-        problem = Q.build_problem(spec, ds, explicit_stepsizes=True)
+        gamma = Q.quantile_gamma(ds.phi)
+        h_f = spec.sigma * (gamma * np.eye(spec.d) - ds.phi.T @ ds.phi)
+        lam, beta = spec.lam, spec.beta
+
+        def penalty_hessian(x):
+            return np.diag(-lam * beta / (beta + np.abs(x)) ** 2)
+
         rng = np.random.default_rng(8)
         probes = [rng.standard_normal(spec.d) for _ in range(20)]
-        report = validate_stepsizes(problem, probe_points=probes)
+        report = validate_stepsizes(
+            ds.phi, -np.eye(spec.n), np.full(spec.n, spec.sigma),
+            h_f=h_f, hess_f=penalty_hessian, probes_x=probes,
+        )
         assert report.ok, report.failures()
 
 
