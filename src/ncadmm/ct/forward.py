@@ -30,7 +30,6 @@ __all__ = [
     "load_attenuation_table",
     "load_spectrum_table",
     "default_phantom",
-    "save_phantom",
     "load_phantom",
     "forward_counts",
     "ct_loss_parts",
@@ -389,19 +388,11 @@ def default_phantom(geom: CtGeometry, materials=DEFAULT_MATERIALS) -> np.ndarray
     return image
 
 
-def save_phantom(path, image: np.ndarray, geom: CtGeometry, materials=DEFAULT_MATERIALS) -> None:
-    """Text grids of material fractions, one block per material, row-major."""
-    image = np.asarray(image, dtype=float)
-    with open(path, "w") as fh:
-        for m, name in enumerate(materials):
-            fh.write(f"# material {name}\n")
-            grid = image[:, m].reshape(geom.grid_nx, geom.grid_ny)
-            for row in grid:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-            fh.write("\n")
-
-
 def load_phantom(path, geom: CtGeometry) -> np.ndarray:
+    """Text grids of material fractions, one row-major block per material.
+
+    Blocks are separated by blank lines; lines starting with '#' are skipped.
+    """
     blocks = []
     current: list = []
     with open(path) as fh:

@@ -196,10 +196,11 @@ class KahanSum:
 class AdmmState:
     """Iterate (x_t, y_t, u_t), the running sums and the trace so far.
 
-    `ax` caches A x_t for the next step; None (as from `initial`) makes the
-    next step compute it. Each step returns fresh x, y, u and ax arrays but
-    advances `sum_x`, `sum_y` and `trace` in place and hands them on, so only
-    the newest state's averages and trace are current.
+    `ax` and `by` cache A x_t and B y_t for the next step; None (as from
+    `initial`) makes the next step compute them. Each step returns fresh x,
+    y, u, ax and by arrays but advances `sum_x`, `sum_y` and `trace` in place
+    and hands them on, so only the newest state's averages and trace are
+    current.
     """
 
     t: int
@@ -210,6 +211,7 @@ class AdmmState:
     sum_y: KahanSum
     trace: list = field(default_factory=list)
     ax: Optional[np.ndarray] = None
+    by: Optional[np.ndarray] = None
 
     @classmethod
     def initial(cls, x0: np.ndarray, y0: np.ndarray, u0: np.ndarray) -> "AdmmState":
@@ -269,7 +271,8 @@ def admm_step(
 
     A x_{t+1} is computed once: the residual, `problem.objective(x, y, ax)`
     and `alpha_hook(t, x, y, u, ax)` all receive it, and the returned state
-    carries it as the next step's A x_t. A failing callback or a non-finite
+    carries it as the next step's A x_t. B y_{t+1} from the residual is
+    carried the same way. A failing callback or a non-finite
     iterate or objective raises AdmmStepError and leaves `state` as it was.
     """
     t0 = time.perf_counter()
@@ -278,7 +281,7 @@ def admm_step(
     sig = problem.sigma
 
     ax = problem.A.matvec(x) if state.ax is None else state.ax
-    by = problem.B.matvec(y)
+    by = problem.B.matvec(y) if state.by is None else state.by
     lin_x = problem.A.rmatvec(u + sig.matvec(ax + by - problem.c))
     if problem.f.grad_d is not None:
         lin_x = lin_x + _call(it, "x grad_d", problem.f.grad_d, x)
@@ -292,7 +295,8 @@ def admm_step(
     y_new = _call(it, "y prox_step", problem.g.prox_step, lin_y, problem.D_g, y)
     y_new = _check_finite(np.asarray(y_new, dtype=float), it, "y update")
 
-    residual = ax_new + problem.B.matvec(y_new) - problem.c
+    by_new = problem.B.matvec(y_new)
+    residual = ax_new + by_new - problem.c
     u_new = _check_finite(u + sig.matvec(residual), it, "u update")
 
     obj = float("nan")
@@ -324,6 +328,7 @@ def admm_step(
         sum_y=state.sum_y,
         trace=state.trace,
         ax=ax_new,
+        by=by_new,
     )
 
 

@@ -61,23 +61,6 @@ class SparseMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    @property
-    def nnz(self) -> int:
-        return int(self._csr.nnz)
-
-    @classmethod
-    def from_dense(cls, a) -> "SparseMatrix":
-        a = _as_float_array(a, "matrix")
-        if a.ndim != 2:
-            raise ValueError("expected a 2-D array")
-        r, c = np.nonzero(a)
-        return cls(a.shape[0], a.shape[1], r, c, a[r, c])
-
-    @classmethod
-    def identity(cls, n: int, scale: float = 1.0) -> "SparseMatrix":
-        idx = np.arange(n)
-        return cls(n, n, idx, idx, np.full(n, float(scale)))
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.cols,):
@@ -119,11 +102,8 @@ class SparseMatrix:
         coo = self._csr[np.asarray(mask)].tocoo()
         return SparseMatrix(coo.shape[0], coo.shape[1], coo.row, coo.col, coo.data)
 
-    def dense(self) -> np.ndarray:
-        return self._csr.toarray()
-
     def __repr__(self) -> str:
-        return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
+        return f"SparseMatrix({self.rows}x{self.cols}, nnz={self._csr.nnz})"
 
 
 class DiagonalMatrix:

@@ -17,6 +17,7 @@ __all__ = [
     "LogL1Penalty",
     "logl1_value_grad",
     "qexp",
+    "qexp_slopes",
     "quantile_prox_update",
 ]
 
@@ -91,6 +92,20 @@ def logl1_value_grad(penalty: LogL1Penalty, x: np.ndarray) -> tuple[float, np.nd
     return value, grad
 
 
+def qexp_slopes(t, out=None):
+    """First and second derivative of `qexp`, without its value.
+
+    d2 = exp(min(t, 0)) and d1 = max(t, 0) + d2: 1 + t, 1 for t >= 0 and
+    exp(t), exp(t) for t <= 0. Newton on the spliced exponential needs only
+    these two. `out`, a pair of float arrays shaped like t, receives them.
+    """
+    t = np.asarray(t, dtype=float)
+    d1, d2 = (np.empty_like(t), np.empty_like(t)) if out is None else out
+    np.exp(np.minimum(t, 0.0, out=d2), out=d2)
+    np.add(np.maximum(t, 0.0, out=d1), d2, out=d1)
+    return d1, d2
+
+
 def qexp(t):
     """exp spliced with its second-order Taylor polynomial at 0.
 
@@ -98,14 +113,12 @@ def qexp(t):
     exp(t) for t <= 0, and 1 + t + t^2/2, 1 + t, 1 for t >= 0.
     Both branches agree to second order at t = 0, so the splice is C^2.
 
-    Computed branchlessly: with tp = max(t, 0) and d2 = exp(min(t, 0)),
-    the value is d2 + tp + tp^2/2 and the slope is d2 + tp, exactly, on
-    either side of 0.
+    Computed branchlessly: with tp = max(t, 0) and the slopes of
+    `qexp_slopes`, the value is d1 + tp^2/2, exactly, on either side of 0.
     """
     t = np.asarray(t, dtype=float)
-    d2 = np.exp(np.minimum(t, 0.0))
+    d1, d2 = qexp_slopes(t)
     tp = np.maximum(t, 0.0)
-    d1 = d2 + tp
     value = d1 + 0.5 * tp * tp
     if value.ndim == 0:
         return float(value), float(d1), float(d2)

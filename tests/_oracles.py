@@ -6,8 +6,9 @@ point-sampling ray tracer. Oracles are slow and simple on purpose.
 
 The rest holds what the tests check the library against but no run executes:
 the dense step-size checker, the closed-form quantile and CT updates written
-out as matrix formulas (the engine runs them as prox callbacks), and the CT
-model's noise-free means and convex-part Hessian blocks.
+out as matrix formulas (the engine runs them as prox callbacks), the CT
+model's noise-free means and convex-part Hessian blocks, the fixed-budget
+per-ray Newton loop, and small sparse-matrix and phantom-file helpers.
 """
 
 import math
@@ -17,7 +18,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from ncadmm.ct import recon as R
-from ncadmm.ct.forward import ct_loss_parts
+from ncadmm.ct.forward import DEFAULT_MATERIALS, ct_loss_parts
+from ncadmm.numerics import SparseMatrix
 from ncadmm.prox import ball_project, qexp, quantile_prox_update, soft_threshold
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -153,6 +155,44 @@ def ray_sample_lengths(geom, origin, direction, n_samples=100_000):
     for k, cnt in zip(*np.unique(keys, return_counts=True)):
         lengths[int(k)] = cnt * weight
     return lengths, chord
+
+
+# ---------------------------------------------------------------------------
+# Sparse matrices and phantom files
+
+
+def dense(m):
+    """The entries of a SparseMatrix as a dense array (each is one product term)."""
+    return m.matmat(np.eye(m.cols))
+
+
+def sparse_from_dense(a):
+    """SparseMatrix holding the nonzero entries of a dense 2-D array."""
+    a = np.asarray(a, dtype=float)
+    r, c = np.nonzero(a)
+    return SparseMatrix(a.shape[0], a.shape[1], r, c, a[r, c])
+
+
+def sparse_identity(n, scale=1.0):
+    idx = np.arange(n)
+    return SparseMatrix(n, n, idx, idx, np.full(n, float(scale)))
+
+
+def sparse_nnz(m):
+    """Stored entries of a SparseMatrix."""
+    return int(m._csr.nnz)
+
+
+def save_phantom(path, image, geom, materials=DEFAULT_MATERIALS):
+    """Write the text format `load_phantom` reads: one block per material."""
+    image = np.asarray(image, dtype=float)
+    with open(path, "w") as fh:
+        for m, name in enumerate(materials):
+            fh.write(f"# material {name}\n")
+            grid = image[:, m].reshape(geom.grid_nx, geom.grid_ny)
+            for row in grid:
+                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +332,26 @@ def stepsize_matrix_factor(projector, pre):
     The actual step-size matrix is this factor Kronecker the identity over
     materials, so PSD of the factor is PSD of the whole matrix.
     """
-    dense = projector.dense()
-    gram = dense.T @ (pre.sigma_tilde.diag[:, None] * dense)
+    p = dense(projector)
+    gram = p.T @ (pre.sigma_tilde.diag[:, None] * p)
     return np.diag(pre.q_f.diag) - gram
+
+
+def newton_ray_solve_fixed(model, lin, center, sigma_diag, iters=R.DEFAULT_NEWTON_ITERS,
+                           start=None):
+    """The per-ray Newton loop with a fixed budget: every ray takes `iters` steps."""
+    n_rays, n_m = center.shape
+    beam_w = model.scales(n_rays)[:, None] * model.beam[None, :]
+    mu_outer = (model.mu[:, None, :] * model.mu[None, :, :]).reshape(n_m * n_m, -1)
+    diag_idx = np.arange(n_m)
+    v = center.copy() if start is None else np.array(start, dtype=float)
+    for _ in range(iters):
+        _, d1, d2 = qexp(-(v @ model.mu))
+        grad = -(d1 * beam_w) @ model.mu.T + lin + sigma_diag[:, None] * (v - center)
+        hess = ((d2 * beam_w) @ mu_outer.T).reshape(n_rays, n_m, n_m)
+        hess[:, diag_idx, diag_idx] += sigma_diag[:, None]
+        v = v - np.linalg.solve(hess, grad[..., None])[..., 0]
+    return v
 
 
 def ray_subproblem_objective(model, lin, center, sigma_diag, v):

@@ -21,6 +21,7 @@ from ncadmm.prox import qexp, quantile_loss, quantile_prox_update, soft_threshol
 from _oracles import (
     bisect_min,
     ct_hessian_blocks,
+    dense,
     fd_gradient,
     quantile_l1_optimum,
     ray_sample_lengths,
@@ -456,7 +457,7 @@ def test_criterion_5_projector_adjoint_and_lengths():
     ok = report("5: projector adjoint identity", worst_adj <= 1e-12,
                 f"worst rel err={worst_adj:.2e}")
 
-    dense = projector.dense()
+    mat = dense(projector)
     span = geom.span
     worst_rel = 0.0
     for a in range(geom.n_angles):
@@ -469,7 +470,7 @@ def test_criterion_5_projector_adjoint_and_lengths():
             ray = a * geom.n_detectors + j
             for k, ref in lengths.items():
                 if ref >= 0.05 * chord:  # where the sampling oracle has resolution
-                    worst_rel = max(worst_rel, abs(dense[ray, k] - ref) / ref)
+                    worst_rel = max(worst_rel, abs(mat[ray, k] - ref) / ref)
     ok &= report("5: intersection lengths match ray-sampling oracle", worst_rel <= 1e-3,
                  f"worst rel err={worst_rel:.2e}")
     assert ok

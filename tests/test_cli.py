@@ -7,6 +7,8 @@ from ncadmm.ct import forward as F
 from ncadmm.config import ConfigError, default_config, parse_config
 from ncadmm.engine import AdmmStepError, load_trace
 
+from _oracles import save_phantom
+
 QUANTILE_SMALL = """
 [experiment]
 kind = quantile
@@ -193,7 +195,7 @@ class TestRunCommand:
         # at y* vanish, so the stationarity ratio of the set-up cannot be formed.
         geom = F.CtGeometry(grid_nx=5, grid_ny=5, pixel_size=0.5, n_angles=6, n_detectors=6)
         phantom = tmp_path / "dense_phantom.txt"
-        F.save_phantom(phantom, F.default_phantom(geom) * 1e4, geom)
+        save_phantom(phantom, F.default_phantom(geom) * 1e4, geom)
         path, out = write_config(tmp_path, CT_SMALL + f"phantom = {phantom}\n")
         assert cli.main(["run", "--config", str(path)]) == 3
         err = capsys.readouterr().err

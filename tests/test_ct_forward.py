@@ -5,7 +5,14 @@ import pytest
 
 from ncadmm.ct import forward as F
 
-from _oracles import ct_hessian_blocks, expected_counts, fd_gradient, ray_sample_lengths
+from _oracles import (
+    ct_hessian_blocks,
+    dense,
+    expected_counts,
+    fd_gradient,
+    ray_sample_lengths,
+    save_phantom,
+)
 
 
 @pytest.fixture(scope="module")
@@ -26,16 +33,16 @@ class TestProjector:
     def test_single_pixel_axis_ray(self):
         geom = F.CtGeometry(grid_nx=1, grid_ny=1, pixel_size=0.7, n_angles=1, n_detectors=1)
         p = F.build_projector(geom)
-        dense = p.dense()
-        assert dense.shape == (1, 1)
-        assert dense[0, 0] == pytest.approx(0.7, rel=1e-12)
+        mat = dense(p)
+        assert mat.shape == (1, 1)
+        assert mat[0, 0] == pytest.approx(0.7, rel=1e-12)
 
     def test_diagonal_ray_through_single_pixel(self):
         geom = F.CtGeometry(
             grid_nx=1, grid_ny=1, pixel_size=1.0, n_angles=4, n_detectors=1,
             detector_span=1e-9,
         )
-        p = F.build_projector(geom).dense()
+        p = dense(F.build_projector(geom))
         # angle index 1 of 4 is 45 degrees through the center
         assert p[1, 0] == pytest.approx(math.sqrt(2.0), rel=1e-9)
 
@@ -43,7 +50,7 @@ class TestProjector:
         geom = F.CtGeometry(grid_nx=7, grid_ny=5, pixel_size=0.3, n_angles=9, n_detectors=11)
         p = F.build_projector(geom)
         span = geom.span
-        dense = p.dense()
+        mat = dense(p)
         for a in range(geom.n_angles):
             theta = math.pi * a / geom.n_angles
             d = (math.cos(theta), math.sin(theta))
@@ -52,15 +59,15 @@ class TestProjector:
                 s = (j + 0.5) * span / geom.n_detectors - span / 2
                 lengths, chord = ray_sample_lengths(geom, (s * e[0], s * e[1]), d)
                 ray = a * geom.n_detectors + j
-                assert dense[ray].sum() == pytest.approx(chord, abs=1e-9)
+                assert mat[ray].sum() == pytest.approx(chord, abs=1e-9)
                 # the sampling oracle resolves to ~chord/1e5 per bin boundary:
                 # relative check where it has resolution, absolute elsewhere
                 spacing = chord / 1e5
                 for k, ref in lengths.items():
                     if ref >= 0.05 * chord:
-                        assert dense[ray, k] == pytest.approx(ref, rel=1e-3)
+                        assert mat[ray, k] == pytest.approx(ref, rel=1e-3)
                     else:
-                        assert dense[ray, k] == pytest.approx(ref, abs=3 * spacing)
+                        assert mat[ray, k] == pytest.approx(ref, abs=3 * spacing)
 
     def test_rays_missing_grid_are_zero_rows(self):
         geom = F.CtGeometry(grid_nx=4, grid_ny=4, pixel_size=0.5, n_angles=2, n_detectors=10)
@@ -292,6 +299,6 @@ class TestPhantomIO:
         rng = np.random.default_rng(3)
         image = rng.random((20, 3))
         path = tmp_path / "phantom.txt"
-        F.save_phantom(path, image, geom)
+        save_phantom(path, image, geom)
         again = F.load_phantom(path, geom)
         assert np.array_equal(image, again)

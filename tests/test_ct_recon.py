@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from _oracles import (
     ct_u_update,
     ct_x_update,
     ct_y_update,
+    dense,
+    newton_ray_solve_fixed,
     ray_subproblem_objective,
     run_ct_specialized,
     stepsize_matrix_factor,
@@ -105,7 +109,7 @@ class TestXUpdate:
         u = rng.standard_normal((active.rows, n_m))
         factor = stepsize_matrix_factor(active, pre)  # Q_f - P'SP
         h_f = np.kron(factor, np.eye(n_m))
-        a = np.kron(active.dense(), np.eye(n_m))
+        a = np.kron(dense(active), np.eye(n_m))
         s = np.kron(np.diag(pre.sigma_tilde.diag), np.eye(n_m))
         lhs = h_f + a.T @ s @ a
         rhs = h_f @ x_t.ravel() + a.T @ s @ y.ravel() - a.T @ u.ravel()
@@ -186,6 +190,86 @@ class TestNewtonSolve:
 
             ref = bisect_min(deriv, center - 5.0, center + 5.0)
             assert abs(got - ref) <= 1e-8
+
+
+def mixed_ray_batch(seed, n_rays=200):
+    """Rays starting at their minimizer (one step settles them) next to rays
+    starting 3 to 30 away from the center (some still move after ten steps),
+    each ray with its own photon scale."""
+    rng = np.random.default_rng(seed)
+    n_m = int(rng.integers(1, 4))
+    model = replace(
+        random_ray_model(rng, int(rng.integers(2, 8)), n_m),
+        ray_scale=rng.uniform(0.5, 2.0, n_rays),
+    )
+    sigma_diag = rng.uniform(0.05, 5.0, n_rays)
+    v_star = rng.uniform(-0.5, 2.0, (n_rays, n_m))
+    center = v_star + rng.uniform(-0.4, 0.4, (n_rays, n_m))
+    lin = -subproblem_gradient(model, 0.0, center, sigma_diag, v_star)
+    half = n_rays // 2
+    far = rng.uniform(3.0, 30.0, (n_rays - half, n_m)) * rng.choice([-1.0, 1.0], (n_rays - half, n_m))
+    start = np.concatenate([v_star[:half], center[half:] + far])
+    return model, lin, center, sigma_diag, start
+
+
+class CountingSlopes:
+    """Stands in for qexp_slopes in ct.recon and records the rays of each call."""
+
+    def __init__(self, monkeypatch):
+        self.rows = []
+        self._real = R.qexp_slopes
+        monkeypatch.setattr(R, "qexp_slopes", self)
+
+    def __call__(self, t, out=None):
+        self.rows.append(t.shape[0])
+        return self._real(t, out)
+
+
+class TestAdaptiveNewton:
+    def test_matches_fixed_budget(self, monkeypatch):
+        counting = CountingSlopes(monkeypatch)
+        full_budget = 0
+        for seed in range(10, 30):
+            model, lin, center, sigma_diag, start = mixed_ray_batch(seed)
+            counting.rows.clear()
+            got = R.newton_ray_solve(model, lin, center, sigma_diag, iters=10, start=start)
+            ref = newton_ray_solve_fixed(model, lin, center, sigma_diag, iters=10, start=start)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert counting.rows[1] <= 100  # the rays started at their minimizer stopped
+            full_budget += len(counting.rows) == 10
+        assert full_budget >= 10  # batches where some rays took all ten steps
+
+    def test_stopped_ray_is_frozen(self):
+        model, lin, center, sigma_diag, start = mixed_ray_batch(10)
+        runs = [
+            R.newton_ray_solve(model, lin, center, sigma_diag, iters=k, start=start)
+            for k in range(13)
+        ]
+        stopped_at_some_k = 0
+        for k in range(1, 12):
+            # the k-th step was below the tolerance (with a margin for rounding)
+            stopped = np.abs(runs[k] - runs[k - 1]).max(axis=1) <= (
+                0.5 * R.NEWTON_STEP_TOL * (1.0 + np.abs(runs[k]).max(axis=1))
+            )
+            for later in runs[k + 1:]:
+                assert later[stopped].tobytes() == runs[k][stopped].tobytes()
+            stopped_at_some_k += int(stopped.sum())
+        moving_at_last = int((runs[12] != runs[11]).any(axis=1).sum())
+        assert stopped_at_some_k > 0 and moving_at_last > 0
+
+    def test_warm_started_rays_settle_in_few_steps(self, small_ct, monkeypatch):
+        # From outer iteration 10 on the warm start is close: about 3 steps per ray.
+        _, model, _, active, counts = small_ct
+        counting = CountingSlopes(monkeypatch)
+        problem, _ = R.build_ct_problem(model, active, counts, sigma=10.0)
+        state = engine.AdmmState.initial(
+            np.zeros(problem.dim_x), np.zeros(problem.dim_y), np.zeros(problem.dim_u)
+        )
+        for t in range(1, 31):
+            counting.rows.clear()
+            state = engine.admm_step(problem, state)
+            if t >= 10:
+                assert sum(counting.rows) <= 4 * active.rows
 
 
 class TestYUpdateAndDual:

@@ -183,7 +183,7 @@ class TestAdmmStep:
 
 
 class CountingMap(DenseMap):
-    """DenseMap that counts its products and remembers the last A x."""
+    """DenseMap that counts its products and remembers the last matvec."""
 
     def __init__(self, a):
         super().__init__(a)
@@ -206,7 +206,8 @@ class TestProductReuse:
         a, w = rng.standard_normal((5, 4)), rng.standard_normal(5)
         prob = lasso_problem(a, w, 0.05, 0.5)
         counting = CountingMap(a)
-        prob.A = counting
+        counting_b = CountingMap(-np.eye(5))  # the lasso's B = -I, as a dense map
+        prob.A, prob.B = counting, counting_b
         seen = []
 
         def objective(x, y, ax):
@@ -220,11 +221,15 @@ class TestProductReuse:
         prob.objective = objective
         state = engine.admm_step(prob, AdmmState.initial(np.ones(4), np.ones(5), np.zeros(5)),
                                  alpha_hook=alpha_hook)
-        assert (counting.matvecs, counting.rmatvecs) == (2, 1)  # first step also forms A x_0
+        # the first step also forms A x_0 and B y_0
+        assert (counting.matvecs, counting.rmatvecs) == (2, 1)
+        assert (counting_b.matvecs, counting_b.rmatvecs) == (2, 1)
         for step in range(1, 11):
             state = engine.admm_step(prob, state, alpha_hook=alpha_hook)
             assert (counting.matvecs, counting.rmatvecs) == (2 + step, 1 + step)
+            assert (counting_b.matvecs, counting_b.rmatvecs) == (2 + step, 1 + step)
             assert np.array_equal(state.ax, a @ state.x)
+            assert np.array_equal(state.by, -state.y)
         assert seen == [True] * 22
 
     def test_carried_product_matches_a_fresh_one_bitwise(self):
@@ -234,7 +239,7 @@ class TestProductReuse:
         fresh = AdmmState.initial(np.zeros(4), np.zeros(5), np.zeros(5))
         for _ in range(20):
             carried = engine.admm_step(prob, carried, record_time=False)
-            fresh = engine.admm_step(prob, replace(fresh, ax=None), record_time=False)
+            fresh = engine.admm_step(prob, replace(fresh, ax=None, by=None), record_time=False)
             for v in ("x", "y", "u"):
                 assert np.array_equal(getattr(carried, v), getattr(fresh, v))
 

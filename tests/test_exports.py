@@ -27,9 +27,11 @@ GONE = [
     (engine.KronEye, ["dense"]),
     (numerics, ["check_psd", "spmv"]),
     (numerics.DiagonalMatrix, ["dense"]),
-    (numerics.SparseMatrix, ["save", "load", "to_triples"]),
+    (numerics.SparseMatrix, [
+        "save", "load", "to_triples", "dense", "from_dense", "identity", "nnz",
+    ]),
     (quantile, ["quantile_x_update", "quantile_y_update", "stepsize_margin"]),
-    (forward, ["expected_counts", "ct_loss"]),
+    (forward, ["expected_counts", "ct_loss", "save_phantom"]),
     (recon, [
         "ct_x_update", "ct_y_update", "ct_u_update", "run_ct_specialized",
         "ray_subproblem_objective", "stepsize_matrix_factor",

@@ -5,22 +5,22 @@ from hypothesis import strategies as st
 
 from ncadmm.numerics import DiagonalMatrix, SparseMatrix, spectral_norm
 
-from _oracles import check_psd
+from _oracles import check_psd, dense, sparse_from_dense, sparse_identity, sparse_nnz
 
 
 def random_sparse(rng, rows, cols, density=0.3):
     mask = rng.random((rows, cols)) < density
     a = np.where(mask, rng.standard_normal((rows, cols)), 0.0)
-    return SparseMatrix.from_dense(a), a
+    return sparse_from_dense(a), a
 
 
 class TestSpmv:
     def test_identity(self):
-        m = SparseMatrix.identity(2)
+        m = sparse_identity(2)
         assert np.array_equal(m.matvec(np.array([3.0, -1.0])), [3.0, -1.0])
 
     def test_hand_case(self):
-        m = SparseMatrix.from_dense(np.array([[1.0, 2.0], [0.0, 3.0]]))
+        m = sparse_from_dense(np.array([[1.0, 2.0], [0.0, 3.0]]))
         assert np.array_equal(m.matvec(np.array([1.0, 1.0])), [3.0, 3.0])
 
     def test_against_dense_oracle(self):
@@ -32,9 +32,15 @@ class TestSpmv:
         assert np.abs(m.rmatvec(r) - a.T @ r).max() <= 1e-12
 
     def test_dimension_mismatch(self):
-        m = SparseMatrix.identity(3)
+        m = sparse_identity(3)
         with pytest.raises(ValueError, match="dimension mismatch"):
             m.matvec(np.zeros(4))
+
+    def test_dense_round_trip_and_repr(self):
+        m, a = random_sparse(np.random.default_rng(1), 50, 30)
+        assert np.array_equal(dense(m), a)
+        assert sparse_nnz(m) == np.count_nonzero(a)
+        assert repr(m) == f"SparseMatrix(50x30, nnz={np.count_nonzero(a)})"
 
     def test_zero_rows_cols_allowed(self):
         m = SparseMatrix(3, 2, [0], [1], [2.0])
@@ -68,10 +74,10 @@ class TestSparseMatrixValidation:
 
 class TestSpectralNorm:
     def test_identity(self):
-        assert spectral_norm(SparseMatrix.identity(5)) == pytest.approx(1.0, rel=1e-9)
+        assert spectral_norm(sparse_identity(5)) == pytest.approx(1.0, rel=1e-9)
 
     def test_diagonal(self):
-        m = SparseMatrix.from_dense(np.diag([3.0, 1.0]))
+        m = sparse_from_dense(np.diag([3.0, 1.0]))
         assert spectral_norm(m) == pytest.approx(3.0, rel=1e-9)
 
     def test_zero_matrix(self):

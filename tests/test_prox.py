@@ -10,6 +10,7 @@ from ncadmm.prox import (
     ball_project,
     logl1_value_grad,
     qexp,
+    qexp_slopes,
     quantile_loss,
     quantile_prox_update,
     soft_threshold,
@@ -148,6 +149,24 @@ class TestQexp:
             assert v == pytest.approx(1 + t + 0.5 * t * t, rel=1e-15)
             assert d1 == pytest.approx(1 + t, rel=1e-15)
             assert d2 == 1.0
+
+    def test_slopes_match_qexp_bitwise(self):
+        rng = np.random.default_rng(18)
+        t = np.concatenate([
+            [0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, -800.0],
+            rng.standard_normal(994) * 10.0 ** rng.integers(-6, 3, 994),
+        ]).reshape(-1, 7)
+        _, d1, d2 = qexp(t)
+        assert d2.tobytes() == np.exp(np.minimum(t, 0.0)).tobytes()
+        assert d1.tobytes() == (d2 + np.maximum(t, 0.0)).tobytes()
+        s1, s2 = qexp_slopes(t)
+        assert s1.tobytes() == d1.tobytes()
+        assert s2.tobytes() == d2.tobytes()
+        out = (np.full_like(t, np.nan), np.full_like(t, np.nan))
+        b1, b2 = qexp_slopes(t, out=out)
+        assert b1 is out[0] and b2 is out[1]
+        assert b1.tobytes() == d1.tobytes()
+        assert b2.tobytes() == d2.tobytes()
 
     def test_second_derivative_bounded_for_nonneg(self):
         t = np.linspace(0.0, 50.0, 101)
