@@ -10,14 +10,13 @@ the ct experiment, and manifest.json (resolved config + seed + versions),
 which can itself be passed back as --config to reproduce the run. Exit codes:
 0 success, 2 invalid configuration or arguments, 3 numerical failure.
 
-Setting NCADMM_SEQUENTIAL=1 forces single-worker execution and zeroes the
-per-iteration timing column so trace files are byte-identical across runs.
+Setting NCADMM_SEQUENTIAL=1 zeroes the per-iteration timing column so trace
+files are byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -173,15 +172,6 @@ def _run_custom(cfg: ExperimentConfig, record_time: bool) -> list[str]:
     return [_run_custom_sigma(cfg, float(s), record_time) for s in cfg.sigma_list]
 
 
-def _worker_entry(args):
-    cfg_sections, sigma, record_time = args
-    from .config import config_from_sections
-
-    cfg = config_from_sections(cfg_sections)
-    cfg = replace(cfg, sigma_list=(sigma,))
-    return _EXPERIMENTS[cfg.kind](cfg, record_time)
-
-
 _EXPERIMENTS = {
     "quantile": _run_quantile,
     "ct": _run_ct,
@@ -227,10 +217,6 @@ def _resolve_config(args) -> ExperimentConfig:
         cfg = replace(cfg, seed=args.seed)
     if args.out is not None:
         cfg = replace(cfg, out=args.out)
-    if args.workers is not None:
-        cfg = replace(cfg, workers=args.workers)
-    if _sequential_mode():
-        cfg = replace(cfg, workers=1)
     cfg.validate()
     return cfg
 
@@ -244,13 +230,7 @@ def cmd_run(args) -> int:
     os.makedirs(cfg.out, exist_ok=True)
     record_time = not _sequential_mode()
     try:
-        if cfg.workers > 1 and len(cfg.sigma_list) > 1:
-            sections = config_to_manifest_dict(cfg)
-            jobs = [(sections, float(s), record_time) for s in cfg.sigma_list]
-            with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                paths = [p for chunk in pool.map(_worker_entry, jobs) for p in chunk]
-        else:
-            paths = _EXPERIMENTS[cfg.kind](cfg, record_time)
+        paths = _EXPERIMENTS[cfg.kind](cfg, record_time)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -321,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--iters", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output directory")
-        p.add_argument("--workers", type=int)
 
     run_p = sub.add_parser("run", help="run an experiment sweep")
     add_common(run_p)

@@ -127,7 +127,6 @@ class ExperimentConfig:
     iters: int = 0
     seed: int = 20240801
     out: str = "."
-    workers: int = 1
     problem: object = None
 
     def validate(self):
@@ -139,8 +138,6 @@ class ExperimentConfig:
             raise ConfigError("sigma_list entries must be positive")
         if self.iters < 1:
             raise ConfigError("iters must be at least 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
         self.problem.validate()
 
 
@@ -205,7 +202,10 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
         elif key == "out":
             cfg.out = str(value).strip()
         elif key == "workers":
-            cfg.workers = int(value)
+            # Sweeps run in one process; the key stays readable so that
+            # manifests written with it still reproduce.
+            if str(value).strip() != "1":
+                raise ConfigError(f"workers must be 1, got {value!r}")
         else:
             raise ConfigError(f"unknown key {key!r} in section [experiment]")
     cfg.validate()
@@ -248,7 +248,6 @@ def config_to_manifest_dict(cfg: ExperimentConfig) -> dict:
             "iters": cfg.iters,
             "seed": cfg.seed,
             "out": cfg.out,
-            "workers": cfg.workers,
         },
         cfg.kind: problem,
     }

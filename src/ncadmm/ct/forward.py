@@ -477,21 +477,21 @@ def ct_loss_parts(
         raise ValueError("counts must be (n_windows, n_rays)")
     scale = model.scales(n_rays)
 
-    exponent = -(y @ model.mu)                           # (n_rays, n_i)
-    val, d1, _ = qexp(exponent)
+    val, d1, _ = qexp(y @ -model.mu)                     # (n_rays, n_i)
     sb = model.response                                  # (n_w, n_i)
     means = scale[None, :] * (sb @ val.T)                # (n_w, n_rays)
     if means.min() <= 0:
         raise ValueError("nonpositive window mean; cannot take its log")
 
-    beam_w = scale[:, None] * model.beam[None, :]        # (n_rays, n_i)
-    g_c = float((val * beam_w).sum())
+    # The beam and the per-ray scale enter after the energy contraction, so
+    # no (rays x energies) weight array is formed.
+    g_c = float(scale @ (val @ model.beam))
     g_d = float(-(counts * np.log(means)).sum())
 
     grad_c = grad_d = None
     if want_grad:
-        grad_c = -(d1 * beam_w) @ model.mu.T
+        grad_c = (d1 @ -(model.mu * model.beam).T) * scale[:, None]
         ratio = counts / means                           # (n_w, n_rays)
-        w_d = scale[:, None] * (ratio.T @ sb)            # (n_rays, n_i)
-        grad_d = (d1 * w_d) @ model.mu.T
+        d1 *= (ratio * scale).T @ sb                     # (n_rays, n_i)
+        grad_d = d1 @ model.mu.T
     return LossParts(g_c=g_c, g_d=g_d, grad_c=grad_c, grad_d=grad_d)

@@ -5,7 +5,11 @@ likelihood on the projection block, tied by y = Px. Step sizes follow the
 diagonal-preconditioner construction: Q_f over pixels from projector column
 sums, and a per-ray penalty sigma / row sum. The y step solves one small
 strictly-convex problem per ray by Newton's method, at most `newton_iters`
-steps per ray, and stops each ray once its step has converged.
+steps per ray, and stops each ray once its step has converged. A Newton step
+folds the beam into the attenuation rows, keeps the per-ray gradient and
+Hessian entries as vectors over rays, and solves the shifted 3x3 (in general
+n_m x n_m) systems by a Cholesky factorization vectorized over rays
+(`spd_solve`).
 
 x, y, u are matrices here: (n_pixels, n_materials) for x and
 (n_rays, n_materials) for y and u.
@@ -26,7 +30,8 @@ from ..engine import (
 )
 from ..engine import run as engine_run
 from ..numerics import DiagonalMatrix, SparseMatrix
-# qexp stays bound here: the benchmark's tracer patches recon.qexp by name.
+# Newton needs only qexp_slopes. qexp stays importable from here because the
+# benchmark's tracer patches recon.qexp by name.
 from ..prox import qexp, qexp_slopes
 from .forward import SpectralModel, ct_loss_parts
 
@@ -37,6 +42,7 @@ __all__ = [
     "trace_filename",
     "active_ray_mask",
     "build_preconditioners",
+    "spd_solve",
     "newton_ray_solve",
     "alpha_t_diagnostic",
     "fosp_ratio",
@@ -85,6 +91,41 @@ def build_preconditioners(projector: SparseMatrix, sigma: float) -> CtPreconditi
     )
 
 
+def spd_solve(lower: np.ndarray, shift: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (H_l + shift_l I) x_l = rhs_l for every column l of `rhs`.
+
+    `lower` holds the lower triangle of each symmetric H_l, row by row
+    (entries (0,0), (1,0), (1,1), (2,0), ...), one row per entry and one
+    column per system: (n(n+1)/2, n_sys). `rhs` is (n, n_sys) and `shift`
+    (n_sys,). Cholesky without pivoting, vectorized over the systems: the
+    caller's H_l are PSD and the shift positive, so every block is SPD.
+    A block that is not SPD gives non-finite values in its column, not an
+    exception.
+    """
+    n = rhs.shape[0]
+    chol = [[None] * n for _ in range(n)]
+    entries = iter(lower)
+    for i in range(n):
+        for j in range(i + 1):
+            s = next(entries) + shift if i == j else next(entries)
+            for p in range(j):
+                s = s - chol[i][p] * chol[j][p]
+            chol[i][j] = np.sqrt(s) if i == j else s / chol[j][j]
+    z = []
+    for i in range(n):
+        s = rhs[i]
+        for p in range(i):
+            s = s - chol[i][p] * z[p]
+        z.append(s / chol[i][i])
+    x = [None] * n
+    for i in reversed(range(n)):
+        s = z[i]
+        for p in range(i + 1, n):
+            s = s - chol[p][i] * x[p]
+        x[i] = s / chol[i][i]
+    return np.stack(x)
+
+
 def newton_ray_solve(
     model: SpectralModel,
     lin: np.ndarray,
@@ -99,34 +140,35 @@ def newton_ray_solve(
         gc_l(v) + <v, lin_l> + (sigma_diag_l / 2) ||v - center_l||^2
     starting from `start` (default: center, the warm start the outer loop
     uses), with no line search (the sigma_diag_l I regularization keeps every
-    Hessian invertible). `iters` caps the steps per ray: a ray stops after
-    the first step with max|dv_l| <= NEWTON_STEP_TOL * (1 + max|v_l|), and
-    each step solves only the rays still moving.
+    Hessian positive definite). `iters` caps the steps per ray: a ray stops
+    after the first step with max|dv_l| <= NEWTON_STEP_TOL * (1 + max|v_l|),
+    and each step solves only the rays still moving.
     """
     n_rays, n_m = center.shape
     scale = model.scales(n_rays)
-    beam_w = scale[:, None] * model.beam[None, :]
-    # Outer products mu_i mu_i' flattened so the Hessian batch is one matmul.
-    mu_outer = (model.mu[:, None, :] * model.mu[None, :, :]).reshape(n_m * n_m, -1)
-    diag_idx = np.arange(n_m)
+    neg_mu = -model.mu
+    # The beam weights every energy term of g_c, so it is folded into the
+    # attenuation rows once; the per-ray scale multiplies the contracted
+    # (materials-sized) results. Hessian rows pair mu_i with beam * mu_j over
+    # the lower triangle, in the order spd_solve reads them.
+    mu_b = model.mu * model.beam
+    neg_mu_b = -mu_b
+    mu_pairs = np.stack([model.mu[i] * mu_b[j] for i in range(n_m) for j in range(i + 1)])
     v = center.copy() if start is None else np.array(start, dtype=float)
     rows = np.arange(n_rays)
-    lin_a, center_a, sigma_a, v_a = lin, center, sigma_diag, v
+    lin_a, center_a, sigma_a, scale_a, v_a = lin, center, sigma_diag, scale, v
     # (ray, energy) work arrays, allocated once per call because fresh ones
     # each step cost more than the arithmetic; a step uses the leading rows.
-    t_buf, d1_buf, d2_buf, bw_buf = np.empty((4,) + beam_w.shape)
+    t_buf, d1_buf, d2_buf = np.empty((3, n_rays, model.n_energies))
     for _ in range(iters):
         n_a = rows.size
-        t = np.matmul(v_a, model.mu, out=t_buf[:n_a])
-        np.negative(t, out=t)
+        t = np.matmul(v_a, neg_mu, out=t_buf[:n_a])
         d1, d2 = qexp_slopes(t, out=(d1_buf[:n_a], d2_buf[:n_a]))
-        bw = beam_w if n_a == n_rays else np.take(beam_w, rows, axis=0, out=bw_buf[:n_a])
-        d1 *= bw
-        d2 *= bw
-        grad = -(d1 @ model.mu.T) + lin_a + sigma_a[:, None] * (v_a - center_a)
-        hess = (d2 @ mu_outer.T).reshape(n_a, n_m, n_m)
-        hess[:, diag_idx, diag_idx] += sigma_a[:, None]
-        step = np.linalg.solve(hess, grad[..., None])[..., 0]
+        # Gradient and Hessian entries laid out (entry, ray).
+        grad = (neg_mu_b @ d1.T) * scale_a
+        grad += (lin_a + sigma_a[:, None] * (v_a - center_a)).T
+        hess = (mu_pairs @ d2.T) * scale_a
+        step = spd_solve(hess, sigma_a, grad).T
         v_a = v_a - step
         v[rows] = v_a
         moving = np.abs(step).max(axis=1) > NEWTON_STEP_TOL * (1.0 + np.abs(v_a).max(axis=1))
@@ -134,7 +176,9 @@ def newton_ray_solve(
             rows = rows[moving]
             if rows.size == 0:
                 break
-            v_a, lin_a, center_a, sigma_a = (a[moving] for a in (v_a, lin_a, center_a, sigma_a))
+            v_a, lin_a, center_a, sigma_a, scale_a = (
+                a[moving] for a in (v_a, lin_a, center_a, sigma_a, scale_a)
+            )
     return v
 
 

@@ -118,8 +118,9 @@ def qexp(t):
     """
     t = np.asarray(t, dtype=float)
     d1, d2 = qexp_slopes(t)
-    tp = np.maximum(t, 0.0)
-    value = d1 + 0.5 * tp * tp
+    value = np.maximum(t, 0.0)
+    value *= 0.5 * value
+    value += d1
     if value.ndim == 0:
         return float(value), float(d1), float(d2)
     return value, d1, d2

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from ncadmm import cli
@@ -163,6 +164,26 @@ class TestRunCommand:
         path, _ = write_config(tmp_path, QUANTILE_SMALL)
         assert cli.main(["run", "--config", str(path), "--experiment", "ct"]) == 2
 
+    def test_workers_key_read_and_only_one_accepted(self, tmp_path, capsys):
+        # Manifests written with a `workers` entry still reproduce; sweeps run
+        # in one process, so any other value is a config error.
+        path, out = write_config(tmp_path, QUANTILE_SMALL)
+        assert cli.main(["run", "--config", str(path)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        for value, code in ((1, 0), ("1", 0), (2, 2), (0, 2)):
+            manifest["config"]["experiment"]["workers"] = value
+            old = tmp_path / f"old_{value!r}.json"
+            old.write_text(json.dumps(manifest))
+            rerun = tmp_path / f"rerun_{value!r}"
+            assert cli.main(["run", "--config", str(old), "--out", str(rerun)]) == code
+        assert "workers must be 1, got 0" in capsys.readouterr().err
+        for trace in out.glob("quantile_sigma*.csv"):
+            assert (tmp_path / "rerun_1" / trace.name).read_bytes() == trace.read_bytes()
+        ini = tmp_path / "workers.ini"
+        ini.write_text(path.read_text().replace("out =", "workers = 2\nout ="))
+        assert cli.main(["run", "--config", str(ini)]) == 2
+        assert "workers must be 1, got '2'" in capsys.readouterr().err
+
     def test_numerical_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         def explode(cfg, record_time):
             raise AdmmStepError(7, "synthetic blowup")
@@ -189,6 +210,21 @@ class TestRunCommand:
         assert cli.main(["run", "--config", str(path)]) == 3
         err = capsys.readouterr().err
         assert "iteration 1: objective failed: nonpositive window mean" in err
+
+    def test_non_spd_newton_block_exits_3(self, tmp_path, monkeypatch, capsys):
+        # A Newton system that is not positive definite makes the Cholesky
+        # produce NaN; the engine rejects the y iterate as a step failure.
+        from ncadmm.ct import recon
+
+        real = recon.spd_solve
+        monkeypatch.setattr(
+            recon, "spd_solve", lambda lower, shift, rhs: real(-lower, 0.0 * shift, rhs)
+        )
+        path, out = write_config(tmp_path, CT_SMALL)
+        with np.errstate(invalid="ignore"):
+            assert cli.main(["run", "--config", str(path)]) == 3
+        assert "numerical failure: iteration 1: " in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_ct_setup_failure_exits_3(self, tmp_path, capsys):
         # A phantom 1e4 times too dense absorbs every photon: the window means

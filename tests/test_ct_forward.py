@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,41 @@ def tiny_setup(small_model):
     image = F.default_phantom(geom)
     counts = F.forward_counts(small_model, projector, image, seed=2)
     return geom, projector, image, counts
+
+
+def straight_line_loss(model, y, counts):
+    """The CT loss by scalar loops over windows, rays and energies."""
+    scale = model.scales(y.shape[0])
+    total = 0.0
+    for w in range(model.n_windows):
+        for l in range(y.shape[0]):
+            mean = 0.0
+            for i in range(model.n_energies):
+                t = -sum(model.mu[m, i] * y[l, m] for m in range(model.n_materials))
+                q = math.exp(t) if t <= 0 else 1.0 + t + 0.5 * t * t
+                mean += scale[l] * model.response[w, i] * q
+            total += mean - counts[w, l] * math.log(mean)
+    return total
+
+
+def check_gradients_by_finite_differences(model, counts, seed):
+    """grad_c and grad_d of the loss on the first 4 rays against central differences."""
+    rng = np.random.default_rng(seed)
+    sub_counts = counts[:, :4]
+    for _ in range(20):
+        y = rng.standard_normal((4, 3)) * 0.5
+        parts = F.ct_loss_parts(model, y, sub_counts)
+
+        def value_c(flat):
+            return F.ct_loss_parts(model, flat.reshape(4, 3), sub_counts, want_grad=False).g_c
+
+        def value_d(flat):
+            return F.ct_loss_parts(model, flat.reshape(4, 3), sub_counts, want_grad=False).g_d
+
+        ref_c = fd_gradient(value_c, y.ravel(), h=1e-6).reshape(4, 3)
+        ref_d = fd_gradient(value_d, y.ravel(), h=1e-6).reshape(4, 3)
+        assert np.linalg.norm(parts.grad_c - ref_c) <= 1e-5 * max(1.0, np.linalg.norm(ref_c))
+        assert np.linalg.norm(parts.grad_d - ref_d) <= 1e-5 * max(1.0, np.linalg.norm(ref_d))
 
 
 class TestProjector:
@@ -210,28 +246,11 @@ class TestLossParts:
         assert parts.g_d == pytest.approx(expected_gd, rel=1e-12)
 
     def test_gradients_match_finite_differences(self, small_model, tiny_setup):
-        _, projector, image, counts = tiny_setup
-        rng = np.random.default_rng(12)
-        n_rays = projector.rows
-        for _ in range(20):
-            y = rng.standard_normal((4, 3)) * 0.5
-            sub_counts = counts[:, :4]
-            parts = F.ct_loss_parts(small_model, y, sub_counts)
+        check_gradients_by_finite_differences(small_model, tiny_setup[3], seed=12)
 
-            def value_c(flat):
-                return F.ct_loss_parts(
-                    small_model, flat.reshape(4, 3), sub_counts, want_grad=False
-                ).g_c
-
-            def value_d(flat):
-                return F.ct_loss_parts(
-                    small_model, flat.reshape(4, 3), sub_counts, want_grad=False
-                ).g_d
-
-            ref_c = fd_gradient(value_c, y.ravel(), h=1e-6).reshape(4, 3)
-            ref_d = fd_gradient(value_d, y.ravel(), h=1e-6).reshape(4, 3)
-            assert np.linalg.norm(parts.grad_c - ref_c) <= 1e-5 * max(1.0, np.linalg.norm(ref_c))
-            assert np.linalg.norm(parts.grad_d - ref_d) <= 1e-5 * max(1.0, np.linalg.norm(ref_d))
+    def test_gradients_match_finite_differences_with_ray_scale(self, small_model, tiny_setup):
+        scaled = replace(small_model, ray_scale=np.array([0.3, 2.5, 1.0, 7.0]))
+        check_gradients_by_finite_differences(scaled, tiny_setup[3], seed=17)
 
     def test_per_ray_hessians_psd(self, small_model, tiny_setup):
         _, projector, _, _ = tiny_setup
@@ -259,18 +278,18 @@ class TestLossParts:
         rng = np.random.default_rng(15)
         y = rng.standard_normal((projector.rows, 3))
         got = F.ct_loss_parts(small_model, y, counts, want_grad=False).value
-        # independent evaluation: scalar loops over windows/rays/energies
-        model = small_model
-        total = 0.0
-        for w in range(model.n_windows):
-            for l in range(projector.rows):
-                mean = 0.0
-                for i in range(model.n_energies):
-                    t = -sum(model.mu[m, i] * y[l, m] for m in range(3))
-                    q = math.exp(t) if t <= 0 else 1.0 + t + 0.5 * t * t
-                    mean += model.response[w, i] * q
-                total += mean - counts[w, l] * math.log(mean)
-        assert got == pytest.approx(total, rel=1e-10)
+        assert got == pytest.approx(straight_line_loss(small_model, y, counts), rel=1e-10)
+
+    def test_ray_scale_matches_straight_line_loss_formula(self, small_model, tiny_setup):
+        # The per-ray scale enters after the energy contraction; this pins it.
+        _, projector, _, counts = tiny_setup
+        rng = np.random.default_rng(19)
+        y = rng.standard_normal((projector.rows, 3))
+        scaled = replace(small_model, ray_scale=rng.uniform(0.1, 10.0, projector.rows))
+        value_only = F.ct_loss_parts(scaled, y, counts, want_grad=False)
+        full = F.ct_loss_parts(scaled, y, counts)
+        assert value_only.value == pytest.approx(straight_line_loss(scaled, y, counts), rel=1e-10)
+        assert (value_only.g_c, value_only.g_d) == (full.g_c, full.g_d)
 
     def test_qexp_equals_exp_for_nonnegative_projections(self, small_model, tiny_setup):
         _, projector, image, counts = tiny_setup

@@ -192,6 +192,36 @@ class TestNewtonSolve:
             assert abs(got - ref) <= 1e-8
 
 
+class TestSpdSolve:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_lapack_solve(self, n):
+        rng = np.random.default_rng(40 + n)
+        n_sys = 300
+        # PSD blocks of every rank from 0 to n (as mu diag(d2) mu' can be
+        # near singular) and entries spanning six decades, shifted by 1e-8..1e3.
+        factors = rng.standard_normal((n_sys, n, n)) * 10.0 ** rng.uniform(-3, 3, (n_sys, 1, 1))
+        rank = rng.integers(0, n + 1, n_sys)
+        factors *= (np.arange(n) < rank[:, None])[:, None, :]
+        hess = factors @ factors.transpose(0, 2, 1)
+        shift = 10.0 ** rng.uniform(-8, 3, n_sys)
+        rhs = rng.standard_normal((n, n_sys))
+        lower = np.stack([hess[:, i, j] for i in range(n) for j in range(i + 1)])
+        got = R.spd_solve(lower, shift, rhs)
+        full = hess + shift[:, None, None] * np.eye(n)
+        ref = np.linalg.solve(full, rhs.T[..., None])[..., 0].T
+        cond = np.linalg.cond(full)
+        err = np.linalg.norm(got - ref, axis=0) / np.linalg.norm(ref, axis=0)
+        assert np.all(err <= 1e-12 * cond)
+        assert n == 1 or cond.max() > 1e6  # the batch reaches ill-conditioned blocks
+
+    def test_indefinite_block_gives_non_finite_column(self):
+        lower = np.array([[1.0, 1.0], [2.0, 0.5], [1.0, 2.0]])  # [[1,2],[2,1]], [[1,.5],[.5,2]]
+        with np.errstate(invalid="ignore"):
+            got = R.spd_solve(lower, np.zeros(2), np.ones((2, 2)))
+        assert not np.isfinite(got[:, 0]).any()
+        assert np.allclose(got[:, 1], np.linalg.solve([[1.0, 0.5], [0.5, 2.0]], [1.0, 1.0]))
+
+
 def mixed_ray_batch(seed, n_rays=200):
     """Rays starting at their minimizer (one step settles them) next to rays
     starting 3 to 30 away from the center (some still move after ten steps),

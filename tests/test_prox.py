@@ -156,9 +156,11 @@ class TestQexp:
             [0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, -800.0],
             rng.standard_normal(994) * 10.0 ** rng.integers(-6, 3, 994),
         ]).reshape(-1, 7)
-        _, d1, d2 = qexp(t)
+        value, d1, d2 = qexp(t)
         assert d2.tobytes() == np.exp(np.minimum(t, 0.0)).tobytes()
         assert d1.tobytes() == (d2 + np.maximum(t, 0.0)).tobytes()
+        tp = np.maximum(t, 0.0)
+        assert value.tobytes() == (d1 + 0.5 * tp * tp).tobytes()
         s1, s2 = qexp_slopes(t)
         assert s1.tobytes() == d1.tobytes()
         assert s2.tobytes() == d2.tobytes()
