@@ -1,7 +1,7 @@
 """Experiment runner CLI.
 
 Subcommands:
-    run              execute an experiment (quantile / ct / custom sigma sweep)
+    run              execute an experiment (quantile / ct sigma sweep)
     validate-config  parse and validate a config file, no computation
     summarize        emit a gnuplot-friendly summary of trace files
 
@@ -20,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 
 import numpy as np
 
@@ -28,9 +28,9 @@ from . import __version__
 from .config import (
     ConfigError,
     ExperimentConfig,
+    config_from_sections,
     config_to_manifest_dict,
-    default_config,
-    parse_config,
+    read_sections,
 )
 from .engine import AdmmStepError
 
@@ -48,18 +48,7 @@ def _sequential_mode() -> bool:
 def _quantile_spec(cfg: ExperimentConfig, sigma: float):
     from .quantile import QuantileProblemSpec
 
-    p = cfg.problem
-    return QuantileProblemSpec(
-        d=p.d,
-        n=p.n,
-        s_star=p.s_star,
-        q=p.q,
-        lam=p.lam,
-        beta=p.beta,
-        radius=p.radius,
-        sigma=sigma,
-        seed=cfg.seed,
-    )
+    return QuantileProblemSpec(**asdict(cfg.problem), sigma=sigma, seed=cfg.seed)
 
 
 def _run_quantile(cfg: ExperimentConfig, record_time: bool) -> list[str]:
@@ -130,52 +119,9 @@ def _run_ct(cfg: ExperimentConfig, record_time: bool) -> list[str]:
     return [entry["path"] for entry in summary["runs"].values()]
 
 
-def _run_custom_sigma(cfg: ExperimentConfig, sigma: float, record_time: bool) -> str:
-    """Seeded L1-regularized least squares on the generic engine."""
-    from . import engine
-    from .engine import AdmmProblem, CompositeObjective, DenseMap, ScaledIdentity
-    from .numerics import DiagonalMatrix, spectral_norm
-    from .prox import soft_threshold
-
-    p = cfg.problem
-    rng = np.random.default_rng(cfg.seed)
-    a = np.eye(p.n, p.d) + p.scale * rng.standard_normal((p.n, p.d))
-    w = p.scale * rng.standard_normal(p.n)
-    gamma = spectral_norm(a, rel_tol=1e-12) ** 2 * (1 + 1e-6)
-
-    def prox_x(lin, D, center):
-        s = float(D.diag[0])
-        return soft_threshold(center - lin / s, p.lam / s)
-
-    def prox_y(lin, D, center):
-        return (w - lin + sigma * center) / (1.0 + sigma)
-
-    problem = AdmmProblem(
-        A=DenseMap(a),
-        B=ScaledIdentity(p.n, -1.0),
-        c=np.zeros(p.n),
-        sigma=DiagonalMatrix(np.full(p.n, sigma)),
-        f=CompositeObjective(prox_step=prox_x),
-        g=CompositeObjective(prox_step=prox_y),
-        D_f=DiagonalMatrix(np.full(p.d, sigma * gamma)),
-        D_g=DiagonalMatrix(np.full(p.n, 1.0 + sigma)),
-        objective=lambda x, y, ax: 0.5 * float(np.sum((ax - w) ** 2))
-        + p.lam * float(np.abs(x).sum()),
-    )
-    result = engine.run(problem, iters=cfg.iters, record_time=record_time)
-    path = os.path.join(cfg.out, f"custom_sigma{sigma:g}.csv")
-    engine.save_trace(path, result.trace)
-    return path
-
-
-def _run_custom(cfg: ExperimentConfig, record_time: bool) -> list[str]:
-    return [_run_custom_sigma(cfg, float(s), record_time) for s in cfg.sigma_list]
-
-
 _EXPERIMENTS = {
     "quantile": _run_quantile,
     "ct": _run_ct,
-    "custom": _run_custom,
 }
 
 
@@ -196,28 +142,17 @@ def _write_manifest(cfg: ExperimentConfig) -> str:
 
 def _resolve_config(args) -> ExperimentConfig:
     if args.config is not None:
-        cfg = parse_config(args.config)
-        if args.experiment is not None and args.experiment != cfg.kind:
-            raise ConfigError(
-                f"--experiment {args.experiment!r} conflicts with config kind {cfg.kind!r}"
-            )
+        sections = read_sections(args.config)
     elif args.experiment is not None:
-        cfg = default_config(args.experiment)
+        sections = {"experiment": {"kind": args.experiment}}
     else:
         raise ConfigError("either --config or --experiment is required")
-    if args.sigma is not None:
-        try:
-            sigmas = tuple(float(tok) for tok in args.sigma.split(",") if tok.strip())
-        except ValueError as exc:
-            raise ConfigError(f"--sigma must be comma-separated numbers: {exc}") from exc
-        cfg = replace(cfg, sigma_list=sigmas)
-    if args.iters is not None:
-        cfg = replace(cfg, iters=args.iters)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.out is not None:
-        cfg = replace(cfg, out=args.out)
-    cfg.validate()
+    overrides = {"sigma_list": args.sigma, "iters": args.iters, "seed": args.seed, "out": args.out}
+    cfg = config_from_sections(sections, {k: v for k, v in overrides.items() if v is not None})
+    if args.experiment is not None and args.experiment != cfg.kind:
+        raise ConfigError(
+            f"--experiment {args.experiment!r} conflicts with config kind {cfg.kind!r}"
+        )
     return cfg
 
 
@@ -295,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--experiment", choices=("quantile", "ct", "custom"))
+        p.add_argument("--experiment", choices=("quantile", "ct"))
         p.add_argument("--config", help="INI config file or manifest.json")
         p.add_argument("--sigma", help="comma-separated sigma values (overrides config)")
         p.add_argument("--iters", type=int)

@@ -10,14 +10,16 @@ from __future__ import annotations
 import configparser
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+import types
+import typing
+from dataclasses import asdict, dataclass
 
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "QuantileConfig",
     "CtConfig",
-    "CustomConfig",
+    "read_sections",
     "parse_config",
     "config_from_sections",
     "default_config",
@@ -63,12 +65,12 @@ class CtConfig:
     n_angles: int = 50
     n_detectors: int = 50
     detector_span_cm: float | None = None  # None = grid diagonal
-    materials: tuple = ("pmma", "aluminum", "gadolinium")
+    materials: tuple[str, ...] = ("pmma", "aluminum", "gadolinium")
     energy_min_kev: float = 20.0
     energy_max_kev: float = 120.0
     n_energies: int = 100
     n_windows: int = 3
-    window_thresholds_kev: tuple | None = None  # None = equal-count windows
+    window_thresholds_kev: tuple[float, ...] | None = None  # None = equal-count windows
     window_blur_kev: float = 4.0
     beam_photons: float = 1e6
     newton_iters: int = 10
@@ -93,138 +95,140 @@ class CtConfig:
             raise ConfigError("newton_iters must be positive")
 
 
-@dataclass
-class CustomConfig:
-    """L1-regularized least squares sandbox run through the generic engine."""
-
-    d: int = 5
-    n: int = 5
-    lam: float = 0.1
-    scale: float = 0.2
-
-    ALIASES = {"lambda": "lam"}
-
-    def validate(self):
-        if min(self.d, self.n) <= 0:
-            raise ConfigError("d and n must be positive")
-        if self.lam <= 0:
-            raise ConfigError("lambda must be positive")
-
-
-_KIND_SECTIONS = {"quantile": QuantileConfig, "ct": CtConfig, "custom": CustomConfig}
+_KIND_SECTIONS = {"quantile": QuantileConfig, "ct": CtConfig}
 
 _KIND_DEFAULTS = {
     "quantile": dict(sigma_list=(5e-5, 1e-4, 2e-4, 5e-4), iters=500),
     "ct": dict(sigma_list=(1.0, 10.0, 100.0), iters=1000),
-    "custom": dict(sigma_list=(1.0,), iters=2000),
 }
 
 
 @dataclass
 class ExperimentConfig:
     kind: str = "quantile"
-    sigma_list: tuple = ()
+    sigma_list: tuple[float, ...] = ()
     iters: int = 0
     seed: int = 20240801
     out: str = "."
     problem: object = None
 
     def validate(self):
-        if self.kind not in _KIND_SECTIONS:
-            raise ConfigError(f"kind must be one of {sorted(_KIND_SECTIONS)}, got {self.kind!r}")
         if not self.sigma_list:
-            raise ConfigError("sigma_list must not be empty")
-        if any(s <= 0 for s in self.sigma_list):
-            raise ConfigError("sigma_list entries must be positive")
+            raise ConfigError("[experiment] sigma_list must not be empty")
+        if not all(0.0 < s < math.inf for s in self.sigma_list):
+            raise ConfigError(
+                f"[experiment] sigma_list entries must be positive and finite, "
+                f"got {list(self.sigma_list)}"
+            )
         if self.iters < 1:
-            raise ConfigError("iters must be at least 1")
+            raise ConfigError("[experiment] iters must be at least 1")
         self.problem.validate()
 
 
-def _coerce(section_name: str, key: str, raw, template) -> object:
-    aliases = getattr(template, "ALIASES", None) or {}
-    name = aliases.get(key, key)
-    valid = {f.name for f in fields(template)}
-    if name not in valid:
-        raise ConfigError(f"unknown key {key!r} in section [{section_name}]")
-    current = getattr(template, name)
-    if isinstance(raw, str):
-        raw = raw.strip()
-        if raw.lower() in ("none", "auto"):
-            return name, None
-        if isinstance(current, int):
-            return name, int(raw)
-        if isinstance(current, float) or current is None and name.endswith("_cm"):
-            return name, float(raw)
-        if isinstance(current, tuple) or name in ("materials", "window_thresholds_kev"):
-            parts = [p.strip() for p in raw.split(",") if p.strip()]
-            if name == "materials":
-                return name, tuple(parts)
-            return name, tuple(float(p) for p in parts)
-    return name, raw
+def _convert(where: str, raw, kind):
+    """`raw`, INI text or a JSON value, as a value of the declared field type `kind`.
+
+    `X | None` takes `none`/`auto` (or JSON null) as None; tuples take a
+    comma-separated string or a JSON list; floats reject NaN.
+    """
+    if isinstance(kind, types.UnionType):  # X | None
+        if raw is None or isinstance(raw, str) and raw.strip().lower() in ("none", "auto"):
+            return None
+        (kind,) = [arg for arg in typing.get_args(kind) if arg is not type(None)]
+        return _convert(where, raw, kind)
+    if typing.get_origin(kind) is tuple:
+        parts = [p.strip() for p in raw.split(",") if p.strip()] if isinstance(raw, str) else raw
+        if not isinstance(parts, list):
+            raise ConfigError(f"{where}: expected a comma-separated list, got {raw!r}")
+        item = typing.get_args(kind)[0]
+        return tuple(_convert(where, p, item) for p in parts)
+    wrong = ConfigError(f"{where}: expected {kind.__name__}, got {raw!r}")
+    if isinstance(raw, bool) or not isinstance(raw, (str, int, float)):
+        raise wrong
+    try:
+        value = kind(str(raw).strip())
+    except ValueError:
+        raise wrong from None
+    if kind is float and math.isnan(value):
+        raise ConfigError(f"{where}: NaN is not allowed")
+    return value
 
 
-def config_from_sections(sections: dict) -> ExperimentConfig:
-    """Build and validate a config from {section: {key: value}} mappings."""
-    sections = {k: dict(v) for k, v in sections.items()}
-    exp_raw = sections.pop("experiment", {})
-    kind = str(exp_raw.pop("kind", "quantile")).strip()
+def _set_fields(target, section: str, raw: dict, names=None) -> None:
+    """Convert each `key = value` of `raw` by the type of its field on `target`.
+
+    `names` limits the settable fields (default: all of them).
+    """
+    hints = typing.get_type_hints(type(target))
+    aliases = getattr(target, "ALIASES", {})
+    for key, value in raw.items():
+        name = aliases.get(key, key)
+        if name not in (hints if names is None else names):
+            raise ConfigError(f"unknown key {key!r} in section [{section}]")
+        setattr(target, name, _convert(f"[{section}] {key}", value, hints[name]))
+
+
+def config_from_sections(sections: dict, overrides: dict | None = None) -> ExperimentConfig:
+    """Build and validate a config from {section: {key: value}} mappings.
+
+    `overrides` replaces [experiment] keys (the command line's --sigma etc.)
+    and is converted like them.
+    """
+    for name, body in sections.items():
+        if not isinstance(body, dict):
+            raise ConfigError(f"section [{name}] must map keys to values")
+    sections = dict(sections)
+    exp_raw = {**sections.pop("experiment", {}), **(overrides or {})}
+    kind = _convert("[experiment] kind", exp_raw.pop("kind", "quantile"), str)
     if kind not in _KIND_SECTIONS:
-        raise ConfigError(f"kind must be one of {sorted(_KIND_SECTIONS)}, got {kind!r}")
+        raise ConfigError(
+            f"[experiment] kind must be one of {sorted(_KIND_SECTIONS)}, got {kind!r}"
+        )
+    # Sweeps run in one process; the key stays readable so that manifests
+    # written with it still reproduce.
+    workers = exp_raw.pop("workers", 1)
+    if _convert("[experiment] workers", workers, int) != 1:
+        raise ConfigError(f"[experiment] workers must be 1, got {workers!r}")
 
     problem = _KIND_SECTIONS[kind]()
-    prob_raw = sections.pop(kind, {})
-    for key, value in prob_raw.items():
-        name, coerced = _coerce(kind, key, value, problem)
-        setattr(problem, name, coerced)
-
+    _set_fields(problem, kind, sections.pop(kind, {}))
     for stray in sections:
         raise ConfigError(f"unknown section [{stray}]")
 
-    defaults = _KIND_DEFAULTS[kind]
-    cfg = ExperimentConfig(
-        kind=kind,
-        sigma_list=tuple(defaults["sigma_list"]),
-        iters=defaults["iters"],
-        problem=problem,
-    )
-    for key, value in exp_raw.items():
-        if key == "sigma_list":
-            if isinstance(value, str):
-                value = tuple(float(p) for p in value.split(",") if p.strip())
-            else:
-                value = tuple(float(v) for v in value)
-            cfg.sigma_list = value
-        elif key == "iters":
-            cfg.iters = int(value)
-        elif key == "seed":
-            cfg.seed = int(value)
-        elif key == "out":
-            cfg.out = str(value).strip()
-        elif key == "workers":
-            # Sweeps run in one process; the key stays readable so that
-            # manifests written with it still reproduce.
-            if str(value).strip() != "1":
-                raise ConfigError(f"workers must be 1, got {value!r}")
-        else:
-            raise ConfigError(f"unknown key {key!r} in section [experiment]")
+    cfg = ExperimentConfig(kind=kind, problem=problem, **_KIND_DEFAULTS[kind])
+    _set_fields(cfg, "experiment", exp_raw, ("sigma_list", "iters", "seed", "out"))
     cfg.validate()
     return cfg
 
 
-def parse_config(path) -> ExperimentConfig:
-    """Parse an INI config file, or a manifest.json from a previous run."""
-    text = open(path).read()
+def read_sections(path) -> dict:
+    """{section: {key: value}} of an INI config file or a previous run's manifest.json."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
     if str(path).endswith(".json"):
-        manifest = json.loads(text)
-        return config_from_sections(manifest["config"])
+        try:
+            manifest = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"malformed manifest {path}: {exc}") from None
+        if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
+            raise ConfigError(f'manifest {path} has no "config" entry')
+        return manifest["config"]
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keys are case-sensitive
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"malformed config: {exc}") from exc
-    return config_from_sections({s: dict(parser.items(s)) for s in parser.sections()})
+        # configparser messages span lines; the CLI reports one
+        raise ConfigError(f"malformed config {path}: {' '.join(str(exc).split())}") from None
+    return {s: dict(parser.items(s)) for s in parser.sections()}
+
+
+def parse_config(path) -> ExperimentConfig:
+    """Parse an INI config file, or a manifest.json from a previous run."""
+    return config_from_sections(read_sections(path))
 
 
 def default_config(kind: str) -> ExperimentConfig:
@@ -240,14 +244,6 @@ def _jsonable(value):
 
 
 def config_to_manifest_dict(cfg: ExperimentConfig) -> dict:
+    experiment = {k: _jsonable(v) for k, v in asdict(cfg).items() if k != "problem"}
     problem = {k: _jsonable(v) for k, v in asdict(cfg.problem).items()}
-    return {
-        "experiment": {
-            "kind": cfg.kind,
-            "sigma_list": list(cfg.sigma_list),
-            "iters": cfg.iters,
-            "seed": cfg.seed,
-            "out": cfg.out,
-        },
-        cfg.kind: problem,
-    }
+    return {"experiment": experiment, cfg.kind: problem}

@@ -203,23 +203,17 @@ def alpha_ratio(
 
 
 def alpha_t_diagnostic(
-    model: SpectralModel,
-    counts: np.ndarray,
     sigma_tilde: DiagonalMatrix,
     proj_x: np.ndarray,
     y: np.ndarray,
     y_star: np.ndarray,
-    grad_star: np.ndarray | None = None,
-    grad_y: np.ndarray | None = None,
+    grad_star: np.ndarray,
+    grad_y: np.ndarray,
 ) -> float | None:
     """Empirical curvature ratio along the trajectory, for the CT loss.
 
-    The loss gradients at y_star and y are computed unless passed in.
+    `grad_star` and `grad_y` are the loss gradients at y_star and y.
     """
-    if grad_star is None:
-        grad_star = ct_loss_parts(model, y_star, counts).grad
-    if grad_y is None:
-        grad_y = ct_loss_parts(model, y, counts).grad
     penalty = 0.5 * float((sigma_tilde.diag[:, None] * (proj_x - y) ** 2).sum())
     return alpha_ratio(y, y_star, grad_y, grad_star, penalty)
 
@@ -315,8 +309,7 @@ def run_ct_reconstruction(
             parts = ct_loss_parts(model, y, counts)
             latest.update(y=y_flat, grad_d=parts.grad_d.ravel())
             return alpha_t_diagnostic(
-                model, counts, pre.sigma_tilde, proj_flat.reshape(shape), y, y_star,
-                grad_star, grad_y=parts.grad,
+                pre.sigma_tilde, proj_flat.reshape(shape), y, y_star, grad_star, parts.grad
             )
 
         def shared_grad_d(y_flat):

@@ -346,7 +346,6 @@ def run(
     iters: int = 100,
     alpha_hook: Optional[Callable] = None,
     iteration_hook: Optional[Callable] = None,
-    primal_tol: Optional[float] = None,
     record_time: bool = True,
 ) -> RunResult:
     """Run `iters` cycles from `init` (default all-zeros) and return averages.
@@ -354,8 +353,7 @@ def run(
     `alpha_hook(t, x, y, u, ax)` may return a diagnostic scalar recorded in
     the trace, where ax = A x comes from the step; `iteration_hook(t, state)`
     is called after every step (used by the experiments to log extra
-    per-iteration quantities). `primal_tol` adds an optional early stop on
-    the primal residual.
+    per-iteration quantities).
     """
     if iters < 1:
         raise ValueError("iters must be at least 1")
@@ -370,8 +368,6 @@ def run(
         state = admm_step(problem, state, alpha_hook=alpha_hook, record_time=record_time)
         if iteration_hook is not None:
             iteration_hook(state.t, state)
-        if primal_tol is not None and state.trace[-1].primal_residual <= primal_tol:
-            break
     return RunResult(state=state, x_bar=state.x_bar, y_bar=state.y_bar, trace=state.trace)
 
 

@@ -2,7 +2,8 @@
 
 Dense vectors are plain 1-D ``numpy.ndarray``s throughout the package; this
 module adds the two structured matrix types everything else is built on,
-plus the spectral-norm estimator that sets the quantile step size.
+plus the spectral-norm estimator (on dense arrays) that sets the quantile
+step size.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ class DiagonalMatrix:
 
 
 def spectral_norm(m, rel_tol: float = 1e-9) -> float:
-    """Largest singular value, via power iteration on M^T M.
+    """Largest singular value of the dense 2-D array `m`, via power iteration on M^T M.
 
     Deterministic: starts from the normalized all-ones vector and stops when
     successive Rayleigh quotients agree to `rel_tol` relative (or after
@@ -150,17 +151,14 @@ def spectral_norm(m, rel_tol: float = 1e-9) -> float:
     """
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
-    if isinstance(m, SparseMatrix):
-        matvec, rmatvec, cols = m.matvec, m.rmatvec, m.cols
-    else:
-        a = np.asarray(m, dtype=float)
-        matvec, rmatvec, cols = (lambda v: a @ v), (lambda v: a.T @ v), a.shape[1]
+    a = np.asarray(m, dtype=float)
+    cols = a.shape[1]
     if cols == 0:
         return 0.0
     v = np.ones(cols) / np.sqrt(cols)
     rayleigh = 0.0
     for _ in range(_POWER_MAX_ITERS):
-        w = rmatvec(matvec(v))
+        w = a.T @ (a @ v)
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
             return 0.0

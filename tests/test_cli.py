@@ -1,12 +1,18 @@
+import inspect
 import json
+import re
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ncadmm import cli
 from ncadmm.ct import forward as F
-from ncadmm.config import ConfigError, default_config, parse_config
+from ncadmm.ct import recon as R
+from ncadmm.config import ConfigError, config_to_manifest_dict, default_config, parse_config
 from ncadmm.engine import AdmmStepError, load_trace
+from ncadmm.quantile import QuantileProblemSpec
 
 from _oracles import save_phantom
 
@@ -49,6 +55,32 @@ n_energies = 18
 @pytest.fixture(autouse=True)
 def sequential_mode(monkeypatch):
     monkeypatch.setenv(cli.SEQUENTIAL_ENV, "1")
+
+
+# (config file text, or None for no file; file suffix; extra arguments; the
+# text the one `config error:` line must contain)
+QUANTILE_TINY = "[quantile]\nd = 12\nn = 20\ns_star = 2\n"
+BAD_CONFIGS = {
+    "iters_not_int": ("[experiment]\niters = abc\n", ".ini", [], "[experiment] iters"),
+    "seed_not_int": ("[experiment]\nseed = 1.5\n", ".ini", [], "[experiment] seed"),
+    "d_not_int": ("[quantile]\nd = abc\n", ".ini", [], "[quantile] d"),
+    "d_none": ("[quantile]\nd = none\n", ".ini", [], "[quantile] d"),
+    "newton_iters_auto": (
+        "[experiment]\nkind = ct\n[ct]\nnewton_iters = auto\n", ".ini", [], "[ct] newton_iters"
+    ),
+    "sigma_list_not_float": (
+        "[experiment]\nsigma_list = a,b\n", ".ini", [], "[experiment] sigma_list"
+    ),
+    "sigma_list_nan": (
+        "[experiment]\nsigma_list = 1e-2, nan\n", ".ini", [], "[experiment] sigma_list"
+    ),
+    "lambda_nan": ("[quantile]\nlambda = nan\n", ".ini", [], "[quantile] lambda"),
+    "sigma_flag_nan": (QUANTILE_TINY, ".ini", ["--sigma", "nan"], "[experiment] sigma_list"),
+    "sigma_flag_inf": (QUANTILE_TINY, ".ini", ["--sigma", "inf"], "[experiment] sigma_list"),
+    "missing_file": (None, ".ini", [], "missing.ini"),
+    "malformed_json": ('{"config": {', ".json", [], "malformed manifest"),
+    "manifest_without_config": ('{"versions": {}}', ".json", [], 'no "config" entry'),
+}
 
 
 def write_config(tmp_path, template, name="config.ini"):
@@ -94,6 +126,52 @@ class TestConfigParsing:
             cfg = parse_config(path)
             assert cfg.problem.radius == float("inf")
 
+    def test_auto_and_null_accepted_on_optional_fields(self, tmp_path):
+        path = tmp_path / "ok.ini"
+        path.write_text(
+            "[experiment]\nkind = ct\n[ct]\n"
+            "detector_span_cm = auto\nwindow_thresholds_kev = auto\nattenuation_file = none\n"
+        )
+        assert parse_config(path) == default_config("ct")
+        for kind, key, value in (("quantile", "radius", "inf"), ("ct", "detector_span_cm", None)):
+            sections = config_to_manifest_dict(default_config(kind))
+            assert sections[kind][key] == value
+            manifest = tmp_path / f"{kind}_manifest.json"
+            manifest.write_text(json.dumps({"config": sections}))
+            assert parse_config(manifest) == default_config(kind)
+            assert cli.main(["validate-config", "--config", str(manifest)]) == 0
+
+    def test_defaults_agree_with_the_library(self):
+        # The CLI's defaults must be the ones the library (and the benchmark) run with.
+        quantile = asdict(default_config("quantile").problem)
+        spec = QuantileProblemSpec()
+        assert quantile == {name: getattr(spec, name) for name in quantile}
+        geom = {f.name: f.default for f in fields(F.CtGeometry)}
+        model = {
+            name: p.default
+            for name, p in inspect.signature(F.build_spectral_model).parameters.items()
+        }
+        assert asdict(default_config("ct").problem) == {
+            "grid_nx": geom["grid_nx"],
+            "grid_ny": geom["grid_ny"],
+            "pixel_size_cm": geom["pixel_size"],
+            "n_angles": geom["n_angles"],
+            "n_detectors": geom["n_detectors"],
+            "detector_span_cm": geom["detector_span"],
+            "materials": model["materials"],
+            "energy_min_kev": model["energy_min"],
+            "energy_max_kev": model["energy_max"],
+            "n_energies": model["n_energies"],
+            "n_windows": model["n_windows"],
+            "window_thresholds_kev": model["window_thresholds"],
+            "window_blur_kev": model["window_blur_kev"],
+            "beam_photons": model["total_photons"],
+            "newton_iters": R.DEFAULT_NEWTON_ITERS,
+            "attenuation_file": model["attenuation_path"],
+            "spectrum_file": model["spectrum_path"],
+            "phantom": "default",
+        }
+
 
 class TestRunCommand:
     def test_quantile_writes_traces_and_manifest(self, tmp_path):
@@ -127,14 +205,6 @@ class TestRunCommand:
             assert (out / f"ct_sigma5_{name}.pgm").exists()
         report = json.loads((out / "ct_report.json").read_text())
         assert report["fosp_ratio"] > 0
-
-    def test_custom_experiment_runs(self, tmp_path):
-        out = tmp_path / "out"
-        code = cli.main(
-            ["run", "--experiment", "custom", "--iters", "30", "--out", str(out)]
-        )
-        assert code == 0
-        assert (out / "custom_sigma1.csv").exists()
 
     def test_cli_overrides(self, tmp_path):
         path, out = write_config(tmp_path, QUANTILE_SMALL)
@@ -188,12 +258,12 @@ class TestRunCommand:
         def explode(cfg, record_time):
             raise AdmmStepError(7, "synthetic blowup")
 
-        monkeypatch.setitem(cli._EXPERIMENTS, "custom", explode)
+        monkeypatch.setitem(cli._EXPERIMENTS, "quantile", explode)
         out = tmp_path / "out"
-        code = cli.main(["run", "--experiment", "custom", "--out", str(out)])
+        code = cli.main(["run", "--experiment", "quantile", "--out", str(out)])
         assert code == 3
         assert "iteration 7" in capsys.readouterr().err
-
+        assert not (out / "manifest.json").exists()
 
     def test_failing_step_callback_exits_3(self, tmp_path, monkeypatch, capsys):
         from ncadmm.ct import recon
@@ -256,6 +326,29 @@ class TestValidateCommand:
         path = tmp_path / "bad.ini"
         path.write_text("[experiment]\nkind = nope\n")
         assert cli.main(["validate-config", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("command", ["run", "validate-config"])
+    @pytest.mark.parametrize("case", BAD_CONFIGS)
+    def test_bad_config_exits_2_with_one_line(self, tmp_path, capsys, command, case):
+        text, suffix, extra, named = BAD_CONFIGS[case]
+        path = tmp_path / ("missing" + suffix if text is None else "bad" + suffix)
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "out"
+        code = cli.main([command, "--config", str(path), "--out", str(out), *extra])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert named in err
+        assert not (out / "manifest.json").exists()
+
+    def test_readme_example_validates(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (example,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        path = tmp_path / "readme.ini"
+        path.write_text(example)
+        assert cli.main(["validate-config", "--config", str(path)]) == 0
+        assert "kind=quantile" in capsys.readouterr().out
 
 
 class TestSummarize:

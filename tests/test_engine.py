@@ -278,13 +278,6 @@ class TestRun:
             assert np.array_equal(new.u, state.u + prob.sigma.matvec(resid))
             state = new
 
-    def test_early_stop_on_primal_tol(self):
-        prob = scalar_problem()
-        res = engine.run(
-            prob, init=(np.ones(1), np.full(1, 2.0), np.zeros(1)), iters=100, primal_tol=1e-12
-        )
-        assert res.state.t < 100
-
     def test_alpha_hook_recorded(self):
         prob = scalar_problem()
         res = engine.run(prob, iters=3, alpha_hook=lambda t, x, y, u, ax: float(t) * 2.0)

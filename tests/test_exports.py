@@ -8,7 +8,7 @@ import pkgutil
 import pytest
 
 import ncadmm
-from ncadmm import engine, numerics, quantile
+from ncadmm import cli, config, engine, numerics, quantile
 from ncadmm.ct import forward, recon
 
 # __main__ runs the command line on import
@@ -36,6 +36,8 @@ GONE = [
         "ct_x_update", "ct_y_update", "ct_u_update", "run_ct_specialized",
         "ray_subproblem_objective", "stepsize_matrix_factor",
     ]),
+    (config, ["CustomConfig"]),
+    (cli, ["_run_custom", "_run_custom_sigma"]),
 ]
 
 
@@ -62,3 +64,7 @@ def test_trimmed_parameters_are_gone():
     assert "write_pgm" not in inspect.signature(recon.run_ct_experiment).parameters
     assert "want_hess" not in inspect.signature(forward.ct_loss_parts).parameters
     assert "hess_c" not in {f.name for f in dataclasses.fields(forward.LossParts)}
+    assert "primal_tol" not in inspect.signature(engine.run).parameters
+    alpha = inspect.signature(recon.alpha_t_diagnostic).parameters
+    assert "model" not in alpha and "counts" not in alpha
+    assert [alpha[name].default for name in ("grad_star", "grad_y")] == [inspect.Parameter.empty] * 2
