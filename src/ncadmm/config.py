@@ -83,6 +83,9 @@ class CtConfig:
             raise ConfigError("grid_nx/grid_ny/n_angles/n_detectors must be positive")
         if self.pixel_size_cm <= 0:
             raise ConfigError("pixel_size_cm must be positive")
+        span = self.detector_span_cm
+        if span is not None and not 0.0 < span < math.inf:
+            raise ConfigError(f"detector_span_cm must be positive and finite, got {span}")
         if self.n_energies < 1:
             raise ConfigError("n_energies must be positive")
         if self.n_windows < 1:

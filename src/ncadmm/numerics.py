@@ -48,14 +48,14 @@ class SparseMatrix:
                 raise ValueError("row index out of range")
             if col_idx.min() < 0 or col_idx.max() >= cols:
                 raise ValueError("col index out of range")
-            keys = row_idx * cols + col_idx
-            if np.unique(keys).size != keys.size:
+            keys = np.sort(row_idx * cols + col_idx)
+            if (keys[1:] == keys[:-1]).any():
                 raise ValueError("duplicate (row, col) entries")
-        self.rows = int(rows)
-        self.cols = int(cols)
-        self._csr = sp.csr_matrix(
-            (values, (row_idx, col_idx)), shape=(self.rows, self.cols)
-        )
+        self._set_csr(sp.csr_matrix((values, (row_idx, col_idx)), shape=(rows, cols)))
+
+    def _set_csr(self, csr) -> None:
+        self.rows, self.cols = csr.shape
+        self._csr = csr
         self._csr.data.flags.writeable = False
 
     @property
@@ -100,8 +100,10 @@ class SparseMatrix:
         return np.asarray(self._csr.sum(axis=0)).ravel()
 
     def select_rows(self, mask: np.ndarray) -> "SparseMatrix":
-        coo = self._csr[np.asarray(mask)].tocoo()
-        return SparseMatrix(coo.shape[0], coo.shape[1], coo.row, coo.col, coo.data)
+        """The rows where the boolean `mask` is set, sliced from the CSR as is."""
+        sub = SparseMatrix.__new__(SparseMatrix)
+        sub._set_csr(self._csr[np.asarray(mask)])
+        return sub
 
     def __repr__(self) -> str:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self._csr.nnz})"

@@ -1,8 +1,9 @@
 """Reference implementations used only by the tests.
 
 The first part deliberately avoids the library's own code paths: brute-force
-1-D searches, dense linear algebra, finite differences, an LP solver, and a
-point-sampling ray tracer. Oracles are slow and simple on purpose.
+1-D searches, dense linear algebra, finite differences, an LP solver, a
+point-sampling ray tracer, and the projector built one ray at a time. Oracles
+are slow and simple on purpose.
 
 The rest holds what the tests check the library against but no run executes:
 the dense step-size checker, the closed-form quantile and CT updates written
@@ -155,6 +156,72 @@ def ray_sample_lengths(geom, origin, direction, n_samples=100_000):
     for k, cnt in zip(*np.unique(keys, return_counts=True)):
         lengths[int(k)] = cnt * weight
     return lengths, chord
+
+
+def ray_pixel_lengths(geom, origin, direction):
+    """Exact intersection lengths of one ray with every pixel it crosses.
+
+    Walks the sorted gridline crossings; each segment is assigned to the
+    pixel containing its midpoint, which makes boundaries half-open
+    (lower/left inclusive) without epsilon nudging.
+    """
+    ox, oy = origin
+    dx, dy = direction
+    half_w, half_h = geom.width / 2, geom.height / 2
+    p = geom.pixel_size
+
+    t_lo, t_hi = -np.inf, np.inf
+    for o, d, lo, hi in ((ox, dx, -half_w, half_w), (oy, dy, -half_h, half_h)):
+        if d == 0.0:
+            if not (lo <= o <= hi):
+                return [], []
+        else:
+            t0, t1 = (lo - o) / d, (hi - o) / d
+            if t0 > t1:
+                t0, t1 = t1, t0
+            t_lo, t_hi = max(t_lo, t0), min(t_hi, t1)
+    if not t_hi > t_lo:
+        return [], []
+
+    crossings = [t_lo, t_hi]
+    for o, d, lo, n in ((ox, dx, -half_w, geom.grid_nx), (oy, dy, -half_h, geom.grid_ny)):
+        if d != 0.0:
+            ts = (lo + np.arange(1, n) * p - o) / d
+            crossings.extend(ts[(ts > t_lo) & (ts < t_hi)])
+    ts = np.unique(np.asarray(crossings))
+
+    # Accumulate per pixel: corner-grazing roundoff can split one crossing
+    # into adjacent segments that land in the same pixel.
+    acc: dict[int, float] = {}
+    for t0, t1 in zip(ts[:-1], ts[1:]):
+        seg = t1 - t0
+        if seg <= 0.0:
+            continue
+        tm = 0.5 * (t0 + t1)
+        ix = int(math.floor((ox + tm * dx + half_w) / p))
+        iy = int(math.floor((oy + tm * dy + half_h) / p))
+        if 0 <= ix < geom.grid_nx and 0 <= iy < geom.grid_ny:
+            key = ix * geom.grid_ny + iy
+            acc[key] = acc.get(key, 0.0) + seg
+    return list(acc.keys()), list(acc.values())
+
+
+def build_projector_loop(geom):
+    """The projector of `forward.build_projector`, one ray at a time."""
+    rows, cols, vals = [], [], []
+    span = geom.span
+    for a in range(geom.n_angles):
+        theta = math.pi * a / geom.n_angles
+        d = (math.cos(theta), math.sin(theta))
+        e = (-math.sin(theta), math.cos(theta))
+        for j in range(geom.n_detectors):
+            s = (j + 0.5) * span / geom.n_detectors - span / 2
+            pix, lens = ray_pixel_lengths(geom, (s * e[0], s * e[1]), d)
+            ray = a * geom.n_detectors + j
+            rows.extend([ray] * len(pix))
+            cols.extend(pix)
+            vals.extend(lens)
+    return SparseMatrix(geom.n_rays, geom.n_pixels, rows, cols, vals)
 
 
 # ---------------------------------------------------------------------------

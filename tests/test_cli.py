@@ -68,6 +68,15 @@ BAD_CONFIGS = {
     "newton_iters_auto": (
         "[experiment]\nkind = ct\n[ct]\nnewton_iters = auto\n", ".ini", [], "[ct] newton_iters"
     ),
+    "detector_span_inf": (
+        "[experiment]\nkind = ct\n[ct]\ndetector_span_cm = inf\n", ".ini", [], "detector_span_cm"
+    ),
+    "detector_span_zero": (
+        "[experiment]\nkind = ct\n[ct]\ndetector_span_cm = 0\n", ".ini", [], "detector_span_cm"
+    ),
+    "detector_span_negative": (
+        "[experiment]\nkind = ct\n[ct]\ndetector_span_cm = -2\n", ".ini", [], "detector_span_cm"
+    ),
     "sigma_list_not_float": (
         "[experiment]\nsigma_list = a,b\n", ".ini", [], "[experiment] sigma_list"
     ),

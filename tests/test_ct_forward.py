@@ -7,6 +7,7 @@ import pytest
 from ncadmm.ct import forward as F
 
 from _oracles import (
+    build_projector_loop,
     ct_hessian_blocks,
     dense,
     expected_counts,
@@ -65,6 +66,25 @@ def check_gradients_by_finite_differences(model, counts, seed):
         assert np.linalg.norm(parts.grad_d - ref_d) <= 1e-5 * max(1.0, np.linalg.norm(ref_d))
 
 
+# Geometries on which the vectorized projector must equal the per-ray loop.
+ORACLE_GEOMETRIES = {
+    "paper": F.CtGeometry(),
+    "1x1": F.CtGeometry(grid_nx=1, grid_ny=1, pixel_size=0.7, n_angles=3, n_detectors=4),
+    "7x4": F.CtGeometry(grid_nx=7, grid_ny=4, pixel_size=0.3, n_angles=9, n_detectors=11),
+    "7x5": F.CtGeometry(grid_nx=7, grid_ny=5, pixel_size=0.3, n_angles=9, n_detectors=11),
+    # 0 is exactly axis-aligned; at 90 degrees cos(pi/2) is ~6e-17, not 0
+    "axis-aligned": F.CtGeometry(grid_nx=4, grid_ny=4, pixel_size=0.5, n_angles=2,
+                                 n_detectors=10),
+    # odd detector count: the 45-degree view has a ray through the grid corners
+    "corner-grazing": F.CtGeometry(grid_nx=6, grid_ny=6, pixel_size=0.5, n_angles=4,
+                                   n_detectors=7),
+    "wide-span": F.CtGeometry(grid_nx=5, grid_ny=3, pixel_size=0.4, n_angles=6,
+                              n_detectors=9, detector_span=10.0),
+    "narrow-span": F.CtGeometry(grid_nx=5, grid_ny=5, pixel_size=0.4, n_angles=7,
+                                n_detectors=5, detector_span=0.1),
+}
+
+
 class TestProjector:
     def test_single_pixel_axis_ray(self):
         geom = F.CtGeometry(grid_nx=1, grid_ny=1, pixel_size=0.7, n_angles=1, n_detectors=1)
@@ -112,6 +132,32 @@ class TestProjector:
         # axis-aligned views with span = diagonal must have off-grid detectors
         assert (sums == 0).any()
         assert (sums > 0).any()
+
+    @pytest.mark.parametrize("name", ORACLE_GEOMETRIES)
+    def test_matches_per_ray_loop_bitwise(self, name):
+        geom = ORACLE_GEOMETRIES[name]
+        got, ref = F.build_projector(geom)._csr, build_projector_loop(geom)._csr
+        assert got.shape == ref.shape
+        assert got.has_canonical_format and ref.has_canonical_format
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(got, attr), getattr(ref, attr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+
+    def test_oracle_geometries_reach_the_edge_cases(self):
+        def row_sums(name):
+            return F.build_projector(ORACLE_GEOMETRIES[name]).row_sums()
+
+        assert (row_sums("wide-span") == 0).any()
+        assert (row_sums("narrow-span") > 0).all()
+        # angle 1 of 4 is 45 degrees; detector 3 of 7 runs along the diagonal
+        assert row_sums("corner-grazing")[1 * 7 + 3] == pytest.approx(
+            6 * 0.5 * math.sqrt(2.0), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("span", [math.inf, 0.0, -2.0, math.nan])
+    def test_detector_span_must_be_positive_and_finite(self, span):
+        with pytest.raises(ValueError, match="detector_span"):
+            F.CtGeometry(detector_span=span)
 
     def test_adjoint_identity(self, tiny_setup):
         _, projector, _, _ = tiny_setup
@@ -286,10 +332,15 @@ class TestLossParts:
         rng = np.random.default_rng(19)
         y = rng.standard_normal((projector.rows, 3))
         scaled = replace(small_model, ray_scale=rng.uniform(0.1, 10.0, projector.rows))
-        value_only = F.ct_loss_parts(scaled, y, counts, want_grad=False)
-        full = F.ct_loss_parts(scaled, y, counts)
-        assert value_only.value == pytest.approx(straight_line_loss(scaled, y, counts), rel=1e-10)
-        assert (value_only.g_c, value_only.g_d) == (full.g_c, full.g_d)
+        # the second y is all negative, so every t = -mu.y > 0: qexp's Taylor branch
+        for y in (y, -np.abs(y)):
+            value_only = F.ct_loss_parts(scaled, y, counts, want_grad=False)
+            full = F.ct_loss_parts(scaled, y, counts)
+            assert value_only.value == pytest.approx(
+                straight_line_loss(scaled, y, counts), rel=1e-10
+            )
+            assert (value_only.g_c, value_only.g_d) == (full.g_c, full.g_d)
+        assert (y @ -scaled.mu > 0).all()
 
     def test_qexp_equals_exp_for_nonnegative_projections(self, small_model, tiny_setup):
         _, projector, image, counts = tiny_setup

@@ -31,7 +31,7 @@ GONE = [
         "save", "load", "to_triples", "dense", "from_dense", "identity", "nnz",
     ]),
     (quantile, ["quantile_x_update", "quantile_y_update", "stepsize_margin"]),
-    (forward, ["expected_counts", "ct_loss", "save_phantom"]),
+    (forward, ["expected_counts", "ct_loss", "save_phantom", "_ray_pixel_lengths"]),
     (recon, [
         "ct_x_update", "ct_y_update", "ct_u_update", "run_ct_specialized",
         "ray_subproblem_objective", "stepsize_matrix_factor",

@@ -71,6 +71,44 @@ class TestSparseMatrixValidation:
         with pytest.raises(ValueError, match="finite"):
             SparseMatrix(2, 2, [0], [0], [np.nan])
 
+    def test_far_apart_duplicate_rejected(self):
+        rng = np.random.default_rng(3)
+        keys = rng.permutation(200 * 300)[:10_000]  # distinct and shuffled
+        keys[-1] = keys[0]  # one duplicate pair, 9999 places apart
+        rows, cols = np.divmod(keys, 300)
+        with pytest.raises(ValueError, match=r"duplicate \(row, col\) entries"):
+            SparseMatrix(200, 300, rows, cols, rng.standard_normal(keys.size))
+        SparseMatrix(200, 300, rows[:-1], cols[:-1], np.ones(keys.size - 1))
+
+
+class TestSelectRows:
+    def setup_method(self):
+        rng = np.random.default_rng(4)
+        self.m, self.a = random_sparse(rng, 40, 25)
+        self.mask = rng.random(40) < 0.5
+
+    def test_matches_rebuild_from_triples_bitwise(self):
+        sub = self.m.select_rows(self.mask)
+        r, c = np.nonzero(self.a[self.mask])
+        ref = SparseMatrix(int(self.mask.sum()), 25, r, c, self.a[self.mask][r, c])
+        assert (sub.rows, sub.cols) == (ref.rows, ref.cols)
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(sub._csr, name), getattr(ref._csr, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert np.array_equal(dense(sub), self.a[self.mask])
+
+    def test_data_stays_read_only(self):
+        sub = self.m.select_rows(self.mask)
+        assert not sub._csr.data.flags.writeable
+        with pytest.raises(ValueError):
+            sub._csr.data[0] = 1.0
+
+    def test_all_false_mask_gives_zero_rows(self):
+        sub = self.m.select_rows(np.zeros(40, dtype=bool))
+        assert sub.shape == (0, 25)
+        assert sub.matvec(np.ones(25)).shape == (0,)
+        assert np.array_equal(sub.rmatvec(np.zeros(0)), np.zeros(25))
+
 
 class TestSpectralNorm:
     def test_identity(self):
