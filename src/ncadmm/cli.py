@@ -88,7 +88,7 @@ def _ct_pieces(cfg: ExperimentConfig):
     if p.phantom == "default":
         phantom = F.default_phantom(geom, p.materials)
     else:
-        phantom = F.load_phantom(p.phantom, geom)
+        phantom = F.load_phantom(p.phantom, geom, len(p.materials))
     return geom, model, phantom
 
 
@@ -204,10 +204,19 @@ def cmd_summarize(args) -> int:
     if not paths:
         print("no trace files given (pass files or --out DIR)", file=sys.stderr)
         return EXIT_CONFIG
+    traces = []
+    for path in paths:
+        try:
+            records, _ = load_trace(path)
+            if not records:
+                raise ValueError("no iterations recorded")
+        except (OSError, ValueError) as exc:
+            print(f"bad trace file {path}: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        traces.append((path, records))
     # gnuplot-compatible: '#' comments, whitespace-separated columns
     print("# file final_iter final_objective min_objective final_primal_residual")
-    for path in paths:
-        records, _ = load_trace(path)
+    for path, records in traces:
         objectives = [r.objective for r in records]
         last = records[-1]
         print(

@@ -169,8 +169,8 @@ def build_projector(geom: CtGeometry) -> SparseMatrix:
 class SpectralModel:
     """Beam spectrum, energy windows, and attenuation curves on one energy grid.
 
-    The per-(window, ray, energy) response factors as
-    ray_scale[ray] * window_weights[window, energy] * beam[energy],
+    The per-(window, energy) response factors as
+    window_weights[window, energy] * beam[energy], the same for every ray,
     with window weight columns summing to 1 exactly (the last window is
     the complement of the others) and beam summing to the total photon count.
     """
@@ -180,7 +180,6 @@ class SpectralModel:
     window_weights: np.ndarray  # (n_w, n_i)
     beam: np.ndarray            # (n_i,) photons per bin
     materials: tuple
-    ray_scale: np.ndarray | None = None  # (n_rays,), default all-ones
 
     @property
     def n_energies(self) -> int:
@@ -199,23 +198,11 @@ class SpectralModel:
         """(n_w, n_i) window response: window weight times beam density."""
         return self.window_weights * self.beam
 
-    def scales(self, n_rays: int) -> np.ndarray:
-        if self.ray_scale is None:
-            return np.ones(n_rays)
-        if self.ray_scale.size != n_rays:
-            raise ValueError("ray_scale length does not match the ray count")
-        return self.ray_scale
-
     def restrict_rays(self, mask: np.ndarray) -> "SpectralModel":
-        scale = None if self.ray_scale is None else self.ray_scale[mask]
-        return SpectralModel(
-            energies=self.energies,
-            mu=self.mu,
-            window_weights=self.window_weights,
-            beam=self.beam,
-            materials=self.materials,
-            ray_scale=scale,
-        )
+        """The model itself, which holds nothing per ray. Kept only because
+        the `ct-paper` workload in perfbench/workloads.py still calls it
+        after dropping the rays that miss the grid."""
+        return self
 
 
 def bundled_data_path(name: str):
@@ -305,7 +292,6 @@ def build_spectral_model(
     total_photons: float = 1e6,
     attenuation_path=None,
     spectrum_path=None,
-    ray_scale=None,
 ) -> SpectralModel:
     """Assemble the spectral model from the bundled (or supplied) tables.
 
@@ -344,14 +330,12 @@ def build_spectral_model(
     if weights.shape[0] != n_windows:
         raise ValueError("threshold count does not match the window count")
 
-    scale = None if ray_scale is None else np.asarray(ray_scale, dtype=float)
     return SpectralModel(
         energies=energies,
         mu=mu,
         window_weights=weights,
         beam=beam,
         materials=tuple(materials),
-        ray_scale=scale,
     )
 
 
@@ -389,10 +373,12 @@ def default_phantom(geom: CtGeometry, materials=DEFAULT_MATERIALS) -> np.ndarray
     return image
 
 
-def load_phantom(path, geom: CtGeometry) -> np.ndarray:
+def load_phantom(path, geom: CtGeometry, n_materials: int) -> np.ndarray:
     """Text grids of material fractions, one row-major block per material.
 
     Blocks are separated by blank lines; lines starting with '#' are skipped.
+    Raises ValueError unless there are `n_materials` blocks of the grid's
+    shape, with every fraction finite and nonnegative.
     """
     blocks = []
     current: list = []
@@ -413,7 +399,12 @@ def load_phantom(path, geom: CtGeometry) -> np.ndarray:
     for g in grids:
         if g.shape != (geom.grid_nx, geom.grid_ny):
             raise ValueError("phantom block shape does not match the geometry")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    if len(grids) != n_materials:
+        raise ValueError(f"phantom has {len(grids)} blocks for {n_materials} materials")
+    image = np.stack([g.ravel() for g in grids], axis=1)
+    if not np.all(np.isfinite(image) & (image >= 0.0)):
+        raise ValueError("phantom fractions must be finite and nonnegative")
+    return image
 
 
 # ---------------------------------------------------------------------------
@@ -425,16 +416,17 @@ def forward_counts(
 ) -> np.ndarray:
     """Sample Poisson counts (n_windows x n_rays) for the given phantom.
 
-    Uses the exact exponential (not its quadratic splice): the phantom is
-    nonnegative, so the attenuation exponent never goes positive.
+    The mean of window w on ray l is sum_i response[w, i] exp(-mu_i . p_l),
+    p_l the ray's material projections. Uses the exact exponential (not its
+    quadratic splice): the phantom is nonnegative, so the attenuation
+    exponent never goes positive.
     """
     image = np.asarray(image, dtype=float)
     if image.shape != (projector.cols, model.n_materials):
         raise ValueError("image shape does not match projector/model")
     proj = projector.matmat(image)                      # (n_rays, n_m)
     trans = np.exp(-(proj @ model.mu))                  # (n_rays, n_i)
-    scale = model.scales(projector.rows)
-    means = scale[None, :] * (model.response @ trans.T)  # (n_w, n_rays)
+    means = model.response @ trans.T                    # (n_w, n_rays)
     if means.min() < 0:
         raise ValueError("negative Poisson mean")
     rng = np.random.default_rng(seed)
@@ -477,7 +469,6 @@ def ct_loss_parts(
         raise ValueError("y must be (n_rays, n_materials)")
     if counts.shape != (model.n_windows, n_rays):
         raise ValueError("counts must be (n_windows, n_rays)")
-    scale = model.scales(n_rays)
 
     t = y @ -model.mu                                    # (n_rays, n_i)
     if want_grad:
@@ -485,19 +476,19 @@ def ct_loss_parts(
     else:
         val = qexp_value(t)
     sb = model.response                                  # (n_w, n_i)
-    means = scale[None, :] * (sb @ val.T)                # (n_w, n_rays)
+    means = sb @ val.T                                   # (n_w, n_rays)
     if means.min() <= 0:
         raise ValueError("nonpositive window mean; cannot take its log")
 
-    # The beam and the per-ray scale enter after the energy contraction, so
-    # no (rays x energies) weight array is formed.
-    g_c = float(scale @ (val @ model.beam))
+    # The beam enters through the energy contraction, so no
+    # (rays x energies) weight array is formed.
+    g_c = float((val @ model.beam).sum())
     g_d = float(-(counts * np.log(means)).sum())
 
     grad_c = grad_d = None
     if want_grad:
-        grad_c = (d1 @ -(model.mu * model.beam).T) * scale[:, None]
+        grad_c = d1 @ -(model.mu * model.beam).T
         ratio = counts / means                           # (n_w, n_rays)
-        d1 *= (ratio * scale).T @ sb                     # (n_rays, n_i)
+        d1 *= ratio.T @ sb                               # (n_rays, n_i)
         grad_d = d1 @ model.mu.T
     return LossParts(g_c=g_c, g_d=g_d, grad_c=grad_c, grad_d=grad_d)

@@ -57,12 +57,11 @@ NEWTON_STEP_TOL = 1e-10
 
 
 class CtPreconditioners:
-    """Diagonal step-size data: Q_f over pixels, per-ray penalty, and sigma."""
+    """Diagonal step-size data: Q_f over pixels and the per-ray penalty."""
 
-    def __init__(self, q_f: DiagonalMatrix, sigma_tilde: DiagonalMatrix, sigma: float):
+    def __init__(self, q_f: DiagonalMatrix, sigma_tilde: DiagonalMatrix):
         self.q_f = q_f
         self.sigma_tilde = sigma_tilde
-        self.sigma = float(sigma)
 
 
 def active_ray_mask(projector: SparseMatrix) -> np.ndarray:
@@ -85,9 +84,8 @@ def build_preconditioners(projector: SparseMatrix, sigma: float) -> CtPreconditi
     if col.size and col.min() <= 0:
         raise ValueError("projector leaves some pixels unobserved")
     return CtPreconditioners(
-        q_f=DiagonalMatrix(sigma * col, require_psd=True),
-        sigma_tilde=DiagonalMatrix(sigma / row, require_psd=True),
-        sigma=sigma,
+        q_f=DiagonalMatrix(sigma * col),
+        sigma_tilde=DiagonalMatrix(sigma / row),
     )
 
 
@@ -145,18 +143,16 @@ def newton_ray_solve(
     and each step solves only the rays still moving.
     """
     n_rays, n_m = center.shape
-    scale = model.scales(n_rays)
     neg_mu = -model.mu
     # The beam weights every energy term of g_c, so it is folded into the
-    # attenuation rows once; the per-ray scale multiplies the contracted
-    # (materials-sized) results. Hessian rows pair mu_i with beam * mu_j over
+    # attenuation rows once. Hessian rows pair mu_i with beam * mu_j over
     # the lower triangle, in the order spd_solve reads them.
     mu_b = model.mu * model.beam
     neg_mu_b = -mu_b
     mu_pairs = np.stack([model.mu[i] * mu_b[j] for i in range(n_m) for j in range(i + 1)])
     v = center.copy() if start is None else np.array(start, dtype=float)
     rows = np.arange(n_rays)
-    lin_a, center_a, sigma_a, scale_a, v_a = lin, center, sigma_diag, scale, v
+    lin_a, center_a, sigma_a, v_a = lin, center, sigma_diag, v
     # (ray, energy) work arrays, allocated once per call because fresh ones
     # each step cost more than the arithmetic; a step uses the leading rows.
     t_buf, d1_buf, d2_buf = np.empty((3, n_rays, model.n_energies))
@@ -165,9 +161,9 @@ def newton_ray_solve(
         t = np.matmul(v_a, neg_mu, out=t_buf[:n_a])
         d1, d2 = qexp_slopes(t, out=(d1_buf[:n_a], d2_buf[:n_a]))
         # Gradient and Hessian entries laid out (entry, ray).
-        grad = (neg_mu_b @ d1.T) * scale_a
+        grad = neg_mu_b @ d1.T
         grad += (lin_a + sigma_a[:, None] * (v_a - center_a)).T
-        hess = (mu_pairs @ d2.T) * scale_a
+        hess = mu_pairs @ d2.T
         step = spd_solve(hess, sigma_a, grad).T
         v_a = v_a - step
         v[rows] = v_a
@@ -176,9 +172,7 @@ def newton_ray_solve(
             rows = rows[moving]
             if rows.size == 0:
                 break
-            v_a, lin_a, center_a, sigma_a, scale_a = (
-                a[moving] for a in (v_a, lin_a, center_a, sigma_a, scale_a)
-            )
+            v_a, lin_a, center_a, sigma_a = (a[moving] for a in (v_a, lin_a, center_a, sigma_a))
     return v
 
 
@@ -271,11 +265,11 @@ def build_ct_problem(
         A=KronEye(projector, n_m),
         B=ScaledIdentity(n_rays * n_m, -1.0),
         c=np.zeros(n_rays * n_m),
-        sigma=DiagonalMatrix(np.repeat(pre.sigma_tilde.diag, n_m), require_psd=True),
+        sigma=DiagonalMatrix(np.repeat(pre.sigma_tilde.diag, n_m)),
         f=CompositeObjective(prox_step=quadratic_prox),
         g=CompositeObjective(prox_step=prox_y, grad_d=grad_d),
-        D_f=DiagonalMatrix(np.repeat(pre.q_f.diag, n_m), require_psd=True),
-        D_g=DiagonalMatrix(np.repeat(pre.sigma_tilde.diag, n_m), require_psd=True),
+        D_f=DiagonalMatrix(np.repeat(pre.q_f.diag, n_m)),
+        D_g=DiagonalMatrix(np.repeat(pre.sigma_tilde.diag, n_m)),
         objective=objective,
     )
     return problem, pre
@@ -354,7 +348,6 @@ def run_ct_experiment(
     mask = active_ray_mask(projector)
     active = projector.select_rows(mask)
     counts = counts_full[:, mask]
-    model = model.restrict_rays(mask)  # keeps any per-ray scale aligned
     y_star = active.matmat(phantom)
     ratio = fosp_ratio(model, counts, y_star)
 

@@ -407,8 +407,10 @@ def load_trace(path) -> tuple[list[TraceRecord], dict]:
         extra_names = header[len(base):]
         records = []
         extras = {name: [] for name in extra_names}
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split(",")
+            if len(parts) != len(header):
+                raise ValueError(f"line {lineno} has {len(parts)} fields, expected {len(header)}")
             records.append(
                 TraceRecord(
                     t=int(parts[0]),

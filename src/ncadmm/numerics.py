@@ -110,13 +110,13 @@ class SparseMatrix:
 
 
 class DiagonalMatrix:
-    """Immutable diagonal matrix; `require_psd` enforces nonnegative entries."""
+    """Immutable PSD diagonal matrix: entries must be nonnegative."""
 
-    def __init__(self, diagonal, require_psd: bool = False):
+    def __init__(self, diagonal):
         diag = _as_float_array(diagonal, "diagonal")
         if diag.ndim != 1:
             raise ValueError("diagonal must be 1-D")
-        if require_psd and diag.size and diag.min() < 0:
+        if diag.size and diag.min() < 0:
             raise ValueError("PSD diagonal matrix requires nonnegative entries")
         diag.flags.writeable = False
         self.diag = diag
@@ -137,8 +137,8 @@ class DiagonalMatrix:
     def solve(self, v: np.ndarray) -> np.ndarray:
         return np.asarray(v, dtype=float) / self.diag
 
-    def is_positive(self, tol: float = 0.0) -> bool:
-        return bool(self.diag.size == 0 or self.diag.min() > tol)
+    def is_positive(self) -> bool:
+        return bool(self.diag.size == 0 or self.diag.min() > 0.0)
 
     def __repr__(self) -> str:
         return f"DiagonalMatrix(n={self.diag.size})"

@@ -108,9 +108,9 @@ def _objective_at(spec: QuantileProblemSpec, dataset: QuantileDataset, phi_x, x)
     return float(np.mean(quantile_loss(resid, spec.q))) + spec.penalty.value(x)
 
 
-def quantile_gamma(phi: np.ndarray, rel_tol: float = 1e-10) -> float:
+def quantile_gamma(phi: np.ndarray) -> float:
     """Squared spectral norm of Phi, inflated so sigma*(gamma*I - Phi'Phi) is PSD."""
-    return spectral_norm(phi, rel_tol) ** 2 * (1.0 + GAMMA_INFLATION)
+    return spectral_norm(phi, 1e-10) ** 2 * (1.0 + GAMMA_INFLATION)
 
 
 def build_problem(
@@ -146,11 +146,11 @@ def build_problem(
         A=DenseMap(dataset.phi),
         B=ScaledIdentity(spec.n, -1.0),
         c=np.zeros(spec.n),
-        sigma=DiagonalMatrix(np.full(spec.n, sig), require_psd=True),
+        sigma=DiagonalMatrix(np.full(spec.n, sig)),
         f=CompositeObjective(prox_step=prox_x, grad_d=grad_d),
         g=CompositeObjective(prox_step=prox_y),
-        D_f=DiagonalMatrix(np.full(spec.d, sig * gamma), require_psd=True),
-        D_g=DiagonalMatrix(np.full(spec.n, sig), require_psd=True),
+        D_f=DiagonalMatrix(np.full(spec.d, sig * gamma)),
+        D_g=DiagonalMatrix(np.full(spec.n, sig)),
         objective=lambda x, y, phi_x: _objective_at(spec, dataset, phi_x, x),
     )
 
@@ -222,6 +222,14 @@ def run_sigma_sweep(
 # Subgradient constructions for the optimality diagnostics
 
 
+def _penalty_subgradient(spec: QuantileProblemSpec, x: np.ndarray) -> np.ndarray:
+    """The log-L1 penalty's subgradient at x, zero at the kinks (the L1 one
+    when beta is infinite)."""
+    if math.isinf(spec.beta):
+        return spec.lam * np.sign(x)
+    return spec.lam * spec.beta * np.sign(x) / (spec.beta + np.abs(x))
+
+
 def star_subgradients(spec: QuantileProblemSpec, dataset: QuantileDataset):
     """Subgradients at the true signal: (xi_star, zeta_star, u_star).
 
@@ -233,11 +241,7 @@ def star_subgradients(spec: QuantileProblemSpec, dataset: QuantileDataset):
     z = dataset.w - dataset.phi @ dataset.x_true
     u_star = (-spec.q * (z > 0) + (1.0 - spec.q) * (z < 0)) / spec.n
     x = dataset.x_true
-    if math.isinf(spec.beta):
-        on_support = spec.lam * np.sign(x)
-    else:
-        on_support = spec.lam * spec.beta * np.sign(x) / (spec.beta + np.abs(x))
-    xi_star = np.where(x != 0, on_support, -(dataset.phi.T @ u_star))
+    xi_star = np.where(x != 0, _penalty_subgradient(spec, x), -(dataset.phi.T @ u_star))
     return xi_star, u_star.copy(), u_star
 
 
@@ -245,10 +249,7 @@ def subgradient_selector(spec: QuantileProblemSpec, dataset: QuantileDataset):
     """Default selector: zero-in-interval element at every kink."""
 
     def select(x: np.ndarray, y: np.ndarray):
-        if math.isinf(spec.beta):
-            xi = spec.lam * np.sign(x)
-        else:
-            xi = spec.lam * spec.beta * np.sign(x) / (spec.beta + np.abs(x))
+        xi = _penalty_subgradient(spec, x)
         below = y < dataset.w
         above = y > dataset.w
         zeta = (-spec.q * below + (1.0 - spec.q) * above) / spec.n

@@ -378,8 +378,7 @@ def expected_counts(model, projector, image):
     """Noise-free means of the count model (same layout as forward_counts)."""
     proj = projector.matmat(np.asarray(image, dtype=float))
     trans = np.exp(-(proj @ model.mu))
-    scale = model.scales(projector.rows)
-    return scale[None, :] * (model.response @ trans.T)
+    return model.response @ trans.T
 
 
 def ct_hessian_blocks(model, y):
@@ -388,9 +387,8 @@ def ct_hessian_blocks(model, y):
     Each block is a sum of outer products mu_i mu_i' with positive weights.
     """
     y = np.asarray(y, dtype=float)
-    beam_w = model.scales(y.shape[0])[:, None] * model.beam[None, :]
     _, _, d2 = qexp(-(y @ model.mu))
-    return np.einsum("li,mi,ni->lmn", d2 * beam_w, model.mu, model.mu)
+    return np.einsum("li,mi,ni->lmn", d2 * model.beam, model.mu, model.mu)
 
 
 def stepsize_matrix_factor(projector, pre):
@@ -408,14 +406,13 @@ def newton_ray_solve_fixed(model, lin, center, sigma_diag, iters=R.DEFAULT_NEWTO
                            start=None):
     """The per-ray Newton loop with a fixed budget: every ray takes `iters` steps."""
     n_rays, n_m = center.shape
-    beam_w = model.scales(n_rays)[:, None] * model.beam[None, :]
     mu_outer = (model.mu[:, None, :] * model.mu[None, :, :]).reshape(n_m * n_m, -1)
     diag_idx = np.arange(n_m)
     v = center.copy() if start is None else np.array(start, dtype=float)
     for _ in range(iters):
         _, d1, d2 = qexp(-(v @ model.mu))
-        grad = -(d1 * beam_w) @ model.mu.T + lin + sigma_diag[:, None] * (v - center)
-        hess = ((d2 * beam_w) @ mu_outer.T).reshape(n_rays, n_m, n_m)
+        grad = -(d1 * model.beam) @ model.mu.T + lin + sigma_diag[:, None] * (v - center)
+        hess = ((d2 * model.beam) @ mu_outer.T).reshape(n_rays, n_m, n_m)
         hess[:, diag_idx, diag_idx] += sigma_diag[:, None]
         v = v - np.linalg.solve(hess, grad[..., None])[..., 0]
     return v
@@ -423,10 +420,8 @@ def newton_ray_solve_fixed(model, lin, center, sigma_diag, iters=R.DEFAULT_NEWTO
 
 def ray_subproblem_objective(model, lin, center, sigma_diag, v):
     """Per-ray value of the y-subproblem objective (for monotonicity checks)."""
-    scale = model.scales(center.shape[0])
-    beam_w = scale[:, None] * model.beam[None, :]
     val, _, _ = qexp(-(v @ model.mu))
-    gc = (val * beam_w).sum(axis=1)
+    gc = (val * model.beam).sum(axis=1)
     quad = 0.5 * sigma_diag * ((v - center) ** 2).sum(axis=1)
     return gc + (lin * v).sum(axis=1) + quad
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncadmm import cli
+from ncadmm import cli, engine
 from ncadmm.ct import forward as F
 from ncadmm.ct import recon as R
 from ncadmm.config import ConfigError, config_to_manifest_dict, default_config, parse_config
@@ -324,6 +324,32 @@ class TestRunCommand:
         assert cli.main(["run", "--config", str(path)]) == 2
         assert "config error: ct inputs: phantom block shape" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "case, named",
+        [
+            ("two_blocks", "2 blocks for 3 materials"),
+            ("nan", "finite"),
+            ("negative", "nonnegative"),
+        ],
+    )
+    def test_bad_ct_phantom_values_exit_2(self, tmp_path, capsys, case, named):
+        geom = F.CtGeometry(grid_nx=5, grid_ny=5, pixel_size=0.5, n_angles=6, n_detectors=6)
+        image = F.default_phantom(geom)
+        if case == "two_blocks":
+            image = image[:, :2]
+        elif case == "nan":
+            image[7, 1] = np.nan
+        else:
+            image = -image
+        phantom = tmp_path / "phantom.txt"
+        save_phantom(phantom, image, geom, materials=("m",) * image.shape[1])
+        path, out = write_config(tmp_path, CT_SMALL + f"phantom = {phantom}\n")
+        assert cli.main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ct inputs: ") and err.count("\n") == 1
+        assert named in err
+        assert not (out / "manifest.json").exists()
+
 
 class TestValidateCommand:
     def test_ok(self, tmp_path, capsys):
@@ -382,3 +408,26 @@ class TestSummarize:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert cli.main(["summarize", "--out", str(empty)]) == 2
+
+    @pytest.mark.parametrize(
+        "rows, reason",
+        [("", "no iterations recorded"), ("1,0.5\n", "line 2 has 2 fields, expected 5")],
+        ids=["header_only", "truncated_row"],
+    )
+    def test_bad_trace_exits_2(self, tmp_path, capsys, rows, reason):
+        trace = tmp_path / "bad_trace.csv"
+        trace.write_text(engine.TRACE_HEADER + "\n" + rows)
+        assert cli.main(["summarize", str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"bad trace file {trace}: {reason}\n"
+        assert captured.out == ""
+
+    def test_foreign_csv_in_out_dir_exits_2(self, tmp_path, capsys):
+        path, out = write_config(tmp_path, QUANTILE_SMALL)
+        cli.main(["run", "--config", str(path), "--sigma", "5e-3"])
+        (out / "rsc_probe_report.csv").write_text("sigma,t,ratio\n5e-3,1,0.5\n")
+        capsys.readouterr()  # discard the run command's output
+        assert cli.main(["summarize", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bad trace file ") and err.count("\n") == 1
+        assert "rsc_probe_report.csv: unrecognized trace header" in err

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -24,9 +22,8 @@ from _oracles import (
 
 
 def subproblem_gradient(model, lin, center, sigma_diag, v):
-    beam_w = model.scales(v.shape[0])[:, None] * model.beam[None, :]
     _, d1, _ = qexp(-(v @ model.mu))
-    return -(d1 * beam_w) @ model.mu.T + lin + sigma_diag[:, None] * (v - center)
+    return -(d1 * model.beam) @ model.mu.T + lin + sigma_diag[:, None] * (v - center)
 
 
 def random_ray_model(rng, n_i, n_m):
@@ -225,13 +222,10 @@ class TestSpdSolve:
 def mixed_ray_batch(seed, n_rays=200):
     """Rays starting at their minimizer (one step settles them) next to rays
     starting 3 to 30 away from the center (some still move after ten steps),
-    each ray with its own photon scale."""
+    each ray with its own penalty weight sigma_diag."""
     rng = np.random.default_rng(seed)
     n_m = int(rng.integers(1, 4))
-    model = replace(
-        random_ray_model(rng, int(rng.integers(2, 8)), n_m),
-        ray_scale=rng.uniform(0.5, 2.0, n_rays),
-    )
+    model = random_ray_model(rng, int(rng.integers(2, 8)), n_m)
     sigma_diag = rng.uniform(0.05, 5.0, n_rays)
     v_star = rng.uniform(-0.5, 2.0, (n_rays, n_m))
     center = v_star + rng.uniform(-0.4, 0.4, (n_rays, n_m))

@@ -32,6 +32,7 @@ GONE = [
     ]),
     (quantile, ["quantile_x_update", "quantile_y_update", "stepsize_margin"]),
     (forward, ["expected_counts", "ct_loss", "save_phantom", "_ray_pixel_lengths"]),
+    (forward.SpectralModel, ["scales"]),
     (recon, [
         "ct_x_update", "ct_y_update", "ct_u_update", "run_ct_specialized",
         "ray_subproblem_objective", "stepsize_matrix_factor",
@@ -57,6 +58,9 @@ def test_engine_problem_fields():
     fields = [f.name for f in dataclasses.fields(engine.AdmmProblem)]
     assert fields == ["A", "B", "c", "sigma", "f", "g", "D_f", "D_g", "objective"]
     assert [f.name for f in dataclasses.fields(engine.CompositeObjective)] == ["prox_step", "grad_d"]
+    assert [f.name for f in dataclasses.fields(forward.SpectralModel)] == [
+        "energies", "mu", "window_weights", "beam", "materials",
+    ]
 
 
 def test_trimmed_parameters_are_gone():
@@ -65,6 +69,11 @@ def test_trimmed_parameters_are_gone():
     assert "want_hess" not in inspect.signature(forward.ct_loss_parts).parameters
     assert "hess_c" not in {f.name for f in dataclasses.fields(forward.LossParts)}
     assert "primal_tol" not in inspect.signature(engine.run).parameters
+    assert list(inspect.signature(numerics.DiagonalMatrix).parameters) == ["diagonal"]
+    assert list(inspect.signature(numerics.DiagonalMatrix.is_positive).parameters) == ["self"]
+    assert list(inspect.signature(quantile.quantile_gamma).parameters) == ["phi"]
+    assert "sigma" not in inspect.signature(recon.CtPreconditioners).parameters
+    assert list(inspect.signature(forward.build_spectral_model).parameters)[-1] == "spectrum_path"
     alpha = inspect.signature(recon.alpha_t_diagnostic).parameters
     assert "model" not in alpha and "counts" not in alpha
     assert [alpha[name].default for name in ("grad_star", "grad_y")] == [inspect.Parameter.empty] * 2

@@ -163,7 +163,7 @@ class TestCheckPsd:
 class TestDiagonalMatrix:
     def test_psd_variant_rejects_negative(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            DiagonalMatrix([1.0, -1.0], require_psd=True)
+            DiagonalMatrix([1.0, -1.0])
 
     def test_matvec_solve(self):
         d = DiagonalMatrix([2.0, 4.0])
