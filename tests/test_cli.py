@@ -290,6 +290,19 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "iteration 1: objective failed: nonpositive window mean" in err
 
+    def test_wrong_shape_prox_update_exits_3(self, tmp_path, monkeypatch, capsys):
+        from ncadmm import quantile
+
+        real = quantile.quantile_prox_update
+        monkeypatch.setattr(
+            quantile, "quantile_prox_update", lambda *args: real(*args)[:, None]
+        )
+        path, out = write_config(tmp_path, QUANTILE_SMALL)
+        assert cli.main(["run", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "iteration 1: y update has shape (20, 1), expected (20,)" in err
+        assert not (out / "manifest.json").exists()
+
     def test_non_spd_newton_block_exits_3(self, tmp_path, monkeypatch, capsys):
         # A Newton system that is not positive definite makes the Cholesky
         # produce NaN; the engine rejects the y iterate as a step failure.

@@ -9,6 +9,7 @@ from ncadmm.numerics import DiagonalMatrix
 from ncadmm.prox import qexp
 
 from _oracles import (
+    admm_step_reference,
     bisect_min,
     ct_u_update,
     ct_x_update,
@@ -343,6 +344,22 @@ class TestEngineEquivalence:
             assert np.abs(state.x.reshape(xs.shape) - xs).max() <= 1e-8
             assert np.abs(state.y.reshape(ys.shape) - ys).max() <= 1e-8
             assert np.abs(state.u.reshape(us.shape) - us).max() <= 1e-8
+
+
+    def test_lean_step_matches_reference_step_bitwise(self, small_ct):
+        _, model, _, active, counts = small_ct
+        problem, _ = R.build_ct_problem(model, active, counts, sigma=10.0)
+        zeros = (np.zeros(problem.dim_x), np.zeros(problem.dim_y), np.zeros(problem.dim_u))
+        lean = engine.AdmmState.initial(*zeros)
+        ref = engine.AdmmState.initial(*zeros)
+        for _ in range(15):
+            lean = engine.admm_step(problem, lean, record_time=False)
+            ref = admm_step_reference(problem, ref, record_time=False)
+        for v in ("x", "y", "u", "ax", "by", "x_bar", "y_bar"):
+            assert np.array_equal(getattr(lean, v), getattr(ref, v)), v
+        assert [(r.objective, r.primal_residual) for r in lean.trace] == [
+            (r.objective, r.primal_residual) for r in ref.trace
+        ]
 
 
 class TestDiagnostics:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ncadmm import engine
+from ncadmm import quantile as Q
 from ncadmm.engine import (
     AdmmProblem,
     AdmmState,
@@ -21,7 +22,7 @@ from ncadmm.engine import (
 from ncadmm.numerics import DiagonalMatrix, spectral_norm
 from ncadmm.prox import soft_threshold
 
-from _oracles import fista_lasso, validate_stepsizes
+from _oracles import admm_step_reference, fista_lasso, kahan_add_reference, validate_stepsizes
 
 # A = I, B = -I, Sigma = I in one dimension: both subproblem quadratics are 1.
 UNIT = DiagonalMatrix(np.ones(1))
@@ -132,6 +133,21 @@ class TestAdmmStep:
         with pytest.raises(AdmmStepError, match="non-finite"):
             engine.run(prob, iters=5)
 
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_wrong_shape_update_raises_and_leaves_state(self, side):
+        def column_prox(lin, D, center):
+            return quadratic_prox(lin, D, center).reshape(-1, 1)
+
+        prob = scalar_problem()
+        getattr(prob, "f" if side == "x" else "g").prox_step = column_prox
+        state = AdmmState.initial(np.ones(1), np.full(1, 2.0), np.zeros(1))
+        message = rf"{side} update has shape \(1, 1\), expected \(1,\)"
+        with pytest.raises(AdmmStepError, match=message) as err:
+            engine.admm_step(prob, state)
+        assert err.value.iteration == 1
+        assert state.t == 0 and state.trace == []
+        assert not state.sum_x.total.any() and not state.sum_y.total.any()
+
     @pytest.mark.parametrize("callback", ["grad_d", "objective", "alpha_hook"])
     def test_callback_failure_carries_iteration(self, callback):
         calls = []
@@ -200,6 +216,16 @@ class CountingMap(DenseMap):
         return super().rmatvec(v)
 
 
+class CountingSigma(DiagonalMatrix):
+    """DiagonalMatrix that counts its matvecs."""
+
+    matvecs = 0
+
+    def matvec(self, v):
+        self.matvecs += 1
+        return super().matvec(v)
+
+
 class TestProductReuse:
     def test_one_product_each_way_per_step(self):
         rng = np.random.default_rng(8)
@@ -208,6 +234,7 @@ class TestProductReuse:
         counting = CountingMap(a)
         counting_b = CountingMap(-np.eye(5))  # the lasso's B = -I, as a dense map
         prob.A, prob.B = counting, counting_b
+        prob.sigma = CountingSigma(prob.sigma.diag)
         seen = []
 
         def objective(x, y, ax):
@@ -221,15 +248,18 @@ class TestProductReuse:
         prob.objective = objective
         state = engine.admm_step(prob, AdmmState.initial(np.ones(4), np.ones(5), np.zeros(5)),
                                  alpha_hook=alpha_hook)
-        # the first step also forms A x_0 and B y_0
+        # the first step also forms A x_0, B y_0 and Sigma(A x_0 + B y_0 - c)
         assert (counting.matvecs, counting.rmatvecs) == (2, 1)
         assert (counting_b.matvecs, counting_b.rmatvecs) == (2, 1)
+        assert prob.sigma.matvecs == 3
         for step in range(1, 11):
             state = engine.admm_step(prob, state, alpha_hook=alpha_hook)
             assert (counting.matvecs, counting.rmatvecs) == (2 + step, 1 + step)
             assert (counting_b.matvecs, counting_b.rmatvecs) == (2 + step, 1 + step)
+            assert prob.sigma.matvecs == 3 + 2 * step
             assert np.array_equal(state.ax, a @ state.x)
             assert np.array_equal(state.by, -state.y)
+            assert np.array_equal(state.sr, prob.sigma.diag * (state.ax + state.by - prob.c))
         assert seen == [True] * 22
 
     def test_carried_product_matches_a_fresh_one_bitwise(self):
@@ -239,9 +269,29 @@ class TestProductReuse:
         fresh = AdmmState.initial(np.zeros(4), np.zeros(5), np.zeros(5))
         for _ in range(20):
             carried = engine.admm_step(prob, carried, record_time=False)
-            fresh = engine.admm_step(prob, replace(fresh, ax=None, by=None), record_time=False)
+            fresh = engine.admm_step(
+                prob, replace(fresh, ax=None, by=None, sr=None), record_time=False
+            )
             for v in ("x", "y", "u"):
                 assert np.array_equal(getattr(carried, v), getattr(fresh, v))
+
+
+class TestLeanStepMatchesReference:
+    def test_quantile_probe_problem_2000_steps(self):
+        spec = Q.QuantileProblemSpec(d=50, n=100, s_star=3, sigma=5e-3)
+        prob = Q.build_problem(spec, Q.generate_dataset(spec))
+        lean = AdmmState.initial(np.zeros(spec.d), np.zeros(spec.n), np.zeros(spec.n))
+        ref = AdmmState.initial(np.zeros(spec.d), np.zeros(spec.n), np.zeros(spec.n))
+        for _ in range(2000):
+            lean = engine.admm_step(prob, lean, record_time=False)
+            ref = admm_step_reference(prob, ref, record_time=False)
+        for v in ("x", "y", "u", "ax", "by", "x_bar", "y_bar"):
+            assert np.array_equal(getattr(lean, v), getattr(ref, v)), v
+        for acc in ("sum_x", "sum_y"):
+            assert np.array_equal(getattr(lean, acc)._comp, getattr(ref, acc)._comp), acc
+        assert [(r.t, r.objective, r.primal_residual) for r in lean.trace] == [
+            (r.t, r.objective, r.primal_residual) for r in ref.trace
+        ]
 
 
 class TestRun:
@@ -293,6 +343,17 @@ class TestAveraging:
             acc.add(np.array([v]))
         exact = math.fsum(values)
         assert abs(acc.total[0] - exact) <= 1e-12 * max(1.0, abs(exact))
+
+    def test_in_place_kahan_matches_four_array_formula_bitwise(self):
+        rng = np.random.default_rng(11)
+        acc, ref = KahanSum(7), KahanSum(7)
+        for _ in range(5000):
+            v = rng.standard_normal(7) * 10.0 ** rng.integers(-12, 12, 7)
+            acc.add(v)
+            kahan_add_reference(ref, v)
+        assert np.array_equal(acc.total, ref.total)
+        assert np.array_equal(acc._comp, ref._comp)
+        assert acc._comp.any()  # the compensation did work on this stream
 
     def test_running_average_matches_fsum_average(self):
         rng = np.random.default_rng(4)
@@ -359,6 +420,21 @@ class TestProblemValidation:
                 g=CompositeObjective(prox_step=quadratic_prox),
                 D_f=DiagonalMatrix(np.ones(2)),
                 D_g=DiagonalMatrix(np.ones(3)),
+            )
+
+    @pytest.mark.parametrize("side", ["D_f", "D_g"])
+    def test_wrong_size_subproblem_quadratic_rejected(self, side):
+        kwargs = dict(D_f=DiagonalMatrix(np.ones(3)), D_g=DiagonalMatrix(np.ones(3)))
+        kwargs[side] = DiagonalMatrix(np.ones(1))
+        with pytest.raises(ValueError, match=rf"{side} has shape \(1, 1\), expected \(3, 3\)"):
+            AdmmProblem(
+                A=ScaledIdentity(3, 1.0),
+                B=ScaledIdentity(3, -1.0),
+                c=np.zeros(3),
+                sigma=DiagonalMatrix(np.ones(3)),
+                f=CompositeObjective(prox_step=quadratic_prox),
+                g=CompositeObjective(prox_step=quadratic_prox),
+                **kwargs,
             )
 
     def test_nonpositive_sigma_rejected(self):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ncadmm.prox import (
     LogL1Penalty,
     ball_project,
+    logl1_grad,
     logl1_value_grad,
     qexp,
     qexp_slopes,
@@ -113,6 +114,15 @@ class TestLogL1:
         assert value == 0.0
         assert np.array_equal(grad, np.zeros(2))
         assert pen.value(x) == pytest.approx(0.9)
+
+    @pytest.mark.parametrize("beta", [0.5, 3.0, math.inf])
+    def test_gradient_only_matches_value_grad_bitwise(self, beta):
+        pen = LogL1Penalty(0.2, beta)
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            x = rng.standard_normal(50) * 10.0 ** rng.integers(-6, 6, 50)
+            x[::7] = 0.0
+            assert np.array_equal(logl1_grad(pen, x), logl1_value_grad(pen, x)[1])
 
     @given(st.lists(finite_floats, min_size=1, max_size=8))
     def test_gradient_is_odd(self, vals):

@@ -100,6 +100,18 @@ class TestObjective:
             assert got == pytest.approx(total, rel=1e-10)
 
 
+    @pytest.mark.parametrize("n", [1, 7, 100, 1000])
+    def test_loss_sum_over_n_is_np_mean_bitwise(self, n):
+        spec = small_spec(d=20, n=n, s_star=2)
+        ds = Q.generate_dataset(spec)
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            x = rng.standard_normal(spec.d)
+            loss = quantile_loss(ds.w - ds.phi @ x, spec.q)
+            expected = float(np.mean(loss)) + spec.penalty.value(x)
+            assert Q.quantile_objective(spec, ds, x) == expected
+
+
 def x_subproblem_residual(spec, ds, gamma, x_t, y_t, u_t, x_next):
     """l-inf norm of the minimal subgradient of the x subproblem at x_next."""
     grad_fd = -spec.lam * x_t / (spec.beta + np.abs(x_t))
