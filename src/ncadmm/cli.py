@@ -20,11 +20,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
+from . import quantile as Q
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -32,7 +32,9 @@ from .config import (
     config_to_manifest_dict,
     read_sections,
 )
-from .engine import AdmmStepError
+from .ct import forward as F
+from .ct import recon as R
+from .engine import AdmmStepError, load_trace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,58 +47,21 @@ def _sequential_mode() -> bool:
     return os.environ.get(SEQUENTIAL_ENV, "") not in ("", "0")
 
 
-def _quantile_spec(cfg: ExperimentConfig, sigma: float):
-    from .quantile import QuantileProblemSpec
-
-    return QuantileProblemSpec(**asdict(cfg.problem), sigma=sigma, seed=cfg.seed)
-
-
 def _run_quantile(cfg: ExperimentConfig, record_time: bool) -> list[str]:
-    from . import quantile as Q
-
-    spec = _quantile_spec(cfg, cfg.sigma_list[0])
+    spec = Q.QuantileProblemSpec(
+        **cfg.params(Q.QuantileProblemSpec), sigma=cfg.sigma_list[0], seed=cfg.seed
+    )
     out = Q.run_sigma_sweep(
         spec, cfg.sigma_list, iters=cfg.iters, out_dir=cfg.out, record_time=record_time
     )
     return [entry["path"] for entry in out.values()]
 
 
-def _ct_pieces(cfg: ExperimentConfig):
-    from .ct import forward as F
-
-    p = cfg.problem
-    geom = F.CtGeometry(
-        grid_nx=p.grid_nx,
-        grid_ny=p.grid_ny,
-        pixel_size=p.pixel_size_cm,
-        n_angles=p.n_angles,
-        n_detectors=p.n_detectors,
-        detector_span=p.detector_span_cm,
-    )
-    model = F.build_spectral_model(
-        materials=p.materials,
-        energy_min=p.energy_min_kev,
-        energy_max=p.energy_max_kev,
-        n_energies=p.n_energies,
-        n_windows=p.n_windows,
-        window_thresholds=p.window_thresholds_kev,
-        window_blur_kev=p.window_blur_kev,
-        total_photons=p.beam_photons,
-        attenuation_path=p.attenuation_file,
-        spectrum_path=p.spectrum_file,
-    )
-    if p.phantom == "default":
-        phantom = F.default_phantom(geom, p.materials)
-    else:
-        phantom = F.load_phantom(p.phantom, geom, len(p.materials))
-    return geom, model, phantom
-
-
 def _run_ct(cfg: ExperimentConfig, record_time: bool) -> list[str]:
-    from .ct import recon as R
-
     try:
-        geom, model, phantom = _ct_pieces(cfg)
+        geom = F.CtGeometry(**cfg.params(F.CtGeometry))
+        model = F.build_spectral_model(**cfg.params(F.build_spectral_model))
+        phantom = F.make_phantom(geom, **cfg.params(F.make_phantom))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"ct inputs: {exc}") from exc
     summary = R.run_ct_experiment(
@@ -107,7 +72,7 @@ def _run_ct(cfg: ExperimentConfig, record_time: bool) -> list[str]:
         iters=cfg.iters,
         seed=cfg.seed,
         out_dir=cfg.out,
-        newton_iters=cfg.problem.newton_iters,
+        newton_iters=cfg.problem["newton_iters"],
         record_time=record_time,
     )
     with open(os.path.join(cfg.out, "ct_report.json"), "w") as fh:
@@ -192,8 +157,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    from .engine import load_trace
-
     paths = args.traces
     if not paths and args.out is not None:
         paths = sorted(

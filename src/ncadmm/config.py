@@ -3,22 +3,31 @@
 INI-style sections, one per concern; unknown sections or keys are errors so a
 typo cannot silently fall back to a default. A JSON manifest written by a
 previous run parses to the same structure, which is how runs are reproduced.
+
+The section named after the kind only maps its keys onto library parameters:
+`[quantile]` fills `QuantileProblemSpec`, `[ct]` fills `CtGeometry`,
+`build_spectral_model`, `check_newton_iters` and `make_phantom`. Types,
+defaults and range checks are the library's.
 """
 
 from __future__ import annotations
 
 import configparser
+import inspect
 import json
 import math
+import re
 import types
 import typing
 from dataclasses import asdict, dataclass
 
+from .ct import forward as F
+from .ct import recon as R
+from .quantile import QuantileProblemSpec
+
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
-    "QuantileConfig",
-    "CtConfig",
     "read_sections",
     "parse_config",
     "config_from_sections",
@@ -31,74 +40,40 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
-@dataclass
-class QuantileConfig:
-    d: int = 2000
-    n: int = 1000
-    s_star: int = 10
-    q: float = 0.5
-    lam: float = 0.1
-    beta: float = 0.5
-    radius: float = math.inf
+# The settable keys of each kind's section, in manifest order.
+# QuantileProblemSpec's sigma and seed come from [experiment]; its noise_df
+# is not settable.
+KEYS = {
+    "quantile": ("d", "n", "s_star", "q", "lam", "beta", "radius"),
+    "ct": (
+        "grid_nx", "grid_ny", "pixel_size_cm", "n_angles", "n_detectors", "detector_span_cm",
+        "materials", "energy_min_kev", "energy_max_kev", "n_energies", "n_windows",
+        "window_thresholds_kev", "window_blur_kev", "beam_photons", "newton_iters",
+        "attenuation_file", "spectrum_file", "phantom",
+    ),
+}
 
-    # config-file spellings for fields whose Python names differ
-    ALIASES = {"lambda": "lam", "R": "radius"}
+# Config spellings of library parameter names. `lambda` and `R` are also
+# accepted for the manifest's `lam` and `radius`.
+ALIASES = {
+    "lambda": "lam",
+    "R": "radius",
+    "pixel_size_cm": "pixel_size",
+    "detector_span_cm": "detector_span",
+    "energy_min_kev": "energy_min",
+    "energy_max_kev": "energy_max",
+    "window_thresholds_kev": "window_thresholds",
+    "beam_photons": "total_photons",
+    "attenuation_file": "attenuation_path",
+    "spectrum_file": "spectrum_path",
+}
 
-    def validate(self):
-        if not (0 < self.s_star <= self.d):
-            raise ConfigError("s_star must lie in [1, d]")
-        if not (0.0 < self.q < 1.0):
-            raise ConfigError(f"q must lie in (0, 1), got {self.q}")
-        if self.lam <= 0:
-            raise ConfigError("lambda must be positive")
-        if not self.beta > 0:
-            raise ConfigError("beta must be positive (inf allowed)")
-        if not self.radius > 0:
-            raise ConfigError("R must be positive (inf allowed)")
-
-
-@dataclass
-class CtConfig:
-    grid_nx: int = 25
-    grid_ny: int = 25
-    pixel_size_cm: float = 0.4
-    n_angles: int = 50
-    n_detectors: int = 50
-    detector_span_cm: float | None = None  # None = grid diagonal
-    materials: tuple[str, ...] = ("pmma", "aluminum", "gadolinium")
-    energy_min_kev: float = 20.0
-    energy_max_kev: float = 120.0
-    n_energies: int = 100
-    n_windows: int = 3
-    window_thresholds_kev: tuple[float, ...] | None = None  # None = equal-count windows
-    window_blur_kev: float = 4.0
-    beam_photons: float = 1e6
-    newton_iters: int = 10
-    attenuation_file: str | None = None  # None = bundled table
-    spectrum_file: str | None = None
-    phantom: str = "default"
-
-    def validate(self):
-        if min(self.grid_nx, self.grid_ny, self.n_angles, self.n_detectors) <= 0:
-            raise ConfigError("grid_nx/grid_ny/n_angles/n_detectors must be positive")
-        if self.pixel_size_cm <= 0:
-            raise ConfigError("pixel_size_cm must be positive")
-        span = self.detector_span_cm
-        if span is not None and not 0.0 < span < math.inf:
-            raise ConfigError(f"detector_span_cm must be positive and finite, got {span}")
-        if self.n_energies < 1:
-            raise ConfigError("n_energies must be positive")
-        if self.n_windows < 1:
-            raise ConfigError("n_windows must be positive")
-        if self.window_blur_kev < 0:
-            raise ConfigError("window_blur_kev must be nonnegative")
-        if self.beam_photons <= 0:
-            raise ConfigError("beam_photons must be positive")
-        if self.newton_iters < 1:
-            raise ConfigError("newton_iters must be positive")
-
-
-_KIND_SECTIONS = {"quantile": QuantileConfig, "ct": CtConfig}
+# The library callables whose parameters each kind's keys are. Validation
+# calls all of them but make_phantom: only `run` reads the phantom file.
+_TARGETS = {
+    "quantile": (QuantileProblemSpec,),
+    "ct": (F.CtGeometry, F.build_spectral_model, R.check_newton_iters, F.make_phantom),
+}
 
 _KIND_DEFAULTS = {
     "quantile": dict(sigma_list=(5e-5, 1e-4, 2e-4, 5e-4), iters=500),
@@ -108,12 +83,18 @@ _KIND_DEFAULTS = {
 
 @dataclass
 class ExperimentConfig:
-    kind: str = "quantile"
-    sigma_list: tuple[float, ...] = ()
-    iters: int = 0
-    seed: int = 20240801
-    out: str = "."
-    problem: object = None
+    kind: str
+    sigma_list: tuple[float, ...]
+    iters: int
+    seed: int
+    out: str
+    problem: dict  # {key: value} of the kind's section, in manifest order
+
+    def params(self, target) -> dict:
+        """The problem values that are parameters of `target`, by library name."""
+        names = inspect.signature(target).parameters
+        named = ((ALIASES.get(key, key), value) for key, value in self.problem.items())
+        return {name: value for name, value in named if name in names}
 
     def validate(self):
         if not self.sigma_list:
@@ -125,7 +106,6 @@ class ExperimentConfig:
             )
         if self.iters < 1:
             raise ConfigError("[experiment] iters must be at least 1")
-        self.problem.validate()
 
 
 def _convert(where: str, raw, kind):
@@ -157,25 +137,28 @@ def _convert(where: str, raw, kind):
     return value
 
 
-def _set_fields(target, section: str, raw: dict, names=None) -> None:
-    """Convert each `key = value` of `raw` by the type of its field on `target`.
+def _set_fields(values: dict, section: str, raw: dict, hints: dict) -> dict:
+    """Convert each `key = value` of `raw` into `values` by its declared type.
 
-    `names` limits the settable fields (default: all of them).
+    A key is one of `values` or an ALIASES spelling of one; `hints` holds the
+    types by library name. Returns {library name: key as the config spells it}.
     """
-    hints = typing.get_type_hints(type(target))
-    aliases = getattr(target, "ALIASES", {})
+    spelling = {ALIASES.get(key, key): key for key in values}
     for key, value in raw.items():
-        name = aliases.get(key, key)
-        if name not in (hints if names is None else names):
+        name = ALIASES.get(key, key)
+        if key not in values and ALIASES.get(key) not in spelling:
             raise ConfigError(f"unknown key {key!r} in section [{section}]")
-        setattr(target, name, _convert(f"[{section}] {key}", value, hints[name]))
+        values[spelling[name]] = _convert(f"[{section}] {key}", value, hints[name])
+        spelling[name] = key
+    return spelling
 
 
 def config_from_sections(sections: dict, overrides: dict | None = None) -> ExperimentConfig:
     """Build and validate a config from {section: {key: value}} mappings.
 
     `overrides` replaces [experiment] keys (the command line's --sigma etc.)
-    and is converted like them.
+    and is converted like them. The problem values are checked by the
+    library; a ValueError there names the section and the keys as spelled.
     """
     for name, body in sections.items():
         if not isinstance(body, dict):
@@ -183,24 +166,34 @@ def config_from_sections(sections: dict, overrides: dict | None = None) -> Exper
     sections = dict(sections)
     exp_raw = {**sections.pop("experiment", {}), **(overrides or {})}
     kind = _convert("[experiment] kind", exp_raw.pop("kind", "quantile"), str)
-    if kind not in _KIND_SECTIONS:
-        raise ConfigError(
-            f"[experiment] kind must be one of {sorted(_KIND_SECTIONS)}, got {kind!r}"
-        )
+    if kind not in KEYS:
+        raise ConfigError(f"[experiment] kind must be one of {sorted(KEYS)}, got {kind!r}")
     # Sweeps run in one process; the key stays readable so that manifests
     # written with it still reproduce.
     workers = exp_raw.pop("workers", 1)
     if _convert("[experiment] workers", workers, int) != 1:
         raise ConfigError(f"[experiment] workers must be 1, got {workers!r}")
 
-    problem = _KIND_SECTIONS[kind]()
-    _set_fields(problem, kind, sections.pop(kind, {}))
+    hints, defaults = {}, {}
+    for target in _TARGETS[kind]:
+        hints.update(typing.get_type_hints(target))
+        defaults.update((n, p.default) for n, p in inspect.signature(target).parameters.items())
+    problem = {key: defaults[ALIASES.get(key, key)] for key in KEYS[kind]}
+    spelling = _set_fields(problem, kind, sections.pop(kind, {}), hints)
     for stray in sections:
         raise ConfigError(f"unknown section [{stray}]")
 
-    cfg = ExperimentConfig(kind=kind, problem=problem, **_KIND_DEFAULTS[kind])
-    _set_fields(cfg, "experiment", exp_raw, ("sigma_list", "iters", "seed", "out"))
+    experiment = dict(_KIND_DEFAULTS[kind], seed=20240801, out=".")
+    _set_fields(experiment, "experiment", exp_raw, typing.get_type_hints(ExperimentConfig))
+    cfg = ExperimentConfig(kind=kind, problem=problem, **experiment)
     cfg.validate()
+    try:
+        for target in _TARGETS[kind]:
+            if target is not F.make_phantom:
+                target(**cfg.params(target))
+    except (OSError, ValueError) as exc:
+        message = re.sub(r"\w+", lambda word: spelling.get(word[0], word[0]), str(exc))
+        raise ConfigError(f"[{kind}] {message}") from None
     return cfg
 
 
@@ -248,5 +241,5 @@ def _jsonable(value):
 
 def config_to_manifest_dict(cfg: ExperimentConfig) -> dict:
     experiment = {k: _jsonable(v) for k, v in asdict(cfg).items() if k != "problem"}
-    problem = {k: _jsonable(v) for k, v in asdict(cfg.problem).items()}
+    problem = {k: _jsonable(v) for k, v in cfg.problem.items()}
     return {"experiment": experiment, cfg.kind: problem}

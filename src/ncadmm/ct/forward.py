@@ -34,6 +34,7 @@ __all__ = [
     "load_attenuation_table",
     "load_spectrum_table",
     "default_phantom",
+    "make_phantom",
     "load_phantom",
     "forward_counts",
     "ct_loss_parts",
@@ -60,11 +61,12 @@ class CtGeometry:
 
     def __post_init__(self):
         if min(self.grid_nx, self.grid_ny, self.n_angles, self.n_detectors) <= 0:
-            raise ValueError("geometry counts must be positive")
-        if self.pixel_size <= 0:
-            raise ValueError("pixel_size must be positive")
-        if self.detector_span is not None and not 0.0 < self.detector_span < math.inf:
-            raise ValueError("detector_span must be positive and finite")
+            raise ValueError("grid_nx/grid_ny/n_angles/n_detectors must be positive")
+        if not 0.0 < self.pixel_size < math.inf:
+            raise ValueError(f"pixel_size must be positive and finite, got {self.pixel_size}")
+        span = self.detector_span
+        if span is not None and not 0.0 < span < math.inf:
+            raise ValueError(f"detector_span must be positive and finite, got {span}")
 
     @property
     def n_pixels(self) -> int:
@@ -258,7 +260,7 @@ def _window_weights(energies, thresholds, blur_kev):
     """
     thresholds = list(thresholds)
     if any(t1 >= t2 for t1, t2 in zip(thresholds, thresholds[1:])):
-        raise ValueError("window thresholds must be strictly increasing")
+        raise ValueError("window_thresholds must be strictly increasing")
     n_w = len(thresholds) + 1
     rising = np.empty((len(thresholds), energies.size))
     for k, thr in enumerate(thresholds):
@@ -282,26 +284,38 @@ def _window_weights(energies, thresholds, blur_kev):
 
 
 def build_spectral_model(
-    materials=DEFAULT_MATERIALS,
+    materials: tuple[str, ...] = DEFAULT_MATERIALS,
     energy_min: float = 20.0,
     energy_max: float = 120.0,
     n_energies: int = 100,
     n_windows: int = 3,
-    window_thresholds=None,
+    window_thresholds: tuple[float, ...] | None = None,
     window_blur_kev: float = 4.0,
     total_photons: float = 1e6,
-    attenuation_path=None,
-    spectrum_path=None,
+    attenuation_path: str | None = None,
+    spectrum_path: str | None = None,
 ) -> SpectralModel:
     """Assemble the spectral model from the bundled (or supplied) tables.
 
     The energy grid is `n_energies` uniform bin centers on
     [energy_min, energy_max]; the beam is normalized to `total_photons`
     across the grid. Default thresholds split the beam into equal-count
-    windows (quantiles of the beam distribution).
+    windows (quantiles of the beam distribution). The scalar arguments are
+    checked before any table is read.
     """
+    if not 0.0 <= energy_min < energy_max < math.inf:
+        raise ValueError(
+            f"energy_min and energy_max must satisfy 0 <= energy_min < energy_max < inf, "
+            f"got {energy_min} and {energy_max}"
+        )
     if n_energies < 1:
         raise ValueError("n_energies must be positive")
+    if n_windows < 1:
+        raise ValueError("n_windows must be positive")
+    if not 0.0 <= window_blur_kev < math.inf:
+        raise ValueError(f"window_blur_kev must be nonnegative and finite, got {window_blur_kev}")
+    if not 0.0 < total_photons < math.inf:
+        raise ValueError(f"total_photons must be positive and finite, got {total_photons}")
     edges = np.linspace(energy_min, energy_max, n_energies + 1)
     energies = 0.5 * (edges[:-1] + edges[1:])
 
@@ -328,7 +342,7 @@ def build_spectral_model(
         ]
     weights = _window_weights(energies, window_thresholds, window_blur_kev)
     if weights.shape[0] != n_windows:
-        raise ValueError("threshold count does not match the window count")
+        raise ValueError("window_thresholds count does not match n_windows - 1")
 
     return SpectralModel(
         energies=energies,
@@ -371,6 +385,15 @@ def default_phantom(geom: CtGeometry, materials=DEFAULT_MATERIALS) -> np.ndarray
         image[vial, 1] = 0.0
         image[vial, 2] = 1.0
     return image
+
+
+def make_phantom(
+    geom: CtGeometry, materials: tuple[str, ...] = DEFAULT_MATERIALS, phantom: str = "default"
+) -> np.ndarray:
+    """`default_phantom` for `phantom` = "default", else the phantom file at path `phantom`."""
+    if phantom == "default":
+        return default_phantom(geom, materials)
+    return load_phantom(phantom, geom, len(materials))
 
 
 def load_phantom(path, geom: CtGeometry, n_materials: int) -> np.ndarray:

@@ -43,6 +43,7 @@ __all__ = [
     "active_ray_mask",
     "build_preconditioners",
     "spd_solve",
+    "check_newton_iters",
     "newton_ray_solve",
     "alpha_t_diagnostic",
     "fosp_ratio",
@@ -54,6 +55,13 @@ __all__ = [
 
 DEFAULT_NEWTON_ITERS = 10
 NEWTON_STEP_TOL = 1e-10
+
+
+def check_newton_iters(newton_iters: int = DEFAULT_NEWTON_ITERS) -> int:
+    """`newton_iters`, the cap on Newton steps per ray and y step, once checked."""
+    if newton_iters < 1:
+        raise ValueError("newton_iters must be positive")
+    return newton_iters
 
 
 class CtPreconditioners:
@@ -241,6 +249,7 @@ def build_ct_problem(
     """
     n_m = model.n_materials
     n_rays = projector.rows
+    newton_iters = check_newton_iters(newton_iters)
     pre = build_preconditioners(projector, sigma)
 
     def prox_y(lin, D, center):

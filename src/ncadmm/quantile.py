@@ -61,12 +61,16 @@ class QuantileProblemSpec:
     seed: int = 20240801
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"n must be positive, got {self.n}")
         if not (0 < self.s_star <= self.d):
             raise ValueError("s_star must lie in [1, d]")
         if not (0.0 < self.q < 1.0):
-            raise ValueError("q must lie in (0, 1)")
-        if self.lam <= 0 or self.sigma <= 0:
-            raise ValueError("lam and sigma must be positive")
+            raise ValueError(f"q must lie in (0, 1), got {self.q}")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        if self.sigma <= 0:
+            raise ValueError("sigma must be positive")
         if not self.beta > 0:
             raise ValueError("beta must be positive (inf allowed)")
         if not self.radius > 0:

@@ -1,13 +1,12 @@
 import inspect
 import json
 import re
-from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ncadmm import cli, engine
+from ncadmm import cli, config, engine
 from ncadmm.ct import forward as F
 from ncadmm.ct import recon as R
 from ncadmm.config import ConfigError, config_to_manifest_dict, default_config, parse_config
@@ -68,6 +67,9 @@ BAD_CONFIGS = {
     "newton_iters_auto": (
         "[experiment]\nkind = ct\n[ct]\nnewton_iters = auto\n", ".ini", [], "[ct] newton_iters"
     ),
+    "pixel_size_inf": (
+        "[experiment]\nkind = ct\n[ct]\npixel_size_cm = inf\n", ".ini", [], "[ct] pixel_size_cm"
+    ),
     "detector_span_inf": (
         "[experiment]\nkind = ct\n[ct]\ndetector_span_cm = inf\n", ".ini", [], "detector_span_cm"
     ),
@@ -84,6 +86,30 @@ BAD_CONFIGS = {
         "[experiment]\nsigma_list = 1e-2, nan\n", ".ini", [], "[experiment] sigma_list"
     ),
     "lambda_nan": ("[quantile]\nlambda = nan\n", ".ini", [], "[quantile] lambda"),
+    "lambda_inf": ("[quantile]\nlambda = inf\n", ".ini", [], "[quantile] lambda"),
+    "n_zero": ("[quantile]\nn = 0\n", ".ini", [], "[quantile] n"),
+    "n_negative": ("[quantile]\nn = -3\n", ".ini", [], "[quantile] n"),
+    "n_windows_zero": (
+        "[experiment]\nkind = ct\n[ct]\nn_windows = 0\n", ".ini", [], "[ct] n_windows"
+    ),
+    "window_blur_negative": (
+        "[experiment]\nkind = ct\n[ct]\nwindow_blur_kev = -1\n", ".ini", [], "[ct] window_blur_kev"
+    ),
+    "window_blur_inf": (
+        "[experiment]\nkind = ct\n[ct]\nwindow_blur_kev = inf\n", ".ini", [], "[ct] window_blur_kev"
+    ),
+    "beam_photons_inf": (
+        "[experiment]\nkind = ct\n[ct]\nbeam_photons = inf\n", ".ini", [], "[ct] beam_photons"
+    ),
+    "newton_iters_zero": (
+        "[experiment]\nkind = ct\n[ct]\nnewton_iters = 0\n", ".ini", [], "[ct] newton_iters"
+    ),
+    "energy_range_reversed": (
+        "[experiment]\nkind = ct\n[ct]\nenergy_min_kev = 120\nenergy_max_kev = 20\n",
+        ".ini",
+        [],
+        "[ct] energy_min_kev and energy_max_kev",
+    ),
     "sigma_flag_nan": (QUANTILE_TINY, ".ini", ["--sigma", "nan"], "[experiment] sigma_list"),
     "sigma_flag_inf": (QUANTILE_TINY, ".ini", ["--sigma", "inf"], "[experiment] sigma_list"),
     "missing_file": (None, ".ini", [], "missing.ini"),
@@ -102,11 +128,11 @@ def write_config(tmp_path, template, name="config.ini"):
 class TestConfigParsing:
     def test_defaults_are_full_scale(self):
         cfg = default_config("quantile")
-        assert cfg.problem.d == 2000 and cfg.problem.n == 1000
+        assert cfg.problem["d"] == 2000 and cfg.problem["n"] == 1000
         assert cfg.sigma_list == (5e-5, 1e-4, 2e-4, 5e-4)
         assert cfg.iters == 500
         ct = default_config("ct")
-        assert (ct.problem.grid_nx, ct.problem.n_angles) == (25, 50)
+        assert (ct.problem["grid_nx"], ct.problem["n_angles"]) == (25, 50)
         assert ct.sigma_list == (1.0, 10.0, 100.0)
         assert ct.iters == 1000
 
@@ -133,7 +159,7 @@ class TestConfigParsing:
         for spelling in ("inf", "Infinity", "+inf", "INF"):
             path.write_text(f"[experiment]\nkind = quantile\n[quantile]\nR = {spelling}\n")
             cfg = parse_config(path)
-            assert cfg.problem.radius == float("inf")
+            assert cfg.problem["radius"] == float("inf")
 
     def test_auto_and_null_accepted_on_optional_fields(self, tmp_path):
         path = tmp_path / "ok.ini"
@@ -150,36 +176,51 @@ class TestConfigParsing:
             assert parse_config(manifest) == default_config(kind)
             assert cli.main(["validate-config", "--config", str(manifest)]) == 0
 
-    def test_defaults_agree_with_the_library(self):
-        # The CLI's defaults must be the ones the library (and the benchmark) run with.
-        quantile = asdict(default_config("quantile").problem)
-        spec = QuantileProblemSpec()
-        assert quantile == {name: getattr(spec, name) for name in quantile}
-        geom = {f.name: f.default for f in fields(F.CtGeometry)}
+    def test_manifest_keys_and_library_defaults(self):
+        # The defaults live in the library alone; the manifest writes every
+        # settable key, in this order, with the value the library declares.
         model = {
             name: p.default
             for name, p in inspect.signature(F.build_spectral_model).parameters.items()
         }
-        assert asdict(default_config("ct").problem) == {
-            "grid_nx": geom["grid_nx"],
-            "grid_ny": geom["grid_ny"],
-            "pixel_size_cm": geom["pixel_size"],
-            "n_angles": geom["n_angles"],
-            "n_detectors": geom["n_detectors"],
-            "detector_span_cm": geom["detector_span"],
-            "materials": model["materials"],
-            "energy_min_kev": model["energy_min"],
-            "energy_max_kev": model["energy_max"],
-            "n_energies": model["n_energies"],
-            "n_windows": model["n_windows"],
-            "window_thresholds_kev": model["window_thresholds"],
-            "window_blur_kev": model["window_blur_kev"],
-            "beam_photons": model["total_photons"],
-            "newton_iters": R.DEFAULT_NEWTON_ITERS,
-            "attenuation_file": model["attenuation_path"],
-            "spectrum_file": model["spectrum_path"],
-            "phantom": "default",
+        spec, geom = QuantileProblemSpec(), F.CtGeometry()
+        expected = {
+            "quantile": {
+                "d": spec.d,
+                "n": spec.n,
+                "s_star": spec.s_star,
+                "q": spec.q,
+                "lam": spec.lam,
+                "beta": spec.beta,
+                "radius": "inf" if spec.radius == float("inf") else spec.radius,  # JSON form
+            },
+            "ct": {
+                "grid_nx": geom.grid_nx,
+                "grid_ny": geom.grid_ny,
+                "pixel_size_cm": geom.pixel_size,
+                "n_angles": geom.n_angles,
+                "n_detectors": geom.n_detectors,
+                "detector_span_cm": geom.detector_span,
+                "materials": list(model["materials"]),
+                "energy_min_kev": model["energy_min"],
+                "energy_max_kev": model["energy_max"],
+                "n_energies": model["n_energies"],
+                "n_windows": model["n_windows"],
+                "window_thresholds_kev": model["window_thresholds"],
+                "window_blur_kev": model["window_blur_kev"],
+                "beam_photons": model["total_photons"],
+                "newton_iters": R.DEFAULT_NEWTON_ITERS,
+                "attenuation_file": model["attenuation_path"],
+                "spectrum_file": model["spectrum_path"],
+                "phantom": inspect.signature(F.make_phantom).parameters["phantom"].default,
+            },
         }
+        for kind, problem in expected.items():
+            sections = config_to_manifest_dict(default_config(kind))
+            assert list(sections) == ["experiment", kind]
+            assert list(sections["experiment"]) == ["kind", "sigma_list", "iters", "seed", "out"]
+            assert list(sections[kind].items()) == list(problem.items())
+            assert list(config.KEYS[kind]) == list(problem)
 
 
 class TestRunCommand:
@@ -397,6 +438,10 @@ class TestValidateCommand:
         path.write_text(example)
         assert cli.main(["validate-config", "--config", str(path)]) == 0
         assert "kind=quantile" in capsys.readouterr().out
+        # The README lists the [ct] keys (notes in parentheses aside) in order.
+        (ct_keys,) = re.findall(r"CT keys \(section `\[ct\]`\):(.*?)\n\n", readme, re.S)
+        listed = re.findall(r"`([^`]+)`", re.sub(r"\([^()]*\)", "", ct_keys))
+        assert listed == list(config.KEYS["ct"])
 
 
 class TestSummarize:

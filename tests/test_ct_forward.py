@@ -207,6 +207,26 @@ class TestSpectralModel:
         with pytest.raises(ValueError, match="does not match"):
             F.build_spectral_model(n_windows=3, window_thresholds=[55.0])
 
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [
+            (dict(energy_min=120.0, energy_max=20.0), "energy_min and energy_max"),
+            (dict(energy_min=-1.0), "energy_min and energy_max"),
+            (dict(energy_max=math.inf), "energy_min and energy_max"),
+            (dict(n_energies=0), "n_energies"),
+            (dict(n_windows=0), "n_windows"),
+            (dict(window_blur_kev=-1.0), "window_blur_kev"),
+            (dict(window_blur_kev=math.inf), "window_blur_kev"),
+            (dict(total_photons=0.0), "total_photons"),
+            (dict(total_photons=math.inf), "total_photons"),
+            (dict(total_photons=math.nan), "total_photons"),
+        ],
+    )
+    def test_scalar_arguments_checked_before_tables(self, tmp_path, kwargs, named):
+        # The table path does not exist: the argument check comes first.
+        with pytest.raises(ValueError, match=named):
+            F.build_spectral_model(attenuation_path=str(tmp_path / "missing.txt"), **kwargs)
+
 
 class TestForwardCounts:
     def test_empty_image_means_are_full_beam(self, small_model):

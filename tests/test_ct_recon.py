@@ -62,6 +62,12 @@ class TestPreconditioners:
         with pytest.raises(ValueError, match="miss the grid"):
             R.build_preconditioners(full, sigma=1.0)
 
+    def test_newton_cap_must_be_positive(self, small_ct):
+        _, model, _, active, counts = small_ct
+        assert R.check_newton_iters(1) == 1
+        with pytest.raises(ValueError, match="newton_iters must be positive"):
+            R.build_ct_problem(model, active, counts, sigma=1.0, newton_iters=0)
+
     def test_stepsize_factor_psd(self, small_ct):
         _, _, _, active, _ = small_ct
         pre = R.build_preconditioners(active, sigma=3.0)

@@ -37,8 +37,8 @@ GONE = [
         "ct_x_update", "ct_y_update", "ct_u_update", "run_ct_specialized",
         "ray_subproblem_objective", "stepsize_matrix_factor",
     ]),
-    (config, ["CustomConfig"]),
-    (cli, ["_run_custom", "_run_custom_sigma"]),
+    (config, ["CustomConfig", "QuantileConfig", "CtConfig"]),
+    (cli, ["_run_custom", "_run_custom_sigma", "_quantile_spec", "_ct_pieces"]),
 ]
 
 

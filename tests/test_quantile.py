@@ -63,6 +63,9 @@ class TestGenerateDataset:
             small_spec(s_star=100, d=10)
         with pytest.raises(ValueError):
             small_spec(sigma=0.0)
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="n must be positive"):
+                small_spec(n=n)
 
 
 class TestObjective:
