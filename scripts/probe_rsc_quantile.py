@@ -8,6 +8,7 @@ is summary data for inspection).
 """
 
 import argparse
+import time
 
 from ncadmm import diagnostics as D
 from ncadmm import engine
@@ -34,18 +35,24 @@ def main() -> int:
     selector = Q.subgradient_selector(spec, ds)
 
     iterates = []
+    t0 = time.perf_counter()
     engine.run(
         problem,
         iters=args.iters,
         record_time=False,
         iteration_hook=lambda t, state: iterates.append((state.x, state.y)),
     )
+    t1 = time.perf_counter()
     results = D.probe_trajectory(
         problem, selector, iterates, ds.x_true, ds.phi @ ds.x_true, xi_star, zeta_star
     )
+    t2 = time.perf_counter()
     D.write_probe_report(args.out, results)
     slack = [r.slack for r in results]
-    print(f"wrote {args.out}: {len(results)} probes, slack min={min(slack):.4g} max={max(slack):.4g}")
+    print(
+        f"wrote {args.out}: {len(results)} probes, slack min={min(slack):.4g} "
+        f"max={max(slack):.4g}; solve {t1 - t0:.3f} s, probe {t2 - t1:.3f} s"
+    )
     return 0
 
 

@@ -64,6 +64,10 @@ class CtGeometry:
             raise ValueError("grid_nx/grid_ny/n_angles/n_detectors must be positive")
         if not 0.0 < self.pixel_size < math.inf:
             raise ValueError(f"pixel_size must be positive and finite, got {self.pixel_size}")
+        if not math.isfinite(self.width * self.width + self.height * self.height):
+            raise ValueError(
+                f"pixel_size {self.pixel_size} is too large: the squared grid extent overflows"
+            )
         span = self.detector_span
         if span is not None and not 0.0 < span < math.inf:
             raise ValueError(f"detector_span must be positive and finite, got {span}")

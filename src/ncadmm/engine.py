@@ -48,8 +48,9 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Linear maps: anything with shape/matvec/rmatvec works for A and B.
-# SparseMatrix (numerics) already satisfies the protocol.
+# Linear maps: anything with shape/matvec/rmatvec works for A and B; the RSC
+# probe (diagnostics) also needs matmat, the product with a stack of column
+# vectors. SparseMatrix (numerics) already satisfies the protocol.
 
 
 class DenseMap:
@@ -70,6 +71,9 @@ class DenseMap:
     def rmatvec(self, v):
         return self.a.T @ v
 
+    def matmat(self, x):
+        return self.a @ x
+
 
 class ScaledIdentity:
     """c * I as a linear map."""
@@ -85,7 +89,7 @@ class ScaledIdentity:
     def matvec(self, v):
         return self.scale * np.asarray(v, dtype=float)
 
-    rmatvec = matvec
+    rmatvec = matmat = matvec
 
 
 class KronEye:

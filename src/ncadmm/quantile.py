@@ -261,7 +261,11 @@ def star_subgradients(spec: QuantileProblemSpec, dataset: QuantileDataset):
 
 
 def subgradient_selector(spec: QuantileProblemSpec, dataset: QuantileDataset):
-    """Default selector: zero-in-interval element at every kink."""
+    """Default selector: zero-in-interval element at every kink.
+
+    Elementwise, so it takes one (x, y) pair or row stacks of them, as the
+    RSC probe passes, and acts on each row alone.
+    """
 
     def select(x: np.ndarray, y: np.ndarray):
         xi = _penalty_subgradient(spec, x)

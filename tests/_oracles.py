@@ -10,7 +10,8 @@ the dense step-size checker, the closed-form quantile and CT updates written
 out as matrix formulas (the engine runs them as prox callbacks), the CT
 model's noise-free means and convex-part Hessian blocks, the fixed-budget
 per-ray Newton loop, the plain ADMM step the lean engine step must match bit
-for bit, and small sparse-matrix and phantom-file helpers.
+for bit, the per-point RSC probe the block probe must match, and small
+sparse-matrix and phantom-file helpers.
 """
 
 import math
@@ -23,6 +24,7 @@ from scipy.optimize import linprog
 from ncadmm.ct import recon as R
 from ncadmm.engine import AdmmState, AdmmStepError, TraceRecord
 from ncadmm.ct.forward import DEFAULT_MATERIALS, ct_loss_parts
+from ncadmm.diagnostics import RscProbeResult
 from ncadmm.numerics import SparseMatrix
 from ncadmm.prox import ball_project, qexp, quantile_prox_update, soft_threshold
 
@@ -541,3 +543,31 @@ def admm_step_reference(problem, state, alpha_hook=None, record_time=True):
         t=it, x=x_new, y=y_new, u=u_new, sum_x=state.sum_x, sum_y=state.sum_y,
         trace=state.trace, ax=ax_new, by=by_new,
     )
+
+
+# ---------------------------------------------------------------------------
+# The RSC probe one iterate at a time
+
+
+def rsc_probe_point(problem, subgrad_selector, x, y, x_star, y_star, xi_star, zeta_star, t=None):
+    """One probe point with matvec products and dot products: the per-point
+    evaluation that `diagnostics.probe_trajectory`'s block probe must match."""
+    xi, zeta = subgrad_selector(x, y)
+    lhs = float((x - x_star) @ (xi - xi_star)) + float((y - y_star) @ (zeta - zeta_star))
+    violation = problem.A.matvec(x) + problem.B.matvec(y) - problem.c
+    penalty = 0.5 * float(violation @ problem.sigma.matvec(violation))
+    return RscProbeResult(
+        t=t,
+        lhs=lhs,
+        penalty=penalty,
+        dist_x=float(np.linalg.norm(x - x_star)),
+        dist_y=float(np.linalg.norm(y - y_star)),
+    )
+
+
+def probe_trajectory_loop(problem, subgrad_selector, iterates, x_star, y_star, xi_star, zeta_star):
+    """`rsc_probe_point` at every iterate, t = 1, 2, ..."""
+    return [
+        rsc_probe_point(problem, subgrad_selector, x, y, x_star, y_star, xi_star, zeta_star, t=t)
+        for t, (x, y) in enumerate(iterates, start=1)
+    ]

@@ -70,6 +70,10 @@ BAD_CONFIGS = {
     "pixel_size_inf": (
         "[experiment]\nkind = ct\n[ct]\npixel_size_cm = inf\n", ".ini", [], "[ct] pixel_size_cm"
     ),
+    # finite, but the phantom's disks square the grid extent
+    "pixel_size_huge": (
+        "[experiment]\nkind = ct\n[ct]\npixel_size_cm = 1e300\n", ".ini", [], "[ct] pixel_size_cm"
+    ),
     "detector_span_inf": (
         "[experiment]\nkind = ct\n[ct]\ndetector_span_cm = inf\n", ".ini", [], "detector_span_cm"
     ),

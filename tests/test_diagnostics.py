@@ -7,6 +7,8 @@ from ncadmm import quantile as Q
 from ncadmm.engine import AdmmProblem, CompositeObjective, DenseMap, ScaledIdentity, quadratic_prox
 from ncadmm.numerics import DiagonalMatrix
 
+from _oracles import probe_trajectory_loop
+
 
 def toy_problem(a):
     n = a.shape[0]
@@ -146,3 +148,49 @@ class TestTrajectoryReport:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,lhs,penalty,slack,dist_x,dist_y"
         assert len(lines) == 21
+
+
+def quantile_probe_setup(iters):
+    spec = Q.QuantileProblemSpec(d=20, n=40, s_star=2, sigma=5e-3, seed=29)
+    ds = Q.generate_dataset(spec)
+    problem = Q.build_problem(spec, ds)
+    xi_star, zeta_star, _ = Q.star_subgradients(spec, ds)
+    iterates = []
+    engine.run(
+        problem, iters=iters, record_time=False,
+        iteration_hook=lambda t, state: iterates.append((state.x, state.y)),
+    )
+    anchors = (ds.x_true, ds.phi @ ds.x_true, xi_star, zeta_star)
+    return ds, problem, Q.subgradient_selector(spec, ds), iterates, anchors
+
+
+class TestBlockProbe:
+    def test_matches_per_point_oracle(self):
+        # two full blocks and a partial third
+        iters = 2 * D.PROBE_BLOCK + 17
+        _, problem, selector, iterates, anchors = quantile_probe_setup(iters)
+        block = D.probe_trajectory(problem, selector, iterates, *anchors)
+        loop = probe_trajectory_loop(problem, selector, iterates, *anchors)
+        assert [r.t for r in block] == list(range(1, iters + 1))
+        for field in ("lhs", "penalty", "dist_x", "dist_y"):
+            got = np.array([getattr(r, field) for r in block])
+            want = np.array([getattr(r, field) for r in loop])
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=field)
+
+    def test_empty_and_generator_input(self):
+        _, problem, selector, iterates, anchors = quantile_probe_setup(D.PROBE_BLOCK + 3)
+        assert D.probe_trajectory(problem, selector, [], *anchors) == []
+        from_list = D.probe_trajectory(problem, selector, iterates, *anchors)
+        from_gen = D.probe_trajectory(problem, selector, (pair for pair in iterates), *anchors)
+        assert from_gen == from_list
+
+    def test_quantile_selector_acts_row_wise(self):
+        ds, _, selector, iterates, _ = quantile_probe_setup(12)
+        xs = np.array([x for x, _ in iterates])
+        ys = np.array([y for _, y in iterates])
+        xs[0, :] = 0.0          # the penalty's kinks
+        ys[1, :] = ds.w         # the pinball kinks
+        xi, zeta = selector(xs, ys)
+        rows = [selector(x, y) for x, y in zip(xs, ys)]
+        assert xi.tobytes() == np.array([r[0] for r in rows]).tobytes()
+        assert zeta.tobytes() == np.array([r[1] for r in rows]).tobytes()

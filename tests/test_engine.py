@@ -408,6 +408,21 @@ class TestValidateStepsizes:
         assert any("dominates" in name for name in report.failures())
 
 
+class TestLinearMaps:
+    @pytest.mark.parametrize(
+        "op",
+        [
+            DenseMap(np.random.default_rng(5).standard_normal((6, 4))),
+            ScaledIdentity(4, -1.5),
+        ],
+        ids=["dense", "scaled-identity"],
+    )
+    def test_matmat_is_matvec_per_column(self, op):
+        cols = np.random.default_rng(7).standard_normal((op.shape[1], 5))
+        expected = np.column_stack([op.matvec(c) for c in cols.T])
+        np.testing.assert_allclose(op.matmat(cols), expected, rtol=1e-14, atol=1e-14)
+
+
 class TestProblemValidation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="inconsistent"):
