@@ -20,14 +20,15 @@ from importlib import resources
 import numpy as np
 
 from ..numerics import SparseMatrix
-# The gradient path calls qexp through this module's name, which the
-# benchmark's tracer patches.
-from ..prox import qexp, qexp_value
+# qexp stays importable from here because the benchmark's tracer patches
+# forward.qexp by name; the loss forms its value from qexp_slopes.
+from ..prox import qexp, qexp_slopes
 
 __all__ = [
     "CtGeometry",
     "SpectralModel",
     "LossParts",
+    "CtLoss",
     "build_projector",
     "build_spectral_model",
     "bundled_data_path",
@@ -476,46 +477,98 @@ class LossParts:
         return self.grad_c + self.grad_d
 
 
+class CtLoss:
+    """The split loss of one CT problem, evaluated in work arrays allocated once.
+
+    Owns four (n_rays, n_energies) arrays. One object serves every loss
+    evaluation of a run (the gradient of g_d at y_t, the value at P x_{t+1},
+    the gradient the alpha diagnostic takes at y_{t+1}) and lends three of
+    the arrays to the per-ray Newton solve, so a reconstruction step forms no
+    (rays x energies) array of its own. It holds on to its last point: the
+    slopes d1, d2 of `qexp` there, and the parts formed there with their
+    gradient, are handed out again for a y equal to that point, and for no
+    other y.
+    """
+
+    def __init__(self, model: SpectralModel, counts: np.ndarray):
+        counts = np.asarray(counts, dtype=float)
+        if counts.ndim != 2 or counts.shape[0] != model.n_windows:
+            raise ValueError("counts must be (n_windows, n_rays)")
+        n_rays = counts.shape[1]
+        self.model = model
+        self.counts = counts
+        self.neg_mu = -model.mu
+        # The beam weights every energy term of g_c, so it is folded into the
+        # attenuation rows once: the gradient rows -mu * beam, and the Hessian
+        # rows mu_i * (beam * mu_j) over the lower triangle, row by row.
+        mu_b = model.mu * model.beam
+        self.neg_mu_b = -mu_b
+        n_m = model.n_materials
+        self.mu_pairs = np.stack([model.mu[i] * mu_b[j] for i in range(n_m) for j in range(i + 1)])
+        self.t, self.d1, self.d2, self.w = np.empty((4, n_rays, model.n_energies))
+        self._at = np.empty((n_rays, model.n_materials))
+        self._held = False  # d1, d2 hold the slopes at _at
+        self._parts = None  # the parts at _at, when formed with the gradient
+
+    def _holds(self, y) -> bool:
+        return self._held and np.array_equal(y, self._at)
+
+    def held_slopes(self, y):
+        """(d1, d2) at y if the last evaluation was at this y, else None."""
+        return (self.d1, self.d2) if self._holds(y) else None
+
+    def work_arrays(self):
+        """(t, d1, d2) for the caller to overwrite; the held point is dropped."""
+        self._held = False
+        self._parts = None
+        return self.t, self.d1, self.d2
+
+    def parts(self, y: np.ndarray, want_grad: bool = True) -> LossParts:
+        """Split loss at projections y (n_rays x n_m): convex part, concave part.
+
+        g_c(y) sums response * qexp(-mu.y) over windows, rays, energies;
+        g_d(y) is -sum counts * log(window mean). Gradients chain through the
+        first derivative of the spliced exponential; with want_grad=False they
+        are not formed, and the values have the same bits.
+        """
+        y = np.asarray(y, dtype=float)
+        if y.shape != self._at.shape:
+            raise ValueError("y must be (n_rays, n_materials)")
+        if want_grad and self._parts is not None and self._holds(y):
+            return self._parts
+        model = self.model
+        t = np.matmul(y, self.neg_mu, out=self.t)
+        d1, _ = qexp_slopes(t, out=(self.d1, self.d2))
+        np.copyto(self._at, y)
+        self._held, self._parts = True, None
+        # qexp's value d1 + tp * (0.5 tp), tp = max(t, 0); t is not needed after.
+        val = np.maximum(t, 0.0, out=self.w)
+        val *= np.multiply(val, 0.5, out=t)
+        val += d1
+        sb = model.response                              # (n_w, n_i)
+        means = sb @ val.T                               # (n_w, n_rays)
+        if means.min() <= 0:
+            raise ValueError("nonpositive window mean; cannot take its log")
+
+        # The beam enters through the energy contraction, so no
+        # (rays x energies) weight array is formed.
+        g_c = float((val @ model.beam).sum())
+        g_d = float(-(self.counts * np.log(means)).sum())
+        if not want_grad:
+            return LossParts(g_c=g_c, g_d=g_d)
+        grad_c = d1 @ self.neg_mu_b.T
+        ratio = self.counts / means                      # (n_w, n_rays)
+        weighted = np.matmul(ratio.T, sb, out=val)       # (n_rays, n_i)
+        weighted *= d1
+        self._parts = LossParts(g_c=g_c, g_d=g_d, grad_c=grad_c, grad_d=weighted @ model.mu.T)
+        return self._parts
+
+
 def ct_loss_parts(
     model: SpectralModel,
     y: np.ndarray,
     counts: np.ndarray,
     want_grad: bool = True,
 ) -> LossParts:
-    """Split loss at projections y (n_rays x n_m): convex part, concave part.
-
-    g_c(y) sums response * qexp(-mu.y) over windows, rays, energies; g_d(y) is
-    -sum counts * log(window mean). Gradients chain through the first
-    derivative of the spliced exponential; with want_grad=False only its
-    value is formed, with the same bits.
-    """
-    y = np.asarray(y, dtype=float)
-    counts = np.asarray(counts, dtype=float)
-    n_rays = y.shape[0]
-    if y.shape != (n_rays, model.n_materials):
-        raise ValueError("y must be (n_rays, n_materials)")
-    if counts.shape != (model.n_windows, n_rays):
-        raise ValueError("counts must be (n_windows, n_rays)")
-
-    t = y @ -model.mu                                    # (n_rays, n_i)
-    if want_grad:
-        val, d1, _ = qexp(t)
-    else:
-        val = qexp_value(t)
-    sb = model.response                                  # (n_w, n_i)
-    means = sb @ val.T                                   # (n_w, n_rays)
-    if means.min() <= 0:
-        raise ValueError("nonpositive window mean; cannot take its log")
-
-    # The beam enters through the energy contraction, so no
-    # (rays x energies) weight array is formed.
-    g_c = float((val @ model.beam).sum())
-    g_d = float(-(counts * np.log(means)).sum())
-
-    grad_c = grad_d = None
-    if want_grad:
-        grad_c = d1 @ -(model.mu * model.beam).T
-        ratio = counts / means                           # (n_w, n_rays)
-        d1 *= ratio.T @ sb                               # (n_rays, n_i)
-        grad_d = d1 @ model.mu.T
-    return LossParts(g_c=g_c, g_d=g_d, grad_c=grad_c, grad_d=grad_d)
+    """`CtLoss.parts` of a fresh evaluator: the split loss at y, once."""
+    return CtLoss(model, counts).parts(y, want_grad)

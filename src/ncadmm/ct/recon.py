@@ -33,7 +33,7 @@ from ..numerics import DiagonalMatrix, SparseMatrix
 # Newton needs only qexp_slopes. qexp stays importable from here because the
 # benchmark's tracer patches recon.qexp by name.
 from ..prox import qexp, qexp_slopes
-from .forward import SpectralModel, ct_loss_parts
+from .forward import CtLoss, SpectralModel, ct_loss_parts
 
 __all__ = [
     "CtPreconditioners",
@@ -132,6 +132,15 @@ def spd_solve(lower: np.ndarray, shift: np.ndarray, rhs: np.ndarray) -> np.ndarr
     return np.stack(x)
 
 
+def _max_abs(a: np.ndarray) -> np.ndarray:
+    """max |a[k, l]| over k for each column l, one row at a time: the same bits
+    as np.abs(a).max(axis=0), without a reduction across short rows."""
+    out = np.abs(a[0])
+    for row in a[1:]:
+        np.maximum(out, np.abs(row), out=out)
+    return out
+
+
 def newton_ray_solve(
     model: SpectralModel,
     lin: np.ndarray,
@@ -139,6 +148,7 @@ def newton_ray_solve(
     sigma_diag: np.ndarray,
     iters: int = DEFAULT_NEWTON_ITERS,
     start: np.ndarray | None = None,
+    loss: CtLoss | None = None,
 ) -> np.ndarray:
     """Batched per-ray Newton on the strictly convex y subproblem.
 
@@ -149,33 +159,37 @@ def newton_ray_solve(
     Hessian positive definite). `iters` caps the steps per ray: a ray stops
     after the first step with max|dv_l| <= NEWTON_STEP_TOL * (1 + max|v_l|),
     and each step solves only the rays still moving.
+
+    `loss`, the problem's `CtLoss`, lends its (rays x energies) work arrays;
+    when its last evaluation was at the start point, the first step takes
+    the slopes from it instead of forming them again. Without it the solve
+    uses a fresh evaluator's arrays.
     """
-    n_rays, n_m = center.shape
-    neg_mu = -model.mu
-    # The beam weights every energy term of g_c, so it is folded into the
-    # attenuation rows once. Hessian rows pair mu_i with beam * mu_j over
-    # the lower triangle, in the order spd_solve reads them.
-    mu_b = model.mu * model.beam
-    neg_mu_b = -mu_b
-    mu_pairs = np.stack([model.mu[i] * mu_b[j] for i in range(n_m) for j in range(i + 1)])
+    n_rays = center.shape[0]
+    if loss is None:
+        loss = CtLoss(model, np.zeros((model.n_windows, n_rays)))
+    neg_mu, neg_mu_b, mu_pairs = loss.neg_mu, loss.neg_mu_b, loss.mu_pairs
     v = center.copy() if start is None else np.array(start, dtype=float)
     rows = np.arange(n_rays)
     lin_a, center_a, sigma_a, v_a = lin, center, sigma_diag, v
-    # (ray, energy) work arrays, allocated once per call because fresh ones
-    # each step cost more than the arithmetic; a step uses the leading rows.
-    t_buf, d1_buf, d2_buf = np.empty((3, n_rays, model.n_energies))
+    held = loss.held_slopes(v)
+    # A step uses the leading rows of the work arrays.
+    t_buf, d1_buf, d2_buf = loss.work_arrays()
     for _ in range(iters):
         n_a = rows.size
-        t = np.matmul(v_a, neg_mu, out=t_buf[:n_a])
-        d1, d2 = qexp_slopes(t, out=(d1_buf[:n_a], d2_buf[:n_a]))
+        if held is None:
+            t = np.matmul(v_a, neg_mu, out=t_buf[:n_a])
+            d1, d2 = qexp_slopes(t, out=(d1_buf[:n_a], d2_buf[:n_a]))
+        else:
+            (d1, d2), held = held, None
         # Gradient and Hessian entries laid out (entry, ray).
         grad = neg_mu_b @ d1.T
         grad += (lin_a + sigma_a[:, None] * (v_a - center_a)).T
         hess = mu_pairs @ d2.T
-        step = spd_solve(hess, sigma_a, grad).T
-        v_a = v_a - step
+        step = spd_solve(hess, sigma_a, grad)
+        v_a = v_a - step.T
         v[rows] = v_a
-        moving = np.abs(step).max(axis=1) > NEWTON_STEP_TOL * (1.0 + np.abs(v_a).max(axis=1))
+        moving = _max_abs(step) > NEWTON_STEP_TOL * (1.0 + _max_abs(v_a.T))
         if not moving.all():
             rows = rows[moving]
             if rows.size == 0:
@@ -240,17 +254,19 @@ def build_ct_problem(
     counts: np.ndarray,
     sigma: float,
     newton_iters: int = DEFAULT_NEWTON_ITERS,
-) -> tuple[AdmmProblem, CtPreconditioners]:
+) -> tuple[AdmmProblem, CtPreconditioners, CtLoss]:
     """Wire the CT problem into the generic engine on flattened variables.
 
     D_f = Q_f kron I is diagonal, so the (empty) image-block objective uses
     the exact quadratic prox; the projection block prox reshapes and runs the
-    batched Newton solver.
+    batched Newton solver. One `CtLoss`, returned last, serves the gradient
+    of g_d, the objective and Newton's work arrays.
     """
     n_m = model.n_materials
     n_rays = projector.rows
     newton_iters = check_newton_iters(newton_iters)
     pre = build_preconditioners(projector, sigma)
+    loss = CtLoss(model, counts)
 
     def prox_y(lin, D, center):
         v = newton_ray_solve(
@@ -259,16 +275,15 @@ def build_ct_problem(
             center.reshape(n_rays, n_m),
             pre.sigma_tilde.diag,
             newton_iters,
+            loss=loss,
         )
         return v.ravel()
 
     def grad_d(y_flat):
-        parts = ct_loss_parts(model, y_flat.reshape(n_rays, n_m), counts)
-        return parts.grad_d.ravel()
+        return loss.parts(y_flat.reshape(n_rays, n_m)).grad_d.ravel()
 
     def objective(x_flat, y_flat, proj_flat):
-        proj = proj_flat.reshape(n_rays, n_m)
-        return ct_loss_parts(model, proj, counts, want_grad=False).value
+        return loss.parts(proj_flat.reshape(n_rays, n_m), want_grad=False).value
 
     problem = AdmmProblem(
         A=KronEye(projector, n_m),
@@ -281,7 +296,7 @@ def build_ct_problem(
         D_g=DiagonalMatrix(np.repeat(pre.sigma_tilde.diag, n_m)),
         objective=objective,
     )
-    return problem, pre
+    return problem, pre, loss
 
 
 def run_ct_reconstruction(
@@ -296,31 +311,21 @@ def run_ct_reconstruction(
 ) -> tuple[RunResult, CtPreconditioners]:
     """Run the full loop at one sigma; records alpha_t when y_star is given.
 
-    The alpha hook evaluates the loss gradient at y_{t+1}; the next step's
-    grad_d, which linearizes g_d at that same y_{t+1}, reuses it.
+    The alpha hook evaluates the loss gradient at y_{t+1} with the problem's
+    `CtLoss`, which hands the parts found there to the next step's grad_d
+    and the slopes to its Newton solve, both at that same y_{t+1}.
     """
-    problem, pre = build_ct_problem(model, projector, counts, sigma, newton_iters)
+    problem, pre, loss = build_ct_problem(model, projector, counts, sigma, newton_iters)
     shape = (projector.rows, model.n_materials)
     alpha_hook = None
     if y_star is not None:
-        grad_star = ct_loss_parts(model, y_star, counts).grad
-        fresh_grad_d = problem.g.grad_d
-        latest = {}  # the y_{t+1} the hook last saw, and grad g_d there
+        grad_star = loss.parts(y_star).grad
 
         def alpha_hook(t, x_flat, y_flat, u_flat, proj_flat):
             y = y_flat.reshape(shape)
-            parts = ct_loss_parts(model, y, counts)
-            latest.update(y=y_flat, grad_d=parts.grad_d.ravel())
             return alpha_t_diagnostic(
-                pre.sigma_tilde, proj_flat.reshape(shape), y, y_star, grad_star, parts.grad
+                pre.sigma_tilde, proj_flat.reshape(shape), y, y_star, grad_star, loss.parts(y).grad
             )
-
-        def shared_grad_d(y_flat):
-            if latest.get("y") is y_flat:
-                return latest["grad_d"]
-            return fresh_grad_d(y_flat)
-
-        problem.g.grad_d = shared_grad_d
 
     result = engine_run(
         problem, iters=iters, alpha_hook=alpha_hook, record_time=record_time

@@ -276,7 +276,7 @@ def test_criterion_3b_ct_specialized_matches_engine():
     active = projector.select_rows(mask)
     counts = counts[:, mask]
     specialized = run_ct_specialized(model, active, counts, sigma=10.0, iters=10)
-    problem, _ = R.build_ct_problem(model, active, counts, sigma=10.0)
+    problem, *_ = R.build_ct_problem(model, active, counts, sigma=10.0)
     state = engine.AdmmState.initial(
         np.zeros(problem.dim_x), np.zeros(problem.dim_y), np.zeros(problem.dim_u)
     )

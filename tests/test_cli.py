@@ -320,16 +320,14 @@ class TestRunCommand:
         assert not (out / "manifest.json").exists()
 
     def test_failing_step_callback_exits_3(self, tmp_path, monkeypatch, capsys):
-        from ncadmm.ct import recon
+        real = F.CtLoss.parts
 
-        real = recon.ct_loss_parts
-
-        def loss_parts(model, y, counts, want_grad=True):
+        def loss_parts(self, y, want_grad=True):
             if not want_grad:  # only the per-iterate objective asks for no gradient
                 raise ValueError("nonpositive window mean; cannot take its log")
-            return real(model, y, counts, want_grad)
+            return real(self, y, want_grad)
 
-        monkeypatch.setattr(recon, "ct_loss_parts", loss_parts)
+        monkeypatch.setattr(F.CtLoss, "parts", loss_parts)
         path, _ = write_config(tmp_path, CT_SMALL)
         assert cli.main(["run", "--config", str(path)]) == 3
         err = capsys.readouterr().err

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -292,7 +294,7 @@ class TestAdaptiveNewton:
         # From outer iteration 10 on the warm start is close: about 3 steps per ray.
         _, model, _, active, counts = small_ct
         counting = CountingSlopes(monkeypatch)
-        problem, _ = R.build_ct_problem(model, active, counts, sigma=10.0)
+        problem, *_ = R.build_ct_problem(model, active, counts, sigma=10.0)
         state = engine.AdmmState.initial(
             np.zeros(problem.dim_x), np.zeros(problem.dim_y), np.zeros(problem.dim_u)
         )
@@ -301,6 +303,90 @@ class TestAdaptiveNewton:
             state = engine.admm_step(problem, state)
             if t >= 10:
                 assert sum(counting.rows) <= 4 * active.rows
+
+
+def loss_and_newton_inputs(small_ct, seed=4):
+    """small_ct's loss evaluator and a y step at a random y with its Newton inputs."""
+    _, model, _, active, counts = small_ct
+    rng = np.random.default_rng(seed)
+    y = 0.2 * rng.standard_normal((active.rows, model.n_materials))
+    lin = rng.standard_normal(y.shape)
+    sigma_diag = R.build_preconditioners(active, sigma=2.0).sigma_tilde.diag
+    return model, F.CtLoss(model, counts), y, lin, sigma_diag
+
+
+class TestLossEvaluator:
+    def test_step_allocates_no_rays_by_energies_array(self, small_ct):
+        # small_ct's rays at the paper's 100 energies: at 25, one (rays x
+        # energies) array weighs less than the per-ray temporaries of Newton.
+        _, _, _, active, counts = small_ct
+        model = F.build_spectral_model(n_energies=100)
+        problem, *_ = R.build_ct_problem(model, active, counts, sigma=10.0)
+        state = engine.AdmmState.initial(
+            np.zeros(problem.dim_x), np.zeros(problem.dim_y), np.zeros(problem.dim_u)
+        )
+        for _ in range(3):
+            state = engine.admm_step(problem, state, record_time=False)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            engine.admm_step(problem, state, record_time=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < active.rows * model.n_energies * 8
+
+    def test_parts_match_a_fresh_evaluator_at_every_point(self, small_ct):
+        model, loss, y, _, _ = loss_and_newton_inputs(small_ct)
+        counts = small_ct[4]
+        for point in (y, y, np.zeros_like(y), y):
+            for want_grad in (True, False):
+                got = loss.parts(point, want_grad)
+                ref = F.ct_loss_parts(model, point.copy(), counts, want_grad)
+                assert (got.g_c, got.g_d) == (ref.g_c, ref.g_d)
+                if want_grad:
+                    assert got.grad_c.tobytes() == ref.grad_c.tobytes()
+                    assert got.grad_d.tobytes() == ref.grad_d.tobytes()
+
+    def test_newton_reusing_held_slopes_matches_fresh_slopes(self, small_ct, monkeypatch):
+        model, loss, y, lin, sigma_diag = loss_and_newton_inputs(small_ct)
+        counting = CountingSlopes(monkeypatch)
+        fresh = R.newton_ray_solve(model, lin, y, sigma_diag)
+        fresh_calls = len(counting.rows)
+        loss.parts(y)
+        assert loss.held_slopes(y) is not None
+        counting.rows.clear()
+        reused = R.newton_ray_solve(model, lin, y.copy(), sigma_diag, loss=loss)
+        assert reused.tobytes() == fresh.tobytes()
+        assert len(counting.rows) == fresh_calls - 1  # the first step took the held slopes
+        assert loss.held_slopes(y) is None  # Newton overwrote the work arrays
+
+    def test_changed_y_never_gets_stale_slopes(self, small_ct):
+        model, loss, y, lin, sigma_diag = loss_and_newton_inputs(small_ct)
+        counts = small_ct[4]
+        moved = y.copy()
+        moved[5, 1] += 1e-12
+        loss.parts(y)
+        assert loss.held_slopes(moved) is None
+        got = R.newton_ray_solve(model, lin, moved, sigma_diag, loss=loss)
+        assert got.tobytes() == R.newton_ray_solve(model, lin, moved, sigma_diag).tobytes()
+        # A y changed in place after its evaluation is a new point too.
+        loss.parts(y)
+        y[0, 0] += 0.25
+        assert loss.held_slopes(y) is None
+        assert loss.parts(y).grad_d.tobytes() == F.ct_loss_parts(model, y, counts).grad_d.tobytes()
+
+    def test_column_max_stop_matches_row_max(self):
+        rng = np.random.default_rng(8)
+        for n_m in (1, 2, 3, 5):
+            step = rng.standard_normal((n_m, 300)) * 10.0 ** rng.integers(-30, 30, (n_m, 300))
+            step[:, :4] = 0.0
+            step[0, :2] = -0.0
+            step[-1, 10] = np.inf
+            step[0, 11] = -np.inf
+            step[-1, 12] = np.nan
+            rows = np.ascontiguousarray(step.T)  # the (ray, entry) layout of the row-max rule
+            assert R._max_abs(step).tobytes() == np.abs(rows).max(axis=1).tobytes()
 
 
 class TestYUpdateAndDual:
@@ -341,7 +427,7 @@ class TestEngineEquivalence:
         _, model, phantom, active, counts = small_ct
         sigma = 10.0
         specialized = run_ct_specialized(model, active, counts, sigma=sigma, iters=10)
-        problem, _ = R.build_ct_problem(model, active, counts, sigma=sigma)
+        problem, *_ = R.build_ct_problem(model, active, counts, sigma=sigma)
         state = engine.AdmmState.initial(
             np.zeros(problem.dim_x), np.zeros(problem.dim_y), np.zeros(problem.dim_u)
         )
@@ -354,7 +440,7 @@ class TestEngineEquivalence:
 
     def test_lean_step_matches_reference_step_bitwise(self, small_ct):
         _, model, _, active, counts = small_ct
-        problem, _ = R.build_ct_problem(model, active, counts, sigma=10.0)
+        problem, *_ = R.build_ct_problem(model, active, counts, sigma=10.0)
         zeros = (np.zeros(problem.dim_x), np.zeros(problem.dim_y), np.zeros(problem.dim_u))
         lean = engine.AdmmState.initial(*zeros)
         ref = engine.AdmmState.initial(*zeros)
