@@ -55,6 +55,8 @@ __all__ = [
 
 DEFAULT_NEWTON_ITERS = 10
 NEWTON_STEP_TOL = 1e-10
+NEWTON_PREDICT_TOL = 2.2e-16
+NEWTON_PREDICT_FROM = 1e-8
 
 
 def check_newton_iters(newton_iters: int = DEFAULT_NEWTON_ITERS) -> int:
@@ -156,9 +158,14 @@ def newton_ray_solve(
         gc_l(v) + <v, lin_l> + (sigma_diag_l / 2) ||v - center_l||^2
     starting from `start` (default: center, the warm start the outer loop
     uses), with no line search (the sigma_diag_l I regularization keeps every
-    Hessian positive definite). `iters` caps the steps per ray: a ray stops
-    after the first step with max|dv_l| <= NEWTON_STEP_TOL * (1 + max|v_l|),
-    and each step solves only the rays still moving.
+    Hessian positive definite). `iters` caps the steps per ray, and each step
+    solves only the rays still moving. With e_k = max|dv_l| of step k and
+    s = 1 + max|v_l|, a ray stops after the first step with
+    e_k <= NEWTON_STEP_TOL * s, or, from the second step on, with
+    e_k <= NEWTON_PREDICT_FROM * s and e_k^3 / e_{k-1}^2 <= NEWTON_PREDICT_TOL * s.
+    In Newton's quadratic phase e_k^3 / e_{k-1}^2 is the size of the next
+    step, which would then move v_l by less than an ulp; the floor on e_k
+    keeps a step that is not yet in that phase from being trusted.
 
     `loss`, the problem's `CtLoss`, lends its (rays x energies) work arrays;
     when its last evaluation was at the start point, the first step takes
@@ -173,6 +180,7 @@ def newton_ray_solve(
     rows = np.arange(n_rays)
     lin_a, center_a, sigma_a, v_a = lin, center, sigma_diag, v
     held = loss.held_slopes(v)
+    e_prev = None  # max|dv| of each moving ray's last step
     # A step uses the leading rows of the work arrays.
     t_buf, d1_buf, d2_buf = loss.work_arrays()
     for _ in range(iters):
@@ -189,12 +197,21 @@ def newton_ray_solve(
         step = spd_solve(hess, sigma_a, grad)
         v_a = v_a - step.T
         v[rows] = v_a
-        moving = _max_abs(step) > NEWTON_STEP_TOL * (1.0 + _max_abs(v_a.T))
+        e = _max_abs(step)
+        scale = 1.0 + _max_abs(v_a.T)
+        moving = e > NEWTON_STEP_TOL * scale
+        if e_prev is not None:
+            # In the quadratic phase the next step is about e^3 / e_prev^2.
+            settled = e * (e / e_prev) ** 2 <= NEWTON_PREDICT_TOL * scale
+            moving &= ~(settled & (e <= NEWTON_PREDICT_FROM * scale))
         if not moving.all():
             rows = rows[moving]
             if rows.size == 0:
                 break
-            v_a, lin_a, center_a, sigma_a = (a[moving] for a in (v_a, lin_a, center_a, sigma_a))
+            v_a, lin_a, center_a, sigma_a, e = (
+                a[moving] for a in (v_a, lin_a, center_a, sigma_a, e)
+            )
+        e_prev = e
     return v
 
 

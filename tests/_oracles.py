@@ -9,9 +9,10 @@ The rest holds what the tests check the library against but no run executes:
 the dense step-size checker, the closed-form quantile and CT updates written
 out as matrix formulas (the engine runs them as prox callbacks), the CT
 model's noise-free means and convex-part Hessian blocks, the fixed-budget
-per-ray Newton loop, the plain ADMM step the lean engine step must match bit
-for bit, the per-point RSC probe the block probe must match, and small
-sparse-matrix and phantom-file helpers.
+per-ray Newton loop and the adaptive one with the step-size stop alone, the
+plain ADMM step the lean engine step must match bit for bit, the per-point
+RSC probe the block probe must match, and small sparse-matrix and
+phantom-file helpers.
 """
 
 import math
@@ -26,7 +27,7 @@ from ncadmm.engine import AdmmState, AdmmStepError, TraceRecord
 from ncadmm.ct.forward import DEFAULT_MATERIALS, ct_loss_parts
 from ncadmm.diagnostics import RscProbeResult
 from ncadmm.numerics import SparseMatrix
-from ncadmm.prox import ball_project, qexp, quantile_prox_update, soft_threshold
+from ncadmm.prox import ball_project, qexp, qexp_slopes, quantile_prox_update, soft_threshold
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -420,6 +421,42 @@ def newton_ray_solve_fixed(model, lin, center, sigma_diag, iters=R.DEFAULT_NEWTO
         hess = ((d2 * model.beam) @ mu_outer.T).reshape(n_rays, n_m, n_m)
         hess[:, diag_idx, diag_idx] += sigma_diag[:, None]
         v = v - np.linalg.solve(hess, grad[..., None])[..., 0]
+    return v
+
+
+def newton_ray_solve_plain(model, lin, center, sigma_diag, iters=R.DEFAULT_NEWTON_ITERS,
+                           start=None):
+    """The adaptive per-ray Newton loop with the step-size stop alone.
+
+    A ray stops after the first step with max|dv_l| <= NEWTON_STEP_TOL *
+    (1 + max|v_l|); `newton_ray_solve` also stops it once the predicted next
+    step falls below an ulp. Work arrays are allocated per call.
+    """
+    n_rays, n_m = center.shape
+    neg_mu = -model.mu
+    mu_b = model.mu * model.beam
+    neg_mu_b = -mu_b
+    mu_pairs = np.stack([model.mu[i] * mu_b[j] for i in range(n_m) for j in range(i + 1)])
+    v = center.copy() if start is None else np.array(start, dtype=float)
+    rows = np.arange(n_rays)
+    lin_a, center_a, sigma_a, v_a = lin, center, sigma_diag, v
+    t_buf, d1_buf, d2_buf = np.empty((3, n_rays, model.n_energies))
+    for _ in range(iters):
+        n_a = rows.size
+        t = np.matmul(v_a, neg_mu, out=t_buf[:n_a])
+        d1, d2 = qexp_slopes(t, out=(d1_buf[:n_a], d2_buf[:n_a]))
+        grad = neg_mu_b @ d1.T
+        grad += (lin_a + sigma_a[:, None] * (v_a - center_a)).T
+        hess = mu_pairs @ d2.T
+        step = R.spd_solve(hess, sigma_a, grad).T
+        v_a = v_a - step
+        v[rows] = v_a
+        moving = np.abs(step).max(axis=1) > R.NEWTON_STEP_TOL * (1.0 + np.abs(v_a).max(axis=1))
+        if not moving.all():
+            rows = rows[moving]
+            if rows.size == 0:
+                break
+            v_a, lin_a, center_a, sigma_a = (a[moving] for a in (v_a, lin_a, center_a, sigma_a))
     return v
 
 

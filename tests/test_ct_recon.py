@@ -10,6 +10,7 @@ from ncadmm.engine import load_trace
 from ncadmm.numerics import DiagonalMatrix
 from ncadmm.prox import qexp
 
+import _oracles
 from _oracles import (
     admm_step_reference,
     bisect_min,
@@ -18,6 +19,7 @@ from _oracles import (
     ct_y_update,
     dense,
     newton_ray_solve_fixed,
+    newton_ray_solve_plain,
     ray_subproblem_objective,
     run_ct_specialized,
     stepsize_matrix_factor,
@@ -246,12 +248,12 @@ def mixed_ray_batch(seed, n_rays=200):
 
 
 class CountingSlopes:
-    """Stands in for qexp_slopes in ct.recon and records the rays of each call."""
+    """Stands in for qexp_slopes in `module` (ct.recon) and records the rays of each call."""
 
-    def __init__(self, monkeypatch):
+    def __init__(self, monkeypatch, module=R):
         self.rows = []
-        self._real = R.qexp_slopes
-        monkeypatch.setattr(R, "qexp_slopes", self)
+        self._real = module.qexp_slopes
+        monkeypatch.setattr(module, "qexp_slopes", self)
 
     def __call__(self, t, out=None):
         self.rows.append(t.shape[0])
@@ -271,6 +273,24 @@ class TestAdaptiveNewton:
             assert counting.rows[1] <= 100  # the rays started at their minimizer stopped
             full_budget += len(counting.rows) == 10
         assert full_budget >= 10  # batches where some rays took all ten steps
+
+    def test_predictive_stop_matches_step_size_stop(self, monkeypatch):
+        counting = CountingSlopes(monkeypatch)
+        plain_counting = CountingSlopes(monkeypatch, _oracles)
+        saved = 0
+        for seed in range(10, 30):
+            model, lin, center, sigma_diag, start = mixed_ray_batch(seed)
+            counting.rows.clear()
+            plain_counting.rows.clear()
+            got = R.newton_ray_solve(model, lin, center, sigma_diag, iters=10, start=start)
+            ref = newton_ray_solve_plain(model, lin, center, sigma_diag, iters=10, start=start)
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+            # One entry may differ by more: a ray whose plain loop takes one
+            # more step at its rounding floor (seed 29 has one, ~5e-13).
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert sum(counting.rows) <= sum(plain_counting.rows)
+            saved += sum(plain_counting.rows) - sum(counting.rows)
+        assert saved > 0
 
     def test_stopped_ray_is_frozen(self):
         model, lin, center, sigma_diag, start = mixed_ray_batch(10)
