@@ -53,7 +53,7 @@ __all__ = [
     "save_pgm",
 ]
 
-DEFAULT_NEWTON_ITERS = 10
+DEFAULT_NEWTON_ITERS = 20
 NEWTON_STEP_TOL = 1e-10
 NEWTON_PREDICT_TOL = 2.2e-16
 NEWTON_PREDICT_FROM = 1e-8

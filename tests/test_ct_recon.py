@@ -325,6 +325,37 @@ class TestAdaptiveNewton:
                 assert sum(counting.rows) <= 4 * active.rows
 
 
+    @pytest.mark.parametrize("sigma", [1.0, 10.0, 100.0])
+    def test_first_solve_meets_prox_contract_at_paper_geometry(self, sigma):
+        # The y step of t=1 starts every ray from y=0, the farthest start of a run.
+        geom = F.CtGeometry()
+        model = F.build_spectral_model()
+        projector = F.build_projector(geom)
+        counts = F.forward_counts(model, projector, F.default_phantom(geom), seed=20240801)
+        mask = R.active_ray_mask(projector)
+        active = projector.select_rows(mask)
+        problem, pre, _ = R.build_ct_problem(model, active, counts[:, mask], sigma)
+        solves = []
+        prox = problem.g.prox_step
+
+        def recording_prox(lin, D, center):
+            solves.append((lin, center, prox(lin, D, center)))
+            return solves[-1][-1]
+
+        problem.g.prox_step = recording_prox
+        engine.admm_step(
+            problem,
+            engine.AdmmState.initial(
+                np.zeros(problem.dim_x), np.zeros(problem.dim_y), np.zeros(problem.dim_u)
+            ),
+            record_time=False,
+        )
+        lin, center, v = (a.reshape(active.rows, model.n_materials) for a in solves[0])
+        grad = subproblem_gradient(model, lin, center, pre.sigma_tilde.diag, v)
+        # CompositeObjective.prox_step: first-order residual <= 1e-8 on every ray.
+        assert np.abs(grad).max() <= 1e-8
+
+
 def loss_and_newton_inputs(small_ct, seed=4):
     """small_ct's loss evaluator and a y step at a random y with its Newton inputs."""
     _, model, _, active, counts = small_ct
