@@ -72,6 +72,11 @@ class CtGeometry:
         span = self.detector_span
         if span is not None and not 0.0 < span < math.inf:
             raise ValueError(f"detector_span must be positive and finite, got {span}")
+        if not any(_view_chords(self, a)[-1].any() for a in range(self.n_angles)):
+            raise ValueError(
+                f"no ray crosses the grid: all n_detectors = {self.n_detectors} rays of "
+                f"every view, spread over detector_span = {self.span}, miss it"
+            )
 
     @property
     def n_pixels(self) -> int:
@@ -102,6 +107,41 @@ class CtGeometry:
         return gx.ravel(), gy.ravel()
 
 
+def _view_chords(geom: CtGeometry, a: int):
+    """The parallel rays of view `a`, one per detector.
+
+    Returns the direction, the origins (one array per axis), the entry and
+    exit parameters t_lo, t_hi, the parameters of each ray's crossings of
+    the interior gridlines (one array per axis the rays are not parallel
+    to), and which rays cross the grid (t_hi > t_lo, or, along an axis the
+    rays are parallel to, an origin within the grid's extent).
+    """
+    half_w, half_h, p = geom.width / 2, geom.height / 2, geom.pixel_size
+    span, n_det = geom.span, geom.n_detectors
+    s = (np.arange(n_det) + 0.5) * span / n_det - span / 2
+    bounds = ((-half_w, half_w), (-half_h, half_h))
+    gridlines = (
+        -half_w + np.arange(1, geom.grid_nx) * p,
+        -half_h + np.arange(1, geom.grid_ny) * p,
+    )
+    theta = math.pi * a / geom.n_angles
+    direction = (math.cos(theta), math.sin(theta))
+    origin = (s * -math.sin(theta), s * math.cos(theta))
+    hit = np.ones(n_det, dtype=bool)
+    t_lo, t_hi = np.full(n_det, -np.inf), np.full(n_det, np.inf)
+    lines = []
+    for o, d, (lo, hi), grid in zip(origin, direction, bounds, gridlines):
+        if d == 0.0:
+            hit &= (lo <= o) & (o <= hi)
+        else:
+            t0, t1 = (lo - o) / d, (hi - o) / d
+            np.maximum(t_lo, np.minimum(t0, t1), out=t_lo)
+            np.minimum(t_hi, np.maximum(t0, t1), out=t_hi)
+            lines.append((grid - o[:, None]) / d)
+    hit &= t_hi > t_lo
+    return direction, origin, t_lo, t_hi, lines, hit
+
+
 def build_projector(geom: CtGeometry) -> SparseMatrix:
     """Ray/pixel intersection-length matrix, (n_rays x n_pixels), in cm.
 
@@ -123,27 +163,10 @@ def build_projector(geom: CtGeometry) -> SparseMatrix:
     """
     nx, ny, p = geom.grid_nx, geom.grid_ny, geom.pixel_size
     half_w, half_h = geom.width / 2, geom.height / 2
-    span, n_det = geom.span, geom.n_detectors
-    s = (np.arange(n_det) + 0.5) * span / n_det - span / 2
-    bounds = ((-half_w, half_w), (-half_h, half_h))
-    gridlines = (-half_w + np.arange(1, nx) * p, -half_h + np.arange(1, ny) * p)
+    n_det = geom.n_detectors
     keys, lengths = [], []
     for a in range(geom.n_angles):
-        theta = math.pi * a / geom.n_angles
-        direction = (math.cos(theta), math.sin(theta))
-        origin = (s * -math.sin(theta), s * math.cos(theta))
-        hit = np.ones(n_det, dtype=bool)
-        t_lo, t_hi = np.full(n_det, -np.inf), np.full(n_det, np.inf)
-        lines = []
-        for o, d, (lo, hi), grid in zip(origin, direction, bounds, gridlines):
-            if d == 0.0:
-                hit &= (lo <= o) & (o <= hi)
-            else:
-                t0, t1 = (lo - o) / d, (hi - o) / d
-                np.maximum(t_lo, np.minimum(t0, t1), out=t_lo)
-                np.minimum(t_hi, np.maximum(t0, t1), out=t_hi)
-                lines.append((grid - o[:, None]) / d)
-        hit &= t_hi > t_lo
+        direction, origin, t_lo, t_hi, lines, hit = _view_chords(geom, a)
         ts = np.concatenate([t_lo[:, None], t_hi[:, None], *lines], axis=1)
         inner = ts[:, 2:]
         outside = ~((inner > t_lo[:, None]) & (inner < t_hi[:, None]))

@@ -377,6 +377,8 @@ def run_ct_experiment(
     projector = build_projector(geom)
     counts_full = forward_counts(model, projector, phantom, seed)
     mask = active_ray_mask(projector)
+    if not mask.any():
+        raise ValueError("no ray crosses the grid")
     active = projector.select_rows(mask)
     counts = counts_full[:, mask]
     y_star = active.matmat(phantom)

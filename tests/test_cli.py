@@ -83,6 +83,13 @@ BAD_CONFIGS = {
     "detector_span_negative": (
         "[experiment]\nkind = ct\n[ct]\ndetector_span_cm = -2\n", ".ini", [], "detector_span_cm"
     ),
+    "no_ray_crosses_grid": (
+        "[experiment]\nkind = ct\n[ct]\ngrid_nx = 5\ngrid_ny = 5\nn_detectors = 4\n"
+        "detector_span_cm = 1e160\n",
+        ".ini",
+        [],
+        "[ct] no ray crosses the grid",
+    ),
     "sigma_list_not_float": (
         "[experiment]\nsigma_list = a,b\n", ".ini", [], "[experiment] sigma_list"
     ),

@@ -157,6 +157,13 @@ class TestProjector:
         with pytest.raises(ValueError, match="detector_span"):
             F.CtGeometry(detector_span=span)
 
+    def test_geometry_whose_rays_all_miss_rejected(self):
+        with pytest.raises(ValueError, match="no ray crosses the grid"):
+            F.CtGeometry(grid_nx=5, grid_ny=5, n_detectors=4, detector_span=1e160)
+        # the outer rays of each view miss, the inner ones cross
+        geom = F.CtGeometry(grid_nx=5, grid_ny=5, pixel_size=0.4, n_detectors=4, detector_span=4.0)
+        assert 0 < (F.build_projector(geom).row_sums() > 0).sum() < geom.n_rays
+
     def test_adjoint_identity(self, tiny_setup):
         _, projector, _, _ = tiny_setup
         rng = np.random.default_rng(1)

@@ -587,6 +587,17 @@ class TestExperimentRunner:
             b2 = (out2 / R.trace_filename(sigma)).read_bytes()
             assert b1 == b2
 
+    def test_no_active_ray_is_named(self, monkeypatch):
+        # CtGeometry rejects a geometry whose rays all miss the grid; a ray that
+        # only grazes the grid's far edge gets no length, which this stands for.
+        geom = F.CtGeometry(grid_nx=5, grid_ny=5, pixel_size=0.5, n_angles=6, n_detectors=6)
+        model = F.build_spectral_model(n_energies=20)
+        monkeypatch.setattr(R, "active_ray_mask", lambda p: np.zeros(p.rows, dtype=bool))
+        with pytest.raises(ValueError, match="no ray crosses the grid"):
+            R.run_ct_experiment(
+                geom, model, F.default_phantom(geom), sigma_list=[2.0], iters=2, seed=1
+            )
+
     def test_loss_decreases(self, tmp_path):
         geom = F.CtGeometry(grid_nx=6, grid_ny=6, pixel_size=0.4, n_angles=8, n_detectors=8)
         model = F.build_spectral_model(n_energies=20)
