@@ -77,7 +77,11 @@ def _run_ct(cfg: ExperimentConfig, record_time: bool) -> list[str]:
     )
     with open(os.path.join(cfg.out, "ct_report.json"), "w") as fh:
         json.dump(
-            {"fosp_ratio": summary["fosp_ratio"], "active_rays": summary["active_rays"]},
+            {
+                "fosp_ratio": summary["fosp_ratio"],
+                "active_rays": summary["active_rays"],
+                "sigmas": {f"{s:g}": e["newton"] for s, e in summary["runs"].items()},
+            },
             fh,
             indent=2,
         )

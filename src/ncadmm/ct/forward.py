@@ -510,7 +510,9 @@ class CtLoss:
     (rays x energies) array of its own. It holds on to its last point: the
     slopes d1, d2 of `qexp` there, and the parts formed there with their
     gradient, are handed out again for a y equal to that point, and for no
-    other y.
+    other y. `newton_ray_steps` and `newton_capped` count the work of the
+    Newton solves that used its arrays: rays updated, summed over steps,
+    and rays still moving when the step cap ended a solve.
     """
 
     def __init__(self, model: SpectralModel, counts: np.ndarray):
@@ -532,6 +534,8 @@ class CtLoss:
         self._at = np.empty((n_rays, model.n_materials))
         self._held = False  # d1, d2 hold the slopes at _at
         self._parts = None  # the parts at _at, when formed with the gradient
+        self.newton_ray_steps = 0
+        self.newton_capped = 0
 
     def _holds(self, y) -> bool:
         return self._held and np.array_equal(y, self._at)

@@ -167,10 +167,10 @@ def newton_ray_solve(
     step, which would then move v_l by less than an ulp; the floor on e_k
     keeps a step that is not yet in that phase from being trusted.
 
-    `loss`, the problem's `CtLoss`, lends its (rays x energies) work arrays;
-    when its last evaluation was at the start point, the first step takes
-    the slopes from it instead of forming them again. Without it the solve
-    uses a fresh evaluator's arrays.
+    `loss`, the problem's `CtLoss`, lends its (rays x energies) work arrays
+    and counts the ray-steps and capped rays; when its last evaluation was
+    at the start point, the first step takes the slopes from it instead of
+    forming them again. Without it the solve uses a fresh evaluator's arrays.
     """
     n_rays = center.shape[0]
     if loss is None:
@@ -185,6 +185,7 @@ def newton_ray_solve(
     t_buf, d1_buf, d2_buf = loss.work_arrays()
     for _ in range(iters):
         n_a = rows.size
+        loss.newton_ray_steps += n_a
         if held is None:
             t = np.matmul(v_a, neg_mu, out=t_buf[:n_a])
             d1, d2 = qexp_slopes(t, out=(d1_buf[:n_a], d2_buf[:n_a]))
@@ -212,6 +213,8 @@ def newton_ray_solve(
                 a[moving] for a in (v_a, lin_a, center_a, sigma_a, e)
             )
         e_prev = e
+    else:
+        loss.newton_capped += rows.size
     return v
 
 
@@ -325,12 +328,15 @@ def run_ct_reconstruction(
     y_star: np.ndarray | None = None,
     newton_iters: int = DEFAULT_NEWTON_ITERS,
     record_time: bool = True,
-) -> tuple[RunResult, CtPreconditioners]:
+) -> tuple[RunResult, dict]:
     """Run the full loop at one sigma; records alpha_t when y_star is given.
 
     The alpha hook evaluates the loss gradient at y_{t+1} with the problem's
     `CtLoss`, which hands the parts found there to the next step's grad_d
-    and the slopes to its Newton solve, both at that same y_{t+1}.
+    and the slopes to its Newton solve, both at that same y_{t+1}. Returns
+    the run and its Newton work: `newton_ray_steps` (rays updated, summed
+    over Newton steps and iterations) and `newton_capped` (rays still
+    moving when the cap ended a solve).
     """
     problem, pre, loss = build_ct_problem(model, projector, counts, sigma, newton_iters)
     shape = (projector.rows, model.n_materials)
@@ -347,7 +353,7 @@ def run_ct_reconstruction(
     result = engine_run(
         problem, iters=iters, alpha_hook=alpha_hook, record_time=record_time
     )
-    return result, pre
+    return result, {"newton_ray_steps": loss.newton_ray_steps, "newton_capped": loss.newton_capped}
 
 
 def trace_filename(sigma: float) -> str:
@@ -387,7 +393,7 @@ def run_ct_experiment(
     runs = {}
     for sigma in sigma_list:
         sigma = float(sigma)
-        result, _ = run_ct_reconstruction(
+        result, newton = run_ct_reconstruction(
             model,
             active,
             counts,
@@ -398,7 +404,7 @@ def run_ct_experiment(
             record_time=record_time,
         )
         x_final = result.state.x.reshape(geom.n_pixels, model.n_materials)
-        entry = {"result": result, "image": x_final}
+        entry = {"result": result, "image": x_final, "newton": newton}
         if out_dir is not None:
             path = f"{out_dir}/{trace_filename(sigma)}"
             save_trace(path, result.trace)

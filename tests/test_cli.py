@@ -266,6 +266,10 @@ class TestRunCommand:
             assert (out / f"ct_sigma5_{name}.pgm").exists()
         report = json.loads((out / "ct_report.json").read_text())
         assert report["fosp_ratio"] > 0
+        newton = report["sigmas"]["5"]
+        # every active ray takes at least one Newton step in each of the 4 y steps
+        assert newton["newton_ray_steps"] >= 4 * report["active_rays"]
+        assert 0 <= newton["newton_capped"] <= report["active_rays"]
 
     def test_cli_overrides(self, tmp_path):
         path, out = write_config(tmp_path, QUANTILE_SMALL)

@@ -587,6 +587,21 @@ class TestExperimentRunner:
             b2 = (out2 / R.trace_filename(sigma)).read_bytes()
             assert b1 == b2
 
+    def test_newton_work_counts(self, small_ct):
+        _, model, _, active, counts = small_ct
+        runs = [
+            R.run_ct_reconstruction(
+                model, active, counts, sigma=10.0, iters=6, newton_iters=cap, record_time=False
+            )[1]
+            for cap in (1, 20)
+        ]
+        # With a cap of one step every ray is updated once per y step, and
+        # the rays not yet converged count as capped.
+        assert runs[0]["newton_ray_steps"] == 6 * active.rows
+        assert runs[0]["newton_capped"] > 0
+        assert runs[1]["newton_ray_steps"] > 6 * active.rows
+        assert runs[1]["newton_capped"] == 0
+
     def test_no_active_ray_is_named(self, monkeypatch):
         # CtGeometry rejects a geometry whose rays all miss the grid; a ray that
         # only grazes the grid's far edge gets no length, which this stands for.
