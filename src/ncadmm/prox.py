@@ -19,7 +19,6 @@ __all__ = [
     "logl1_grad",
     "qexp",
     "qexp_slopes",
-    "qexp_value",
     "quantile_prox_update",
 ]
 
@@ -106,7 +105,8 @@ def qexp_slopes(t, out=None):
 
     d2 = exp(min(t, 0)) and d1 = max(t, 0) + d2: 1 + t, 1 for t >= 0 and
     exp(t), exp(t) for t <= 0. Newton on the spliced exponential needs only
-    these two. `out`, a pair of float arrays shaped like t, receives them.
+    these two, and the CT loss forms the value from them as `qexp` does.
+    `out`, a pair of float arrays shaped like t, receives them.
     """
     t = np.asarray(t, dtype=float)
     d1, d2 = (np.empty_like(t), np.empty_like(t)) if out is None else out
@@ -133,22 +133,6 @@ def qexp(t):
     if value.ndim == 0:
         return float(value), float(d1), float(d2)
     return value, d1, d2
-
-
-def qexp_value(t):
-    """The value of `qexp` alone, bit for bit, without keeping its slopes.
-
-    Forms d1 = tp + exp(min(t, 0)) and then d1 + tp * (0.5 * tp) in place,
-    the same operations as `qexp` on one array less.
-    """
-    t = np.asarray(t, dtype=float)
-    tp = np.maximum(t, 0.0)
-    value = np.empty_like(t)
-    np.exp(np.minimum(t, 0.0, out=value), out=value)
-    value += tp
-    tp *= 0.5 * tp
-    value += tp
-    return float(value) if value.ndim == 0 else value
 
 
 def quantile_prox_update(w, anchor, q: float, n: int, sigma: float):

@@ -8,7 +8,7 @@ import pkgutil
 import pytest
 
 import ncadmm
-from ncadmm import cli, config, engine, numerics, quantile
+from ncadmm import cli, config, engine, numerics, prox, quantile
 from ncadmm.ct import forward, recon
 
 # __main__ runs the command line on import
@@ -26,6 +26,7 @@ GONE = [
     (engine.ScaledIdentity, ["dense"]),
     (engine.KronEye, ["dense"]),
     (numerics, ["check_psd", "spmv"]),
+    (prox, ["qexp_value"]),
     (numerics.DiagonalMatrix, ["dense"]),
     (numerics.SparseMatrix, [
         "save", "load", "to_triples", "dense", "from_dense", "identity", "nnz",
