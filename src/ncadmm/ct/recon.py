@@ -5,11 +5,13 @@ likelihood on the projection block, tied by y = Px. Step sizes follow the
 diagonal-preconditioner construction: Q_f over pixels from projector column
 sums, and a per-ray penalty sigma / row sum. The y step solves one small
 strictly-convex problem per ray by Newton's method, at most `newton_iters`
-steps per ray, and stops each ray once its step has converged. A Newton step
-folds the beam into the attenuation rows, keeps the per-ray gradient and
-Hessian entries as vectors over rays, and solves the shifted 3x3 (in general
-n_m x n_m) systems by a Cholesky factorization vectorized over rays
-(`spd_solve`).
+steps per ray, and stops each ray once its step has converged or its next
+step is predicted below an ulp. Its (rays x energies) work arrays belong to
+the problem's loss evaluator (`forward.CtLoss`), whose slopes at y_t serve
+the first step. A Newton step folds the beam into the attenuation rows,
+keeps the per-ray gradient and Hessian entries as vectors over rays, and
+solves the shifted 3x3 (in general n_m x n_m) systems by a Cholesky
+factorization vectorized over rays (`spd_solve`).
 
 x, y, u are matrices here: (n_pixels, n_materials) for x and
 (n_rays, n_materials) for y and u.
