@@ -21,8 +21,8 @@ import numpy as np
 
 from ..numerics import SparseMatrix
 # qexp stays importable from here because the benchmark's tracer patches
-# forward.qexp by name; the loss forms its value from qexp_slopes.
-from ..prox import qexp, qexp_slopes
+# forward.qexp by name; the loss forms the same values in its work arrays.
+from ..prox import qexp
 
 __all__ = [
     "CtGeometry",
@@ -565,11 +565,13 @@ class CtLoss:
             return self._parts
         model = self.model
         t = np.matmul(y, self.neg_mu, out=self.t)
-        d1, _ = qexp_slopes(t, out=(self.d1, self.d2))
+        # qexp_slopes and then qexp's value d1 + tp * (0.5 tp), with
+        # tp = max(t, 0) formed once; t is not needed after.
+        val = np.maximum(t, 0.0, out=self.w)
+        d2 = np.exp(np.minimum(t, 0.0, out=self.d2), out=self.d2)
+        d1 = np.add(val, d2, out=self.d1)
         np.copyto(self._at, y)
         self._held, self._parts = True, None
-        # qexp's value d1 + tp * (0.5 tp), tp = max(t, 0); t is not needed after.
-        val = np.maximum(t, 0.0, out=self.w)
         val *= np.multiply(val, 0.5, out=t)
         val += d1
         sb = model.response                              # (n_w, n_i)

@@ -105,8 +105,7 @@ def qexp_slopes(t, out=None):
 
     d2 = exp(min(t, 0)) and d1 = max(t, 0) + d2: 1 + t, 1 for t >= 0 and
     exp(t), exp(t) for t <= 0. Newton on the spliced exponential needs only
-    these two, and the CT loss forms the value from them as `qexp` does.
-    `out`, a pair of float arrays shaped like t, receives them.
+    these two. `out`, a pair of float arrays shaped like t, receives them.
     """
     t = np.asarray(t, dtype=float)
     d1, d2 = (np.empty_like(t), np.empty_like(t)) if out is None else out
