@@ -72,7 +72,6 @@ def _run_ct(cfg: ExperimentConfig, record_time: bool) -> list[str]:
         iters=cfg.iters,
         seed=cfg.seed,
         out_dir=cfg.out,
-        newton_iters=cfg.problem["newton_iters"],
         record_time=record_time,
     )
     with open(os.path.join(cfg.out, "ct_report.json"), "w") as fh:

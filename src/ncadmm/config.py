@@ -6,8 +6,8 @@ previous run parses to the same structure, which is how runs are reproduced.
 
 The section named after the kind only maps its keys onto library parameters:
 `[quantile]` fills `QuantileProblemSpec`, `[ct]` fills `CtGeometry`,
-`build_spectral_model`, `check_newton_iters` and `make_phantom`. Types,
-defaults and range checks are the library's.
+`build_spectral_model` and `make_phantom`. Types, defaults and range checks
+are the library's.
 """
 
 from __future__ import annotations
@@ -48,9 +48,17 @@ KEYS = {
     "ct": (
         "grid_nx", "grid_ny", "pixel_size_cm", "n_angles", "n_detectors", "detector_span_cm",
         "materials", "energy_min_kev", "energy_max_kev", "n_energies", "n_windows",
-        "window_thresholds_kev", "window_blur_kev", "beam_photons", "newton_iters",
-        "attenuation_file", "spectrum_file", "phantom",
+        "window_thresholds_kev", "window_blur_kev", "beam_photons", "attenuation_file",
+        "spectrum_file", "phantom",
     ),
+}
+
+# (section, key): value of settings that are constants now (sweeps run in one
+# process; the Newton cap is fixed). The keys stay readable, at that value
+# only, so that manifests written with them still reproduce.
+RETIRED = {
+    ("experiment", "workers"): 1,
+    ("ct", "newton_iters"): R.DEFAULT_NEWTON_ITERS,
 }
 
 # Config spellings of library parameter names. `lambda` and `R` are also
@@ -72,7 +80,7 @@ ALIASES = {
 # calls all of them but make_phantom: only `run` reads the phantom file.
 _TARGETS = {
     "quantile": (QuantileProblemSpec,),
-    "ct": (F.CtGeometry, F.build_spectral_model, R.check_newton_iters, F.make_phantom),
+    "ct": (F.CtGeometry, F.build_spectral_model, F.make_phantom),
 }
 
 _KIND_DEFAULTS = {
@@ -163,16 +171,15 @@ def config_from_sections(sections: dict, overrides: dict | None = None) -> Exper
     for name, body in sections.items():
         if not isinstance(body, dict):
             raise ConfigError(f"section [{name}] must map keys to values")
-    sections = dict(sections)
+    sections = {name: dict(body) for name, body in sections.items()}
+    for (section, key), value in RETIRED.items():
+        raw = sections.get(section, {}).pop(key, value)
+        if _convert(f"[{section}] {key}", raw, int) != value:
+            raise ConfigError(f"[{section}] {key} must be {value}, got {raw!r}")
     exp_raw = {**sections.pop("experiment", {}), **(overrides or {})}
     kind = _convert("[experiment] kind", exp_raw.pop("kind", "quantile"), str)
     if kind not in KEYS:
         raise ConfigError(f"[experiment] kind must be one of {sorted(KEYS)}, got {kind!r}")
-    # Sweeps run in one process; the key stays readable so that manifests
-    # written with it still reproduce.
-    workers = exp_raw.pop("workers", 1)
-    if _convert("[experiment] workers", workers, int) != 1:
-        raise ConfigError(f"[experiment] workers must be 1, got {workers!r}")
 
     hints, defaults = {}, {}
     for target in _TARGETS[kind]:

@@ -4,14 +4,15 @@ The splitting puts nothing on the image block (f = 0) and the whole
 likelihood on the projection block, tied by y = Px. Step sizes follow the
 diagonal-preconditioner construction: Q_f over pixels from projector column
 sums, and a per-ray penalty sigma / row sum. The y step solves one small
-strictly-convex problem per ray by Newton's method, at most `newton_iters`
-steps per ray, and stops each ray once its step has converged or its next
-step is predicted below an ulp. Its (rays x energies) work arrays belong to
-the problem's loss evaluator (`forward.CtLoss`), whose slopes at y_t serve
-the first step. A Newton step folds the beam into the attenuation rows,
-keeps the per-ray gradient and Hessian entries as vectors over rays, and
-solves the shifted 3x3 (in general n_m x n_m) systems by a Cholesky
-factorization vectorized over rays (`spd_solve`).
+strictly-convex problem per ray by Newton's method, at most
+`DEFAULT_NEWTON_ITERS` (20) steps per ray, and stops each ray once its step
+has converged or its next step is predicted below an ulp. Its (rays x
+energies) work arrays belong to the problem's loss evaluator
+(`forward.CtLoss`), whose slopes at y_t serve the first step. A Newton step
+folds the beam into the attenuation rows, keeps the per-ray gradient and
+Hessian entries as vectors over rays, and solves the shifted 3x3 (in
+general n_m x n_m) systems by a Cholesky factorization vectorized over rays
+(`spd_solve`).
 
 x, y, u are matrices here: (n_pixels, n_materials) for x and
 (n_rays, n_materials) for y and u.
@@ -38,14 +39,12 @@ from ..prox import qexp, qexp_slopes
 from .forward import CtLoss, SpectralModel, ct_loss_parts
 
 __all__ = [
-    "CtPreconditioners",
     "alpha_ratio",
     "run_ct_experiment",
     "trace_filename",
     "active_ray_mask",
     "build_preconditioners",
     "spd_solve",
-    "check_newton_iters",
     "newton_ray_solve",
     "alpha_t_diagnostic",
     "fosp_ratio",
@@ -61,28 +60,14 @@ NEWTON_PREDICT_TOL = 2.2e-16
 NEWTON_PREDICT_FROM = 1e-8
 
 
-def check_newton_iters(newton_iters: int = DEFAULT_NEWTON_ITERS) -> int:
-    """`newton_iters`, the cap on Newton steps per ray and y step, once checked."""
-    if newton_iters < 1:
-        raise ValueError("newton_iters must be positive")
-    return newton_iters
-
-
-class CtPreconditioners:
-    """Diagonal step-size data: Q_f over pixels and the per-ray penalty."""
-
-    def __init__(self, q_f: DiagonalMatrix, sigma_tilde: DiagonalMatrix):
-        self.q_f = q_f
-        self.sigma_tilde = sigma_tilde
-
-
 def active_ray_mask(projector: SparseMatrix) -> np.ndarray:
     """Rays that actually cross the grid; the rest carry no image information."""
     return projector.row_sums() > 0
 
 
-def build_preconditioners(projector: SparseMatrix, sigma: float) -> CtPreconditioners:
-    """Q_f from column sums and sigma_tilde from row sums of the projector.
+def build_preconditioners(projector: SparseMatrix, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonals (q_f, sigma_tilde): Q_f over pixels from the column sums
+    and the per-ray penalty sigma_tilde from the row sums of the projector.
 
     The projector must already be restricted to active rays (positive row
     sums); every pixel must be crossed by at least one ray.
@@ -95,10 +80,7 @@ def build_preconditioners(projector: SparseMatrix, sigma: float) -> CtPreconditi
         raise ValueError("projector has rays that miss the grid; drop them first")
     if col.size and col.min() <= 0:
         raise ValueError("projector leaves some pixels unobserved")
-    return CtPreconditioners(
-        q_f=DiagonalMatrix(sigma * col),
-        sigma_tilde=DiagonalMatrix(sigma / row),
-    )
+    return sigma * col, sigma / row
 
 
 def spd_solve(lower: np.ndarray, shift: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -241,7 +223,7 @@ def alpha_ratio(
 
 
 def alpha_t_diagnostic(
-    sigma_tilde: DiagonalMatrix,
+    weights: np.ndarray,
     proj_x: np.ndarray,
     y: np.ndarray,
     y_star: np.ndarray,
@@ -250,9 +232,10 @@ def alpha_t_diagnostic(
 ) -> float | None:
     """Empirical curvature ratio along the trajectory, for the CT loss.
 
+    `weights` holds the penalty Sigma entry by entry, shaped like y;
     `grad_star` and `grad_y` are the loss gradients at y_star and y.
     """
-    penalty = 0.5 * float((sigma_tilde.diag[:, None] * (proj_x - y) ** 2).sum())
+    penalty = 0.5 * float((weights * (proj_x - y) ** 2).sum())
     return alpha_ratio(y, y_star, grad_y, grad_star, penalty)
 
 
@@ -275,29 +258,24 @@ def build_ct_problem(
     projector: SparseMatrix,
     counts: np.ndarray,
     sigma: float,
-    newton_iters: int = DEFAULT_NEWTON_ITERS,
-) -> tuple[AdmmProblem, CtPreconditioners, CtLoss]:
+) -> tuple[AdmmProblem, CtLoss]:
     """Wire the CT problem into the generic engine on flattened variables.
 
     D_f = Q_f kron I is diagonal, so the (empty) image-block objective uses
     the exact quadratic prox; the projection block prox reshapes and runs the
-    batched Newton solver. One `CtLoss`, returned last, serves the gradient
-    of g_d, the objective and Newton's work arrays.
+    batched Newton solver. The problem holds the step sizes: Sigma = D_g =
+    sigma_tilde kron I and D_f = Q_f kron I. One `CtLoss`, returned with it,
+    serves the gradient of g_d, the objective and Newton's work arrays.
     """
     n_m = model.n_materials
     n_rays = projector.rows
-    newton_iters = check_newton_iters(newton_iters)
-    pre = build_preconditioners(projector, sigma)
+    q_f, sigma_tilde = build_preconditioners(projector, sigma)
+    penalty = DiagonalMatrix(np.repeat(sigma_tilde, n_m))
     loss = CtLoss(model, counts)
 
     def prox_y(lin, D, center):
         v = newton_ray_solve(
-            model,
-            lin.reshape(n_rays, n_m),
-            center.reshape(n_rays, n_m),
-            pre.sigma_tilde.diag,
-            newton_iters,
-            loss=loss,
+            model, lin.reshape(n_rays, n_m), center.reshape(n_rays, n_m), sigma_tilde, loss=loss
         )
         return v.ravel()
 
@@ -311,14 +289,14 @@ def build_ct_problem(
         A=KronEye(projector, n_m),
         B=ScaledIdentity(n_rays * n_m, -1.0),
         c=np.zeros(n_rays * n_m),
-        sigma=DiagonalMatrix(np.repeat(pre.sigma_tilde.diag, n_m)),
+        sigma=penalty,
         f=CompositeObjective(prox_step=quadratic_prox),
         g=CompositeObjective(prox_step=prox_y, grad_d=grad_d),
-        D_f=DiagonalMatrix(np.repeat(pre.q_f.diag, n_m)),
-        D_g=DiagonalMatrix(np.repeat(pre.sigma_tilde.diag, n_m)),
+        D_f=DiagonalMatrix(np.repeat(q_f, n_m)),
+        D_g=penalty,
         objective=objective,
     )
-    return problem, pre, loss
+    return problem, loss
 
 
 def run_ct_reconstruction(
@@ -328,7 +306,6 @@ def run_ct_reconstruction(
     sigma: float,
     iters: int,
     y_star: np.ndarray | None = None,
-    newton_iters: int = DEFAULT_NEWTON_ITERS,
     record_time: bool = True,
 ) -> tuple[RunResult, dict]:
     """Run the full loop at one sigma; records alpha_t when y_star is given.
@@ -340,16 +317,17 @@ def run_ct_reconstruction(
     over Newton steps and iterations) and `newton_capped` (rays still
     moving when the cap ended a solve).
     """
-    problem, pre, loss = build_ct_problem(model, projector, counts, sigma, newton_iters)
+    problem, loss = build_ct_problem(model, projector, counts, sigma)
     shape = (projector.rows, model.n_materials)
     alpha_hook = None
     if y_star is not None:
         grad_star = loss.parts(y_star).grad
+        weights = problem.sigma.diag.reshape(shape)
 
         def alpha_hook(t, x_flat, y_flat, u_flat, proj_flat):
             y = y_flat.reshape(shape)
             return alpha_t_diagnostic(
-                pre.sigma_tilde, proj_flat.reshape(shape), y, y_star, grad_star, loss.parts(y).grad
+                weights, proj_flat.reshape(shape), y, y_star, grad_star, loss.parts(y).grad
             )
 
     result = engine_run(
@@ -370,7 +348,6 @@ def run_ct_experiment(
     iters: int,
     seed: int,
     out_dir=None,
-    newton_iters: int = DEFAULT_NEWTON_ITERS,
     record_time: bool = True,
 ) -> dict:
     """Full simulation + sigma sweep: sample counts once, reconstruct per sigma.
@@ -402,7 +379,6 @@ def run_ct_experiment(
             sigma=sigma,
             iters=iters,
             y_star=y_star,
-            newton_iters=newton_iters,
             record_time=record_time,
         )
         x_final = result.state.x.reshape(geom.n_pixels, model.n_materials)

@@ -400,12 +400,15 @@ def ct_hessian_blocks(model, y):
 def stepsize_matrix_factor(projector, pre):
     """Dense pixel-space factor Q_f - P' sigma_tilde P of the x step-size matrix.
 
-    The actual step-size matrix is this factor Kronecker the identity over
-    materials, so PSD of the factor is PSD of the whole matrix.
+    `pre` is the (q_f, sigma_tilde) pair of `build_preconditioners`, as in
+    the CT updates below. The actual step-size matrix is this factor
+    Kronecker the identity over materials, so PSD of the factor is PSD of
+    the whole matrix.
     """
+    q_f, sigma_tilde = pre
     p = dense(projector)
-    gram = p.T @ (pre.sigma_tilde.diag[:, None] * p)
-    return np.diag(pre.q_f.diag) - gram
+    gram = p.T @ (sigma_tilde[:, None] * p)
+    return np.diag(q_f) - gram
 
 
 def newton_ray_solve_fixed(model, lin, center, sigma_diag, iters=R.DEFAULT_NEWTON_ITERS,
@@ -470,20 +473,23 @@ def ray_subproblem_objective(model, lin, center, sigma_diag, v):
 
 def ct_x_update(projector, pre, x, y, u):
     """x + Q_f^{-1} P' (sigma_tilde (y - Px) - u), columnwise per material."""
-    resid = pre.sigma_tilde.diag[:, None] * (y - projector.matmat(x)) - u
-    return x + projector.rmatmat(resid) / pre.q_f.diag[:, None]
+    q_f, sigma_tilde = pre
+    resid = sigma_tilde[:, None] * (y - projector.matmat(x)) - u
+    return x + projector.rmatmat(resid) / q_f[:, None]
 
 
 def ct_y_update(model, counts, pre, proj_x_next, y, u, newton_iters=R.DEFAULT_NEWTON_ITERS):
     """Per-ray Newton step block: the concave part enters via its gradient at y_t."""
+    _, sigma_tilde = pre
     grad_d = ct_loss_parts(model, y, counts).grad_d
-    lin = grad_d - u - pre.sigma_tilde.diag[:, None] * (proj_x_next - y)
-    return R.newton_ray_solve(model, lin, y, pre.sigma_tilde.diag, newton_iters)
+    lin = grad_d - u - sigma_tilde[:, None] * (proj_x_next - y)
+    return R.newton_ray_solve(model, lin, y, sigma_tilde, newton_iters)
 
 
 def ct_u_update(pre, proj_x_next, y_next, u):
     """u + sigma_tilde (P x_{t+1} - y_{t+1})."""
-    return u + pre.sigma_tilde.diag[:, None] * (proj_x_next - y_next)
+    _, sigma_tilde = pre
+    return u + sigma_tilde[:, None] * (proj_x_next - y_next)
 
 
 def run_ct_specialized(model, projector, counts, sigma, iters,

@@ -406,12 +406,12 @@ def test_criterion_5_dual_identity_full_runs():
     mask = R.active_ray_mask(projector)
     active = projector.select_rows(mask)
     counts = counts[:, mask]
-    pre = R.build_preconditioners(active, sigma=3.0)
+    _, sigma_tilde = R.build_preconditioners(active, sigma=3.0)
     iterates = run_ct_specialized(model, active, counts, sigma=3.0, iters=50)
     u_prev = np.zeros((active.rows, model.n_materials))
     exact_ct = True
     for x, y, u in iterates:
-        expected = u_prev + pre.sigma_tilde.diag[:, None] * (active.matmat(x) - y)
+        expected = u_prev + sigma_tilde[:, None] * (active.matmat(x) - y)
         exact_ct &= bool(np.array_equal(u, expected))
         u_prev = u
     ok &= report("5: dual-update identity exact over a 50-iter CT run", exact_ct)

@@ -220,7 +220,6 @@ class TestConfigParsing:
                 "window_thresholds_kev": model["window_thresholds"],
                 "window_blur_kev": model["window_blur_kev"],
                 "beam_photons": model["total_photons"],
-                "newton_iters": R.DEFAULT_NEWTON_ITERS,
                 "attenuation_file": model["attenuation_path"],
                 "spectrum_file": model["spectrum_path"],
                 "phantom": inspect.signature(F.make_phantom).parameters["phantom"].default,
@@ -299,25 +298,40 @@ class TestRunCommand:
         path, _ = write_config(tmp_path, QUANTILE_SMALL)
         assert cli.main(["run", "--config", str(path), "--experiment", "ct"]) == 2
 
-    def test_workers_key_read_and_only_one_accepted(self, tmp_path, capsys):
-        # Manifests written with a `workers` entry still reproduce; sweeps run
-        # in one process, so any other value is a config error.
-        path, out = write_config(tmp_path, QUANTILE_SMALL)
+    @pytest.mark.parametrize(
+        "template, section, key, kept, other",
+        [
+            (QUANTILE_SMALL, "experiment", "workers", 1, 2),
+            (CT_SMALL, "ct", "newton_iters", R.DEFAULT_NEWTON_ITERS, 10),
+        ],
+        ids=["workers", "newton_iters"],
+    )
+    def test_retired_key_read_and_only_its_value_accepted(
+        self, tmp_path, capsys, template, section, key, kept, other
+    ):
+        # Manifests written with a retired key still reproduce byte for byte;
+        # every run used one value, so any other is a config error.
+        path, out = write_config(tmp_path, template)
         assert cli.main(["run", "--config", str(path)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        for value, code in ((1, 0), ("1", 0), (2, 2), (0, 2)):
-            manifest["config"]["experiment"]["workers"] = value
+        assert key not in manifest["config"][section]
+        for value, code in ((kept, 0), (str(kept), 0), (other, 2), (0, 2)):
+            manifest["config"][section][key] = value
             old = tmp_path / f"old_{value!r}.json"
             old.write_text(json.dumps(manifest))
             rerun = tmp_path / f"rerun_{value!r}"
             assert cli.main(["run", "--config", str(old), "--out", str(rerun)]) == code
-        assert "workers must be 1, got 0" in capsys.readouterr().err
-        for trace in out.glob("quantile_sigma*.csv"):
-            assert (tmp_path / "rerun_1" / trace.name).read_bytes() == trace.read_bytes()
-        ini = tmp_path / "workers.ini"
-        ini.write_text(path.read_text().replace("out =", "workers = 2\nout ="))
+        assert f"[{section}] {key} must be {kept}, got 0" in capsys.readouterr().err
+        outputs = [p for p in out.iterdir() if p.name != "manifest.json"]
+        assert len(outputs) > 1
+        for file in outputs:
+            for rerun in (f"rerun_{kept!r}", f"rerun_{str(kept)!r}"):
+                assert (tmp_path / rerun / file.name).read_bytes() == file.read_bytes()
+        ini = tmp_path / "retired.ini"
+        header = f"[{section}]\n"
+        ini.write_text(path.read_text().replace(header, f"{header}{key} = {other}\n"))
         assert cli.main(["run", "--config", str(ini)]) == 2
-        assert "workers must be 1, got '2'" in capsys.readouterr().err
+        assert f"{key} must be {kept}, got '{other}'" in capsys.readouterr().err
 
     def test_numerical_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         def explode(cfg, record_time):

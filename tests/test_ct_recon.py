@@ -56,21 +56,15 @@ def small_ct():
 class TestPreconditioners:
     def test_values(self, small_ct):
         _, _, _, active, _ = small_ct
-        pre = R.build_preconditioners(active, sigma=2.0)
-        assert np.allclose(pre.q_f.diag, 2.0 * active.col_sums())
-        assert np.allclose(pre.sigma_tilde.diag, 2.0 / active.row_sums())
+        q_f, sigma_tilde = R.build_preconditioners(active, sigma=2.0)
+        assert np.allclose(q_f, 2.0 * active.col_sums())
+        assert np.allclose(sigma_tilde, 2.0 / active.row_sums())
 
     def test_zero_row_rejected(self, small_ct):
         geom, *_ = small_ct
         full = F.build_projector(geom)  # still has rays that miss the grid
         with pytest.raises(ValueError, match="miss the grid"):
             R.build_preconditioners(full, sigma=1.0)
-
-    def test_newton_cap_must_be_positive(self, small_ct):
-        _, model, _, active, counts = small_ct
-        assert R.check_newton_iters(1) == 1
-        with pytest.raises(ValueError, match="newton_iters must be positive"):
-            R.build_ct_problem(model, active, counts, sigma=1.0, newton_iters=0)
 
     def test_stepsize_factor_psd(self, small_ct):
         _, _, _, active, _ = small_ct
@@ -111,6 +105,7 @@ class TestXUpdate:
         _, model, _, active, _ = small_ct
         n_m = 2
         pre = R.build_preconditioners(active, sigma=2.5)
+        _, sigma_tilde = pre
         rng = np.random.default_rng(8)
         x_t = rng.standard_normal((active.cols, n_m))
         y = rng.standard_normal((active.rows, n_m))
@@ -118,7 +113,7 @@ class TestXUpdate:
         factor = stepsize_matrix_factor(active, pre)  # Q_f - P'SP
         h_f = np.kron(factor, np.eye(n_m))
         a = np.kron(dense(active), np.eye(n_m))
-        s = np.kron(np.diag(pre.sigma_tilde.diag), np.eye(n_m))
+        s = np.kron(np.diag(sigma_tilde), np.eye(n_m))
         lhs = h_f + a.T @ s @ a
         rhs = h_f @ x_t.ravel() + a.T @ s @ y.ravel() - a.T @ u.ravel()
         ref = np.linalg.solve(lhs, rhs).reshape(active.cols, n_m)
@@ -334,7 +329,7 @@ class TestAdaptiveNewton:
         counts = F.forward_counts(model, projector, F.default_phantom(geom), seed=20240801)
         mask = R.active_ray_mask(projector)
         active = projector.select_rows(mask)
-        problem, pre, _ = R.build_ct_problem(model, active, counts[:, mask], sigma)
+        problem, _ = R.build_ct_problem(model, active, counts[:, mask], sigma)
         solves = []
         prox = problem.g.prox_step
 
@@ -351,7 +346,8 @@ class TestAdaptiveNewton:
             record_time=False,
         )
         lin, center, v = (a.reshape(active.rows, model.n_materials) for a in solves[0])
-        grad = subproblem_gradient(model, lin, center, pre.sigma_tilde.diag, v)
+        _, sigma_tilde = R.build_preconditioners(active, sigma)
+        grad = subproblem_gradient(model, lin, center, sigma_tilde, v)
         # CompositeObjective.prox_step: first-order residual <= 1e-8 on every ray.
         assert np.abs(grad).max() <= 1e-8
 
@@ -362,7 +358,7 @@ def loss_and_newton_inputs(small_ct, seed=4):
     rng = np.random.default_rng(seed)
     y = 0.2 * rng.standard_normal((active.rows, model.n_materials))
     lin = rng.standard_normal(y.shape)
-    sigma_diag = R.build_preconditioners(active, sigma=2.0).sigma_tilde.diag
+    _, sigma_diag = R.build_preconditioners(active, sigma=2.0)
     return model, F.CtLoss(model, counts), y, lin, sigma_diag
 
 
@@ -450,17 +446,18 @@ class TestYUpdateAndDual:
 
     def test_dual_identity_over_specialized_run(self, small_ct):
         _, model, phantom, active, counts = small_ct
-        pre = R.build_preconditioners(active, sigma=2.0)
+        _, sigma_tilde = R.build_preconditioners(active, sigma=2.0)
         iterates = run_ct_specialized(model, active, counts, sigma=2.0, iters=8)
         u_prev = np.zeros((active.rows, model.n_materials))
         for x, y, u in iterates:
-            expected = u_prev + pre.sigma_tilde.diag[:, None] * (active.matmat(x) - y)
+            expected = u_prev + sigma_tilde[:, None] * (active.matmat(x) - y)
             assert np.array_equal(u, expected)
             u_prev = u
 
     def test_y_update_first_order_optimality(self, small_ct):
         _, model, phantom, active, counts = small_ct
         pre = R.build_preconditioners(active, sigma=2.0)
+        _, sigma_tilde = pre
         rng = np.random.default_rng(6)
         y = 0.2 * rng.standard_normal((active.rows, model.n_materials))
         x = 0.1 * rng.standard_normal((active.cols, model.n_materials))
@@ -468,8 +465,8 @@ class TestYUpdateAndDual:
         proj = active.matmat(x)
         out = ct_y_update(model, counts, pre, proj, y, u, newton_iters=30)
         grad_d = F.ct_loss_parts(model, y, counts).grad_d
-        lin = grad_d - u - pre.sigma_tilde.diag[:, None] * (proj - y)
-        grad = subproblem_gradient(model, lin, y, pre.sigma_tilde.diag, out)
+        lin = grad_d - u - sigma_tilde[:, None] * (proj - y)
+        grad = subproblem_gradient(model, lin, y, sigma_tilde, out)
         assert np.abs(grad).max() <= 1e-8
 
 
@@ -588,19 +585,18 @@ class TestExperimentRunner:
             assert b1 == b2
 
     def test_newton_work_counts(self, small_ct):
+        # With a cap of one step every ray is updated once, and the rays not
+        # yet converged count as capped.
+        model, loss, y, lin, sigma_diag = loss_and_newton_inputs(small_ct)
+        R.newton_ray_solve(model, lin, y, sigma_diag, iters=1, loss=loss)
+        assert loss.newton_ray_steps == y.shape[0]
+        assert loss.newton_capped > 0
         _, model, _, active, counts = small_ct
-        runs = [
-            R.run_ct_reconstruction(
-                model, active, counts, sigma=10.0, iters=6, newton_iters=cap, record_time=False
-            )[1]
-            for cap in (1, 20)
-        ]
-        # With a cap of one step every ray is updated once per y step, and
-        # the rays not yet converged count as capped.
-        assert runs[0]["newton_ray_steps"] == 6 * active.rows
-        assert runs[0]["newton_capped"] > 0
-        assert runs[1]["newton_ray_steps"] > 6 * active.rows
-        assert runs[1]["newton_capped"] == 0
+        _, newton = R.run_ct_reconstruction(
+            model, active, counts, sigma=10.0, iters=6, record_time=False
+        )
+        assert newton["newton_ray_steps"] > 6 * active.rows
+        assert newton["newton_capped"] == 0
 
     def test_no_active_ray_is_named(self, monkeypatch):
         # CtGeometry rejects a geometry whose rays all miss the grid; a ray that

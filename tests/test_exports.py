@@ -36,7 +36,8 @@ GONE = [
     (forward.SpectralModel, ["scales"]),
     (recon, [
         "ct_x_update", "ct_y_update", "ct_u_update", "run_ct_specialized",
-        "ray_subproblem_objective", "stepsize_matrix_factor",
+        "ray_subproblem_objective", "stepsize_matrix_factor", "check_newton_iters",
+        "CtPreconditioners",
     ]),
     (config, ["CustomConfig", "QuantileConfig", "CtConfig"]),
     (cli, ["_run_custom", "_run_custom_sigma", "_quantile_spec", "_ct_pieces"]),
@@ -73,7 +74,8 @@ def test_trimmed_parameters_are_gone():
     assert list(inspect.signature(numerics.DiagonalMatrix).parameters) == ["diagonal"]
     assert list(inspect.signature(numerics.DiagonalMatrix.is_positive).parameters) == ["self"]
     assert list(inspect.signature(quantile.quantile_gamma).parameters) == ["phi"]
-    assert "sigma" not in inspect.signature(recon.CtPreconditioners).parameters
+    for fn in (recon.build_ct_problem, recon.run_ct_reconstruction, recon.run_ct_experiment):
+        assert "newton_iters" not in inspect.signature(fn).parameters, fn.__name__
     assert list(inspect.signature(forward.build_spectral_model).parameters)[-1] == "spectrum_path"
     alpha = inspect.signature(recon.alpha_t_diagnostic).parameters
     assert "model" not in alpha and "counts" not in alpha
