@@ -112,8 +112,19 @@ class ExperimentConfig:
                 f"[experiment] sigma_list entries must be positive and finite, "
                 f"got {list(self.sigma_list)}"
             )
+        by_name = {}
+        for sigma in self.sigma_list:
+            name = f"{sigma:g}"  # a sweep's output files are named by this
+            if name in by_name:
+                raise ConfigError(
+                    f"[experiment] sigma_list entries {by_name[name]!r} and {sigma!r} "
+                    f"share the output name sigma{name}"
+                )
+            by_name[name] = sigma
         if self.iters < 1:
             raise ConfigError("[experiment] iters must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"[experiment] seed must be nonnegative, got {self.seed}")
 
 
 def _convert(where: str, raw, kind):

@@ -62,6 +62,10 @@ QUANTILE_TINY = "[quantile]\nd = 12\nn = 20\ns_star = 2\n"
 BAD_CONFIGS = {
     "iters_not_int": ("[experiment]\niters = abc\n", ".ini", [], "[experiment] iters"),
     "seed_not_int": ("[experiment]\nseed = 1.5\n", ".ini", [], "[experiment] seed"),
+    "seed_negative": (
+        "[experiment]\nseed = 3\n", ".ini", ["--seed", "-1"],
+        "[experiment] seed must be nonnegative, got -1",
+    ),
     "d_not_int": ("[quantile]\nd = abc\n", ".ini", [], "[quantile] d"),
     "d_none": ("[quantile]\nd = none\n", ".ini", [], "[quantile] d"),
     "newton_iters_auto": (
@@ -92,6 +96,11 @@ BAD_CONFIGS = {
     ),
     "sigma_list_not_float": (
         "[experiment]\nsigma_list = a,b\n", ".ini", [], "[experiment] sigma_list"
+    ),
+    # the outputs of a sweep are named by f"{sigma:g}"
+    "sigma_list_same_name": (
+        "[experiment]\nsigma_list = 1.0000001e-3, 1.0000002e-3\n", ".ini", [],
+        "entries 0.0010000001 and 0.0010000002 share the output name sigma0.001",
     ),
     "sigma_list_nan": (
         "[experiment]\nsigma_list = 1e-2, nan\n", ".ini", [], "[experiment] sigma_list"
