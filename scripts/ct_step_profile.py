@@ -9,7 +9,7 @@ quartiles over rounds:
 - ms in the per-ray Newton solve, in the loss with its gradient and in the
   value-only loss (time.perf_counter around each call);
 - ms of the whole step (engine.run divided by its iterations);
-- Newton ray-steps per active ray;
+- Newton ray-steps per active ray (as `run_ct_reconstruction` counts them);
 - minor page faults of the process (resource.getrusage).
 
     PYTHONPATH=src python scripts/ct_step_profile.py --label change --write BENCH_ct_step.json
@@ -17,8 +17,7 @@ quartiles over rounds:
 `--write` merges this run under `--label` into a JSON file, so that two
 source trees (say a parent commit and a change, each on PYTHONPATH in turn)
 can be recorded side by side with the same script. The loss is timed at
-`CtLoss.parts` where that evaluator exists, else at `recon.ct_loss_parts`,
-which is where earlier versions evaluated it.
+`CtLoss.parts`.
 """
 
 import argparse
@@ -39,11 +38,10 @@ SIGMAS = (1.0, 10.0, 100.0)
 
 
 class Timers:
-    """Seconds per name, Newton ray-steps and page faults, inside engine runs only."""
+    """Seconds per name and page faults, inside engine runs only."""
 
     def __init__(self):
         self.seconds = dict.fromkeys(("newton", "loss_grad", "loss_value", "step"), 0.0)
-        self.ray_steps = 0
         self.minor_faults = 0
         self.iterations = 0
         self.in_run = False
@@ -72,23 +70,13 @@ def install(timers):
         setattr(owner, attr, replacement)
 
     patch(R, "newton_ray_solve", timers.wrap(lambda a: "newton", R.newton_ray_solve))
-    loss_owner, loss_attr = (F.CtLoss, "parts") if hasattr(F, "CtLoss") else (R, "ct_loss_parts")
     patch(
-        loss_owner,
-        loss_attr,
+        F.CtLoss,
+        "parts",
         timers.wrap(
-            lambda a: "loss_grad" if a.get("want_grad", True) else "loss_value",
-            getattr(loss_owner, loss_attr),
+            lambda a: "loss_grad" if a.get("want_grad", True) else "loss_value", F.CtLoss.parts
         ),
     )
-    real_solve = R.spd_solve
-
-    def counting_solve(lower, shift, rhs):
-        if timers.in_run:  # one call per Newton step, one column per ray
-            timers.ray_steps += rhs.shape[1]
-        return real_solve(lower, shift, rhs)
-
-    patch(R, "spd_solve", counting_solve)
     real_run = R.engine_run
 
     def timed_run(problem, iters, **kwargs):
@@ -120,18 +108,20 @@ def inputs(seed):
 
 def one_round(model, active, counts, y_star, iters) -> dict:
     timers = Timers()
+    ray_steps = 0
     saved = install(timers)
     try:
         for sigma in SIGMAS:
-            R.run_ct_reconstruction(
+            _, newton = R.run_ct_reconstruction(
                 model, active, counts, sigma=sigma, iters=iters, y_star=y_star, record_time=False
             )
+            ray_steps += newton["newton_ray_steps"]
     finally:
         for owner, attr, original in reversed(saved):
             setattr(owner, attr, original)
     n = timers.iterations
     row = {f"{name}_ms_per_iter": 1e3 * s / n for name, s in timers.seconds.items()}
-    row["newton_ray_steps_per_ray"] = timers.ray_steps / (n * active.rows)
+    row["newton_ray_steps_per_ray"] = ray_steps / (n * active.rows)
     row["minor_faults_per_iter"] = timers.minor_faults / n
     return row
 
