@@ -108,6 +108,19 @@ def _write_manifest(cfg: ExperimentConfig) -> str:
     return path
 
 
+def _config_error(exc) -> int:
+    print(f"config error: {exc}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
+def _make_dir(path) -> None:
+    """os.makedirs(path, exist_ok=True), with a failure as a ConfigError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create directory {path}: {exc.strerror}") from None
+
+
 def _resolve_config(args) -> ExperimentConfig:
     if args.config is not None:
         sections = read_sections(args.config)
@@ -127,16 +140,14 @@ def _resolve_config(args) -> ExperimentConfig:
 def cmd_run(args) -> int:
     try:
         cfg = _resolve_config(args)
+        _make_dir(cfg.out)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    os.makedirs(cfg.out, exist_ok=True)
+        return _config_error(exc)
     record_time = not _sequential_mode()
     try:
         paths = _EXPERIMENTS[cfg.kind](cfg, record_time)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_error(exc)
     except (AdmmStepError, FloatingPointError, ValueError) as exc:
         # ValueError also covers np.linalg.LinAlgError and set-up failures
         # outside the engine, e.g. a nonpositive CT window mean at y*.
@@ -153,8 +164,7 @@ def cmd_validate(args) -> int:
     try:
         cfg = _resolve_config(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_error(exc)
     print(f"ok: kind={cfg.kind} sigmas={list(cfg.sigma_list)} iters={cfg.iters} seed={cfg.seed}")
     return EXIT_OK
 
@@ -162,11 +172,11 @@ def cmd_validate(args) -> int:
 def cmd_summarize(args) -> int:
     paths = args.traces
     if not paths and args.out is not None:
-        paths = sorted(
-            os.path.join(args.out, name)
-            for name in os.listdir(args.out)
-            if name.endswith(".csv")
-        )
+        try:
+            names = os.listdir(args.out)
+        except OSError as exc:
+            return _config_error(f"cannot list --out {args.out}: {exc.strerror}")
+        paths = sorted(os.path.join(args.out, name) for name in names if name.endswith(".csv"))
     if not paths:
         print("no trace files given (pass files or --out DIR)", file=sys.stderr)
         return EXIT_CONFIG
@@ -180,6 +190,11 @@ def cmd_summarize(args) -> int:
             print(f"bad trace file {path}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         traces.append((path, records))
+    if args.data_dir is not None:
+        try:
+            _make_dir(args.data_dir)
+        except ConfigError as exc:
+            return _config_error(exc)
     # gnuplot-compatible: '#' comments, whitespace-separated columns
     print("# file final_iter final_objective min_objective final_primal_residual")
     for path, records in traces:
@@ -190,7 +205,6 @@ def cmd_summarize(args) -> int:
             f"{min(objectives)!r} {last.primal_residual!r}"
         )
         if args.data_dir is not None:
-            os.makedirs(args.data_dir, exist_ok=True)
             stem = os.path.splitext(os.path.basename(path))[0]
             dat = os.path.join(args.data_dir, stem + ".dat")
             with open(dat, "w") as fh:

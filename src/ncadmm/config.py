@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass
 
 from .ct import forward as F
 from .ct import recon as R
+from .engine import check_sigma_names
 from .quantile import QuantileProblemSpec
 
 __all__ = [
@@ -112,15 +113,10 @@ class ExperimentConfig:
                 f"[experiment] sigma_list entries must be positive and finite, "
                 f"got {list(self.sigma_list)}"
             )
-        by_name = {}
-        for sigma in self.sigma_list:
-            name = f"{sigma:g}"  # a sweep's output files are named by this
-            if name in by_name:
-                raise ConfigError(
-                    f"[experiment] sigma_list entries {by_name[name]!r} and {sigma!r} "
-                    f"share the output name sigma{name}"
-                )
-            by_name[name] = sigma
+        try:
+            check_sigma_names(self.sigma_list)
+        except ValueError as exc:
+            raise ConfigError(f"[experiment] {exc}") from None
         if self.iters < 1:
             raise ConfigError("[experiment] iters must be at least 1")
         if self.seed < 0:

@@ -24,10 +24,11 @@ import numpy as np
 
 from ..engine import (
     AdmmProblem,
+    AdmmStepError,
     CompositeObjective,
     KronEye,
     RunResult,
-    ScaledIdentity,
+    check_sigma_names,
     quadratic_prox,
     save_trace,
 )
@@ -128,13 +129,12 @@ def _max_abs(a: np.ndarray) -> np.ndarray:
 
 
 def newton_ray_solve(
-    model: SpectralModel,
+    loss: CtLoss,
     lin: np.ndarray,
     center: np.ndarray,
     sigma_diag: np.ndarray,
     iters: int = DEFAULT_NEWTON_ITERS,
     start: np.ndarray | None = None,
-    loss: CtLoss | None = None,
 ) -> np.ndarray:
     """Batched per-ray Newton on the strictly convex y subproblem.
 
@@ -154,11 +154,9 @@ def newton_ray_solve(
     `loss`, the problem's `CtLoss`, lends its (rays x energies) work arrays
     and counts the ray-steps and capped rays; when its last evaluation was
     at the start point, the first step takes the slopes from it instead of
-    forming them again. Without it the solve uses a fresh evaluator's arrays.
+    forming them again.
     """
     n_rays = center.shape[0]
-    if loss is None:
-        loss = CtLoss(model, np.zeros((model.n_windows, n_rays)))
     neg_mu, neg_mu_b, mu_pairs = loss.neg_mu, loss.neg_mu_b, loss.mu_pairs
     v = center.copy() if start is None else np.array(start, dtype=float)
     rows = np.arange(n_rays)
@@ -275,7 +273,7 @@ def build_ct_problem(
 
     def prox_y(lin, D, center):
         v = newton_ray_solve(
-            model, lin.reshape(n_rays, n_m), center.reshape(n_rays, n_m), sigma_tilde, loss=loss
+            loss, lin.reshape(n_rays, n_m), center.reshape(n_rays, n_m), sigma_tilde
         )
         return v.ravel()
 
@@ -287,8 +285,6 @@ def build_ct_problem(
 
     problem = AdmmProblem(
         A=KronEye(projector, n_m),
-        B=ScaledIdentity(n_rays * n_m, -1.0),
-        c=np.zeros(n_rays * n_m),
         sigma=penalty,
         f=CompositeObjective(prox_step=quadratic_prox),
         g=CompositeObjective(prox_step=prox_y, grad_d=grad_d),
@@ -355,10 +351,14 @@ def run_ct_experiment(
     Rays that miss the grid are dropped before reconstruction. Persists (when
     out_dir is given) one trace per sigma, with the projection-domain loss in
     the objective column and the curvature ratio in the alpha_t column, plus
-    one reconstructed image grid per material (text and graymap).
+    one reconstructed image grid per material (text and graymap). Sigmas
+    whose file names would coincide are rejected before any solve. A step
+    failure writes the rows of the steps before it to that sigma's trace and
+    re-raises.
     """
     from .forward import build_projector, forward_counts
 
+    check_sigma_names(sigma_list)
     projector = build_projector(geom)
     counts_full = forward_counts(model, projector, phantom, seed)
     mask = active_ray_mask(projector)
@@ -372,19 +372,19 @@ def run_ct_experiment(
     runs = {}
     for sigma in sigma_list:
         sigma = float(sigma)
-        result, newton = run_ct_reconstruction(
-            model,
-            active,
-            counts,
-            sigma=sigma,
-            iters=iters,
-            y_star=y_star,
-            record_time=record_time,
-        )
+        path = None if out_dir is None else f"{out_dir}/{trace_filename(sigma)}"
+        try:
+            result, newton = run_ct_reconstruction(
+                model, active, counts, sigma=sigma, iters=iters, y_star=y_star,
+                record_time=record_time,
+            )
+        except AdmmStepError as exc:
+            if path is not None:
+                save_trace(path, exc.trace)
+            raise
         x_final = result.state.x.reshape(geom.n_pixels, model.n_materials)
         entry = {"result": result, "image": x_final, "newton": newton}
-        if out_dir is not None:
-            path = f"{out_dir}/{trace_filename(sigma)}"
+        if path is not None:
             save_trace(path, result.trace)
             entry["path"] = path
             for m, name in enumerate(model.materials):

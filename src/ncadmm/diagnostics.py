@@ -2,7 +2,8 @@
 
 These evaluate, at chosen points, the curvature inner product that the
 restricted-strong-convexity condition bounds from below, and the three
-residual norms of an approximately stationary triple. Probing one
+residual norms of an approximately stationary triple, for the engine's
+constraint y = A x (the paper's Ax + By = c with B = -I, c = 0). Probing one
 subgradient selection per point is an empirical check, not a proof: the
 underlying condition quantifies over every subgradient, which is not
 exhaustively checkable at nonsmooth points.
@@ -36,7 +37,7 @@ PROBE_BLOCK = 64
 class RscProbeResult:
     t: int | None
     lhs: float          # <(x-x*, y-y*), (xi_x - xi*, zeta_y - zeta*)>
-    penalty: float      # 0.5 ||Ax + By - c||^2_Sigma
+    penalty: float      # 0.5 ||Ax - y||^2_Sigma
     dist_x: float
     dist_y: float
 
@@ -48,9 +49,9 @@ class RscProbeResult:
 
 @dataclass(frozen=True)
 class FospResidual:
-    primal: float   # ||A x* + B y* - c||
+    primal: float   # ||A x* - y*||
     dual_x: float   # ||-A'u* - xi*||
-    dual_y: float   # ||-B'u* - zeta*||
+    dual_y: float   # ||u* - zeta*||
 
 
 def rsc_probe(
@@ -80,14 +81,14 @@ def rsc_probe(
 def _probe_block(problem, subgrad_selector, xs, ys, x_star, y_star, xi_star, zeta_star, ts):
     """`rsc_probe` at every row of `xs` and `ys`, labelled by `ts`.
 
-    One selector call, one product each of A and B on the column stacks,
-    and row-wise inner products and norms.
+    One selector call, one product with A on the column stack, and row-wise
+    inner products and norms.
     """
     xi, zeta = subgrad_selector(xs, ys)
     dx = xs - x_star
     dy = ys - y_star
     lhs = np.sum(dx * (xi - xi_star), axis=1) + np.sum(dy * (zeta - zeta_star), axis=1)
-    violation = problem.A.matmat(xs.T) + problem.B.matmat(ys.T) - problem.c[:, None]
+    violation = problem.A.matmat(xs.T) - ys.T
     penalty = 0.5 * np.sum(problem.sigma.diag[:, None] * violation * violation, axis=0)
     dist_x = np.linalg.norm(dx, axis=1)
     dist_y = np.linalg.norm(dy, axis=1)
@@ -106,9 +107,9 @@ def fosp_residuals(
     zeta_star: np.ndarray,
 ) -> FospResidual:
     """Feasibility and dual-alignment residuals of a candidate triple."""
-    primal = problem.A.matvec(x_star) + problem.B.matvec(y_star) - problem.c
+    primal = problem.A.matvec(x_star) - y_star
     dual_x = -problem.A.rmatvec(u_star) - xi_star
-    dual_y = -problem.B.rmatvec(u_star) - zeta_star
+    dual_y = u_star - zeta_star
     return FospResidual(
         primal=float(np.linalg.norm(primal)),
         dual_x=float(np.linalg.norm(dual_x)),

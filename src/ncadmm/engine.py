@@ -1,19 +1,21 @@
 """Generic linearized-ADMM loop with pluggable prox callbacks.
 
+The engine solves min f(x) + g(y) subject to y = A x: the paper's constraint
+Ax + By = c with B = -I and c = 0, the split both of its experiments use.
 One iteration performs, in order,
 
     x_{t+1} = argmin_x { f_c(x) + <x, grad f_d(x_t) + A'u_t>
-                         + 0.5*||Ax + By_t - c||^2_Sigma + 0.5*||x - x_t||^2_{H_f} }
-    y_{t+1} = argmin_y { g_c(y) + <y, grad g_d(y_t) + B'u_t>
-                         + 0.5*||Ax_{t+1} + By - c||^2_Sigma + 0.5*||y - y_t||^2_{H_g} }
-    u_{t+1} = u_t + Sigma (A x_{t+1} + B y_{t+1} - c)
+                         + 0.5*||Ax - y_t||^2_Sigma + 0.5*||x - x_t||^2_{H_f} }
+    y_{t+1} = argmin_y { g_c(y) + <y, grad g_d(y_t) - u_t>
+                         + 0.5*||Ax_{t+1} - y||^2_Sigma + 0.5*||y - y_t||^2_{H_g} }
+    u_{t+1} = u_t + Sigma (A x_{t+1} - y_{t+1})
 
 The x subproblem is handed to the objective's prox callback in the canonical
 form  argmin_v { h_c(v) + <v, lin> + 0.5*||v - center||^2_D }  with
-D = H_f + A'Sigma A, center = x_t, and
-lin = grad f_d(x_t) + A'(u_t + Sigma(Ax_t + By_t - c));
-the y subproblem is analogous with D = H_g + B'Sigma B evaluated at x_{t+1}.
-Completing the square shows this is the same minimization.
+D = H_f + A'Sigma A, center = x_t and lin = grad f_d(x_t) + A'(u_t + Sigma(Ax_t - y_t));
+the y subproblem is analogous with D = H_g + Sigma, center = y_t and
+lin = grad g_d(y_t) - (u_t + Sigma(Ax_{t+1} - y_t)). Completing the square
+shows this is the same minimization.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .numerics import DiagonalMatrix, SparseMatrix
 
 __all__ = [
     "DenseMap",
-    "ScaledIdentity",
     "KronEye",
     "CompositeObjective",
     "AdmmProblem",
@@ -41,6 +42,7 @@ __all__ = [
     "admm_step",
     "run",
     "quadratic_prox",
+    "check_sigma_names",
     "save_trace",
     "load_trace",
     "TRACE_HEADER",
@@ -48,8 +50,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Linear maps: anything with shape/matvec/rmatvec works for A and B; the RSC
-# probe (diagnostics) also needs matmat, the product with a stack of column
+# Linear maps: anything with shape/matvec/rmatvec works for A; the RSC probe
+# (diagnostics) also needs matmat, the product with a stack of column
 # vectors. SparseMatrix (numerics) already satisfies the protocol.
 
 
@@ -73,23 +75,6 @@ class DenseMap:
 
     def matmat(self, x):
         return self.a @ x
-
-
-class ScaledIdentity:
-    """c * I as a linear map."""
-
-    def __init__(self, n: int, scale: float = 1.0):
-        self.n = int(n)
-        self.scale = float(scale)
-
-    @property
-    def shape(self):
-        return (self.n, self.n)
-
-    def matvec(self, v):
-        return self.scale * np.asarray(v, dtype=float)
-
-    rmatvec = matmat = matvec
 
 
 class KronEye:
@@ -141,18 +126,16 @@ def quadratic_prox(lin: np.ndarray, D, center: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AdmmProblem:
-    """Problem data for the linearized-ADMM loop.
+    """Problem data for the linearized-ADMM loop on the constraint y = A x.
 
-    D_f / D_g are the subproblem quadratics H_f + A'Sigma A and
-    H_g + B'Sigma B for the caller's step-size matrices H_f, H_g, which the
-    iteration never needs on their own. `objective(x, y, ax)`, if given, is
-    evaluated at every iterate; ax = A x is the product the step already
-    computed.
+    A is (dim_y, dim_x); Sigma, like the dual u, lives in y's space. D_f / D_g
+    are the subproblem quadratics H_f + A'Sigma A and H_g + Sigma for the
+    caller's step-size matrices H_f, H_g, which the iteration never needs on
+    their own. `objective(x, y, ax)`, if given, is evaluated at every
+    iterate; ax = A x is the product the step already computed.
     """
 
     A: object
-    B: object
-    c: np.ndarray
     sigma: DiagonalMatrix
     f: CompositeObjective
     g: CompositeObjective
@@ -161,19 +144,14 @@ class AdmmProblem:
     objective: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], float]] = None
 
     def __post_init__(self):
-        k_a, self.dim_x = self.A.shape
-        k_b, self.dim_y = self.B.shape
-        self.c = np.asarray(self.c, dtype=float)
-        if k_a != k_b or self.c.shape != (k_a,):
-            raise ValueError("A, B, c have inconsistent constraint dimensions")
-        if self.sigma.diag.shape != (k_a,):
-            raise ValueError("Sigma dimension does not match the constraint")
+        self.dim_y, self.dim_x = self.A.shape
+        if self.sigma.diag.shape != (self.dim_y,):
+            raise ValueError("Sigma dimension does not match the rows of A")
         if not self.sigma.is_positive():
             raise ValueError("Sigma must have strictly positive entries")
         for name, quad, dim in (("D_f", self.D_f, self.dim_x), ("D_g", self.D_g, self.dim_y)):
             if quad.shape != (dim, dim):
                 raise ValueError(f"{name} has shape {quad.shape}, expected {(dim, dim)}")
-        self.dim_u = k_a
 
 
 @dataclass
@@ -204,12 +182,11 @@ class KahanSum:
 class AdmmState:
     """Iterate (x_t, y_t, u_t), the running sums and the trace so far.
 
-    `ax`, `by` and `sr` cache A x_t, B y_t and Sigma (A x_t + B y_t - c) for
-    the next step; None (as from `initial`) makes the next step compute them,
-    so whoever resets `ax` or `by` resets `sr` too. Each step returns fresh
-    x, y, u, ax, by and sr arrays but advances `sum_x`, `sum_y` and `trace`
-    in place and hands them on, so only the newest state's averages and trace
-    are current.
+    `ax` and `sr` cache A x_t and Sigma (A x_t - y_t) for the next step; None
+    (as from `initial`) makes the next step compute them, so whoever resets
+    `ax` resets `sr` too. Each step returns fresh x, y, u, ax and sr arrays
+    but advances `sum_x`, `sum_y` and `trace` in place and hands them on, so
+    only the newest state's averages and trace are current.
     """
 
     t: int
@@ -220,7 +197,6 @@ class AdmmState:
     sum_y: KahanSum
     trace: list = field(default_factory=list)
     ax: Optional[np.ndarray] = None
-    by: Optional[np.ndarray] = None
     sr: Optional[np.ndarray] = None
 
     @classmethod
@@ -248,11 +224,15 @@ class AdmmState:
 
 
 class AdmmStepError(RuntimeError):
-    """Raised when a step callback fails or goes non-finite; carries the iteration index."""
+    """Raised when a step callback fails or goes non-finite; carries the iteration index.
+
+    `run` sets `trace` to the records of the steps completed before the failure.
+    """
 
     def __init__(self, iteration: int, message: str):
         super().__init__(f"iteration {iteration}: {message}")
         self.iteration = iteration
+        self.trace: list = []
 
 
 def _checked(v, shape: tuple, iteration: int, what: str) -> np.ndarray:
@@ -285,23 +265,22 @@ def admm_step(
 
     A x_{t+1} is computed once: the residual, `problem.objective(x, y, ax)`
     and `alpha_hook(t, x, y, u, ax)` all receive it, and the returned state
-    carries it as the next step's A x_t. B y_{t+1} and the scaled residual
-    Sigma r_{t+1} of the dual update are carried the same way, so a step after
-    the first makes one product each with A, A', B, B' and two with Sigma.
-    Each update is checked for shape and finiteness. A failing callback, a
-    wrong-shape or non-finite update, or a non-finite objective raises
-    AdmmStepError and leaves `state` as it was.
+    carries it as the next step's A x_t. The scaled residual
+    Sigma (A x_{t+1} - y_{t+1}) of the dual update is carried the same way, so
+    a step after the first makes one product each with A and A' and two with
+    Sigma. Each update is checked for shape and finiteness. A failing
+    callback, a wrong-shape or non-finite update, or a non-finite objective
+    raises AdmmStepError and leaves `state` as it was.
     """
     t0 = time.perf_counter()
     it = state.t + 1
     x, y, u = state.x, state.y, state.u
     sig = problem.sigma
 
-    by = problem.B.matvec(y) if state.by is None else state.by
     sr = state.sr
     if sr is None:
         ax = problem.A.matvec(x) if state.ax is None else state.ax
-        sr = sig.matvec(ax + by - problem.c)
+        sr = sig.matvec(ax - y)
     lin_x = problem.A.rmatvec(u + sr)
     if problem.f.grad_d is not None:
         lin_x = lin_x + _call(it, "x grad_d", problem.f.grad_d, x)
@@ -309,16 +288,15 @@ def admm_step(
     x_new = _checked(x_new, (problem.dim_x,), it, "x update")
 
     ax_new = problem.A.matvec(x_new)
-    lin_y = problem.B.rmatvec(u + sig.matvec(ax_new + by - problem.c))
+    lin_y = -(u + sig.matvec(ax_new - y))
     if problem.g.grad_d is not None:
         lin_y = lin_y + _call(it, "y grad_d", problem.g.grad_d, y)
     y_new = _call(it, "y prox_step", problem.g.prox_step, lin_y, problem.D_g, y)
     y_new = _checked(y_new, (problem.dim_y,), it, "y update")
 
-    by_new = problem.B.matvec(y_new)
-    residual = ax_new + by_new - problem.c
+    residual = ax_new - y_new
     sr_new = sig.matvec(residual)
-    u_new = _checked(u + sr_new, (problem.dim_u,), it, "u update")
+    u_new = _checked(u + sr_new, (problem.dim_y,), it, "u update")
 
     obj = float("nan")
     if problem.objective is not None:
@@ -332,25 +310,10 @@ def admm_step(
     state.sum_x.add(x_new)
     state.sum_y.add(y_new)
     seconds = time.perf_counter() - t0 if record_time else 0.0
-    record = TraceRecord(
-        t=it,
-        objective=obj,
-        primal_residual=math.sqrt(residual @ residual),
-        alpha_t=alpha,
-        seconds=seconds,
-    )
-    state.trace.append(record)
+    state.trace.append(TraceRecord(it, obj, math.sqrt(residual @ residual), alpha, seconds))
     return AdmmState(
-        t=it,
-        x=x_new,
-        y=y_new,
-        u=u_new,
-        sum_x=state.sum_x,
-        sum_y=state.sum_y,
-        trace=state.trace,
-        ax=ax_new,
-        by=by_new,
-        sr=sr_new,
+        t=it, x=x_new, y=y_new, u=u_new, sum_x=state.sum_x, sum_y=state.sum_y,
+        trace=state.trace, ax=ax_new, sr=sr_new,
     )
 
 
@@ -375,21 +338,22 @@ def run(
     `alpha_hook(t, x, y, u, ax)` may return a diagnostic scalar recorded in
     the trace, where ax = A x comes from the step; `iteration_hook(t, state)`
     is called after every step (used by the experiments to log extra
-    per-iteration quantities).
+    per-iteration quantities). An AdmmStepError at step t leaves with the
+    records of steps 1..t-1 as its `trace`.
     """
     if iters < 1:
         raise ValueError("iters must be at least 1")
     if init is None:
-        init = (
-            np.zeros(problem.dim_x),
-            np.zeros(problem.dim_y),
-            np.zeros(problem.dim_u),
-        )
+        init = (np.zeros(problem.dim_x), np.zeros(problem.dim_y), np.zeros(problem.dim_y))
     state = AdmmState.initial(*init)
-    for _ in range(iters):
-        state = admm_step(problem, state, alpha_hook=alpha_hook, record_time=record_time)
-        if iteration_hook is not None:
-            iteration_hook(state.t, state)
+    try:
+        for _ in range(iters):
+            state = admm_step(problem, state, alpha_hook=alpha_hook, record_time=record_time)
+            if iteration_hook is not None:
+                iteration_hook(state.t, state)
+    except AdmmStepError as exc:
+        exc.trace = state.trace
+        raise
     return RunResult(state=state, x_bar=state.x_bar, y_bar=state.y_bar, trace=state.trace)
 
 
@@ -401,6 +365,19 @@ TRACE_HEADER = "iter,objective,primal_residual,alpha_t,seconds"
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def check_sigma_names(sigma_list) -> None:
+    """Raise ValueError if two sigmas share the `{sigma:g}` name of their output files."""
+    by_name = {}
+    for sigma in sigma_list:
+        name = f"{sigma:g}"
+        if name in by_name:
+            raise ValueError(
+                f"sigma_list entries {by_name[name]!r} and {sigma!r} "
+                f"share the output name sigma{name}"
+            )
+        by_name[name] = sigma
 
 
 def save_trace(path, trace: Sequence[TraceRecord], extra_columns: Optional[dict] = None) -> None:

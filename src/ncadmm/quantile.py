@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import engine
-from .engine import AdmmProblem, CompositeObjective, DenseMap, KahanSum, RunResult, ScaledIdentity
+from .engine import AdmmProblem, CompositeObjective, DenseMap, KahanSum, RunResult
 from .numerics import DiagonalMatrix, spectral_norm
 from .prox import (
     LogL1Penalty,
@@ -130,7 +130,7 @@ def build_problem(
     dataset: QuantileDataset,
     gamma: float | None = None,
 ) -> AdmmProblem:
-    """Wire the quantile problem into the generic engine.
+    """Wire the quantile problem into the generic engine on the split y = Phi x.
 
     The x subproblem quadratic is D_f = sigma*gamma*I, i.e. the step-size
     matrix is H_f = sigma*(gamma*I - Phi'Phi), so the prox is the
@@ -156,8 +156,6 @@ def build_problem(
 
     return AdmmProblem(
         A=DenseMap(dataset.phi),
-        B=ScaledIdentity(spec.n, -1.0),
-        c=np.zeros(spec.n),
         sigma=DiagonalMatrix(np.full(spec.n, sig)),
         f=CompositeObjective(prox_step=prox_x, grad_d=grad_d),
         g=CompositeObjective(prox_step=prox_y),
@@ -177,7 +175,9 @@ def run_quantile(
     """Run the sigma given by `spec`; returns the run plus Loss(x_bar_t) per t.
 
     Phi x_bar_t is the running mean of the Phi x_t the engine already
-    computed (by linearity), so the average loss costs no extra product.
+    computed (by linearity), so the average loss costs no extra product. An
+    AdmmStepError leaves with the losses of its completed steps as
+    `objective_avg`, next to their records in its `trace`.
     """
     problem = build_problem(spec, dataset, gamma=gamma)
     penalty = spec.penalty
@@ -190,12 +190,13 @@ def run_quantile(
             _objective_at(spec.q, penalty, dataset.w, sum_phi_x.total / t, state.x_bar)
         )
 
-    result = engine.run(
-        problem,
-        iters=iters,
-        iteration_hook=log_average,
-        record_time=record_time,
-    )
+    try:
+        result = engine.run(
+            problem, iters=iters, iteration_hook=log_average, record_time=record_time
+        )
+    except engine.AdmmStepError as exc:
+        exc.objective_avg = avg_losses
+        raise
     return result, avg_losses
 
 
@@ -213,20 +214,30 @@ def run_sigma_sweep(
     """Sigma sweep on one shared dataset; persists one trace file per sigma.
 
     Each trace carries the per-iterate loss in the objective column and the
-    running-average loss as the extra `objective_avg` column.
+    running-average loss as the extra `objective_avg` column. Sigmas whose
+    file names would coincide are rejected before any solve. A step failure
+    writes the rows of the steps before it to that sigma's trace and
+    re-raises.
     """
+    engine.check_sigma_names(sigma_list)
     dataset = generate_dataset(spec)
     gamma = quantile_gamma(dataset.phi)
     outputs = {}
     for sigma in sigma_list:
         sigma = float(sigma)
+        path = None if out_dir is None else f"{out_dir}/{trace_filename(sigma)}"
         run_spec = replace(spec, sigma=sigma)
-        result, avg_losses = run_quantile(
-            run_spec, dataset, iters, gamma=gamma, record_time=record_time
-        )
+        try:
+            result, avg_losses = run_quantile(
+                run_spec, dataset, iters, gamma=gamma, record_time=record_time
+            )
+        except engine.AdmmStepError as exc:
+            if path is not None:
+                extra = {"objective_avg": exc.objective_avg}
+                engine.save_trace(path, exc.trace, extra_columns=extra)
+            raise
         entry = {"result": result, "objective_avg": avg_losses}
-        if out_dir is not None:
-            path = f"{out_dir}/{trace_filename(sigma)}"
+        if path is not None:
             engine.save_trace(path, result.trace, extra_columns={"objective_avg": avg_losses})
             entry["path"] = path
         outputs[sigma] = entry

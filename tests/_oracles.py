@@ -10,9 +10,9 @@ the dense step-size checker, the closed-form quantile and CT updates written
 out as matrix formulas (the engine runs them as prox callbacks), the CT
 model's noise-free means and convex-part Hessian blocks, the fixed-budget
 per-ray Newton loop and the adaptive one with the step-size stop alone, the
-plain ADMM step the lean engine step must match bit for bit, the per-point
-RSC probe the block probe must match, and small sparse-matrix and
-phantom-file helpers.
+plain ADMM step on the general constraint Ax + By = c that the lean engine
+step must match bit for bit, the per-point RSC probe the block probe must
+match, and small linear-map, sparse-matrix and phantom-file helpers.
 """
 
 import math
@@ -24,7 +24,7 @@ from scipy.optimize import linprog
 
 from ncadmm.ct import recon as R
 from ncadmm.engine import AdmmState, AdmmStepError, TraceRecord
-from ncadmm.ct.forward import DEFAULT_MATERIALS, ct_loss_parts
+from ncadmm.ct.forward import DEFAULT_MATERIALS, CtLoss, ct_loss_parts
 from ncadmm.diagnostics import RscProbeResult
 from ncadmm.numerics import SparseMatrix
 from ncadmm.prox import ball_project, qexp, qexp_slopes, quantile_prox_update, soft_threshold
@@ -239,6 +239,23 @@ def dense(m):
     return m.matmat(np.eye(m.cols))
 
 
+class ScaledIdentity:
+    """c * I as a linear map: the B = -I of the paper's Ax + By = c, and small A's."""
+
+    def __init__(self, n: int, scale: float = 1.0):
+        self.n = int(n)
+        self.scale = float(scale)
+
+    @property
+    def shape(self):
+        return (self.n, self.n)
+
+    def matvec(self, v):
+        return self.scale * np.asarray(v, dtype=float)
+
+    rmatvec = matmat = matvec
+
+
 def sparse_from_dense(a):
     """SparseMatrix holding the nonzero entries of a dense 2-D array."""
     a = np.asarray(a, dtype=float)
@@ -411,6 +428,12 @@ def stepsize_matrix_factor(projector, pre):
     return np.diag(q_f) - gram
 
 
+def ray_loss(model, n_rays):
+    """A CtLoss with zero counts: the work arrays `newton_ray_solve` takes, for
+    rays that belong to no CT problem."""
+    return CtLoss(model, np.zeros((model.n_windows, n_rays)))
+
+
 def newton_ray_solve_fixed(model, lin, center, sigma_diag, iters=R.DEFAULT_NEWTON_ITERS,
                            start=None):
     """The per-ray Newton loop with a fixed budget: every ray takes `iters` steps."""
@@ -483,7 +506,7 @@ def ct_y_update(model, counts, pre, proj_x_next, y, u, newton_iters=R.DEFAULT_NE
     _, sigma_tilde = pre
     grad_d = ct_loss_parts(model, y, counts).grad_d
     lin = grad_d - u - sigma_tilde[:, None] * (proj_x_next - y)
-    return R.newton_ray_solve(model, lin, y, sigma_tilde, newton_iters)
+    return R.newton_ray_solve(ray_loss(model, len(y)), lin, y, sigma_tilde, newton_iters)
 
 
 def ct_u_update(pre, proj_x_next, y_next, u):
@@ -538,10 +561,11 @@ def _finite(v, iteration, what):
 
 
 def admm_step_reference(problem, state, alpha_hook=None, record_time=True):
-    """One x/y/u cycle that forms Sigma(A x_t + B y_t - c) afresh every step.
+    """One x/y/u cycle on the general constraint Ax + By = c, with B = -I and
+    c = 0 written out, that forms Sigma(A x_t + B y_t - c) afresh every step.
 
-    Carries A x_t and B y_t but not the scaled residual, checks finiteness
-    with np.all, takes the residual norm with np.linalg.norm and sums the
+    Carries A x_t but not the scaled residual, checks finiteness with
+    np.all, takes the residual norm with np.linalg.norm and sums the
     averages with `kahan_add_reference`: the step before the lean one, whose
     outputs it must reproduce bit for bit.
     """
@@ -549,24 +573,24 @@ def admm_step_reference(problem, state, alpha_hook=None, record_time=True):
     it = state.t + 1
     x, y, u = state.x, state.y, state.u
     sig = problem.sigma
+    B, c = ScaledIdentity(problem.dim_y, -1.0), np.zeros(problem.dim_y)
 
     ax = problem.A.matvec(x) if state.ax is None else state.ax
-    by = problem.B.matvec(y) if state.by is None else state.by
-    lin_x = problem.A.rmatvec(u + sig.matvec(ax + by - problem.c))
+    by = B.matvec(y)
+    lin_x = problem.A.rmatvec(u + sig.matvec(ax + by - c))
     if problem.f.grad_d is not None:
         lin_x = lin_x + _checked_call(it, "x grad_d", problem.f.grad_d, x)
     x_new = _checked_call(it, "x prox_step", problem.f.prox_step, lin_x, problem.D_f, x)
     x_new = _finite(np.asarray(x_new, dtype=float), it, "x update")
 
     ax_new = problem.A.matvec(x_new)
-    lin_y = problem.B.rmatvec(u + sig.matvec(ax_new + by - problem.c))
+    lin_y = B.rmatvec(u + sig.matvec(ax_new + by - c))
     if problem.g.grad_d is not None:
         lin_y = lin_y + _checked_call(it, "y grad_d", problem.g.grad_d, y)
     y_new = _checked_call(it, "y prox_step", problem.g.prox_step, lin_y, problem.D_g, y)
     y_new = _finite(np.asarray(y_new, dtype=float), it, "y update")
 
-    by_new = problem.B.matvec(y_new)
-    residual = ax_new + by_new - problem.c
+    residual = ax_new + B.matvec(y_new) - c
     u_new = _finite(u + sig.matvec(residual), it, "u update")
 
     obj = float("nan")
@@ -584,7 +608,7 @@ def admm_step_reference(problem, state, alpha_hook=None, record_time=True):
     state.trace.append(TraceRecord(it, obj, float(np.linalg.norm(residual)), alpha, seconds))
     return AdmmState(
         t=it, x=x_new, y=y_new, u=u_new, sum_x=state.sum_x, sum_y=state.sum_y,
-        trace=state.trace, ax=ax_new, by=by_new,
+        trace=state.trace, ax=ax_new,
     )
 
 
@@ -594,10 +618,11 @@ def admm_step_reference(problem, state, alpha_hook=None, record_time=True):
 
 def rsc_probe_point(problem, subgrad_selector, x, y, x_star, y_star, xi_star, zeta_star, t=None):
     """One probe point with matvec products and dot products: the per-point
-    evaluation that `diagnostics.probe_trajectory`'s block probe must match."""
+    evaluation that `diagnostics.probe_trajectory`'s block probe must match,
+    with the violation A x + B y - c of B = -I and c = 0 written out."""
     xi, zeta = subgrad_selector(x, y)
     lhs = float((x - x_star) @ (xi - xi_star)) + float((y - y_star) @ (zeta - zeta_star))
-    violation = problem.A.matvec(x) + problem.B.matvec(y) - problem.c
+    violation = problem.A.matvec(x) + ScaledIdentity(len(y), -1.0).matvec(y) - np.zeros(len(y))
     penalty = 0.5 * float(violation @ problem.sigma.matvec(violation))
     return RscProbeResult(
         t=t,

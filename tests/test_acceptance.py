@@ -24,6 +24,7 @@ from _oracles import (
     dense,
     fd_gradient,
     quantile_l1_optimum,
+    ray_loss,
     ray_sample_lengths,
     run_ct_specialized,
     stepsize_margin,
@@ -251,7 +252,7 @@ def test_criterion_3a_ct_newton_vs_bruteforce():
             model, 0.0, np.array([[center]]), np.array([sigma]), np.array([[v_star]])
         )
         got = R.newton_ray_solve(
-            model, lin, np.array([[center]]), np.array([sigma]), iters=10
+            ray_loss(model, 1), lin, np.array([[center]]), np.array([sigma]), iters=10
         )[0, 0]
 
         def deriv(v):
@@ -278,7 +279,7 @@ def test_criterion_3b_ct_specialized_matches_engine():
     specialized = run_ct_specialized(model, active, counts, sigma=10.0, iters=10)
     problem, *_ = R.build_ct_problem(model, active, counts, sigma=10.0)
     state = engine.AdmmState.initial(
-        np.zeros(problem.dim_x), np.zeros(problem.dim_y), np.zeros(problem.dim_u)
+        np.zeros(problem.dim_x), np.zeros(problem.dim_y), np.zeros(problem.dim_y)
     )
     worst = 0.0
     for xs, ys, us in specialized:
@@ -392,7 +393,7 @@ def test_criterion_5_dual_identity_full_runs():
     exact = True
     for _ in range(200):
         new = engine.admm_step(problem, state)
-        resid = problem.A.matvec(new.x) + problem.B.matvec(new.y) - problem.c
+        resid = problem.A.matvec(new.x) - new.y
         exact &= bool(np.array_equal(new.u, state.u + problem.sigma.matvec(resid)))
         state = new
     ok = report("5: dual-update identity exact over a 200-iter quantile run", exact)

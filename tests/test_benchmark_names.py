@@ -2,9 +2,11 @@
 
 perfbench/ has its own tests, outside this suite; these check only that a
 change to ncadmm leaves the benchmark able to start and to run each workload
-once, at the tiny sizes of perfbench/test_harness.py.
+once, at the tiny sizes of perfbench/test_harness.py, and its library entry
+points once each.
 """
 
+import math
 import sys
 from pathlib import Path
 
@@ -39,3 +41,18 @@ def test_every_workload_runs_without_error(harness, tmp_path):
         outcome = workload.run(size, test_harness.SEED, str(out_dir), workloads.Phases())
         assert [s.error for s in outcome.solves] == [None] * len(size.sigmas), name
         assert outcome.iterations == size.iters * len(size.sigmas), name
+
+
+def test_every_library_entry_point_runs(harness, tmp_path):
+    # The gate's reference values come from these runs, one of them through
+    # AdmmState.initial and admm_step directly.
+    test_harness, _, workloads = harness
+    for name, workload in workloads.WORKLOADS.items():
+        size = test_harness.TINY[name]
+        out_dir = tmp_path / name
+        out_dir.mkdir()
+        values = workload.library(size, test_harness.SEED, str(out_dir))
+        assert list(values["solves"]) == [repr(s) for s in size.sigmas], name
+        for solve in values["solves"].values():
+            assert all(math.isfinite(v) for v in solve.values()), name
+        assert all(math.isfinite(v) for v in values["shared"].values()), name

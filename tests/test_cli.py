@@ -342,6 +342,36 @@ class TestRunCommand:
         assert cli.main(["run", "--config", str(ini)]) == 2
         assert f"{key} must be {kept}, got '{other}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["file", "under_file"])
+    def test_unusable_out_dir_exits_2(self, tmp_path, capsys, where):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker if where == "file" else blocker / "out"
+        assert cli.main(["run", "--experiment", "quantile", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create directory {out}: ")
+        assert err.count("\n") == 1
+
+    def test_failed_step_leaves_partial_trace_exits_3(self, tmp_path, monkeypatch, capsys):
+        from ncadmm import quantile
+
+        real, calls = quantile.quantile_prox_update, []
+
+        def fail_on_fifth(*args):
+            calls.append(1)
+            if len(calls) == 5:
+                raise RuntimeError("inner solve diverged")
+            return real(*args)
+
+        monkeypatch.setattr(quantile, "quantile_prox_update", fail_on_fifth)
+        path, out = write_config(tmp_path, QUANTILE_SMALL)
+        assert cli.main(["run", "--config", str(path)]) == 3
+        assert "iteration 5: y prox_step failed" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["quantile_sigma0.002.csv"]
+        records, extras = load_trace(out / "quantile_sigma0.002.csv")
+        assert [r.t for r in records] == [1, 2, 3, 4]
+        assert len(extras["objective_avg"]) == 4
+
     def test_numerical_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         def explode(cfg, record_time):
             raise AdmmStepError(7, "synthetic blowup")
@@ -497,6 +527,28 @@ class TestSummarize:
         lines = dat.read_text().splitlines()
         assert lines[0].startswith("# iter")
         assert len(lines) == 16
+
+    @pytest.mark.parametrize("where", ["missing", "file"])
+    def test_unusable_out_dir_exits_2(self, tmp_path, capsys, where):
+        out = tmp_path / "traces"
+        if where == "file":
+            out.write_text("")
+        assert cli.main(["summarize", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot list --out {out}: ")
+        assert err.count("\n") == 1
+
+    def test_unusable_data_dir_exits_2(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        engine.save_trace(trace, [engine.TraceRecord(1, 1.0, 0.5, None, 0.0)])
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        code = cli.main(["summarize", str(trace), "--data-dir", str(blocker / "dat")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: cannot create directory {blocker / 'dat'}: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_no_traces_exits_2(self, tmp_path):
         empty = tmp_path / "empty"

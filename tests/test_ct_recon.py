@@ -20,6 +20,7 @@ from _oracles import (
     dense,
     newton_ray_solve_fixed,
     newton_ray_solve_plain,
+    ray_loss,
     ray_subproblem_objective,
     run_ct_specialized,
     stepsize_matrix_factor,
@@ -131,7 +132,7 @@ class TestNewtonSolve:
         center = -5.0 + rng.standard_normal((n_rays, 2))  # deep in v <= 0
         v_star = center + 0.3 * rng.standard_normal((n_rays, 2)) - 0.3
         lin = -subproblem_gradient(model, 0.0, center, sigma_diag, v_star)
-        one = R.newton_ray_solve(model, lin, center, sigma_diag, iters=1)
+        one = R.newton_ray_solve(ray_loss(model, n_rays), lin, center, sigma_diag, iters=1)
         grad = subproblem_gradient(model, lin, center, sigma_diag, one)
         assert np.abs(grad).max() <= 1e-9
         assert np.abs(one - v_star).max() <= 1e-9
@@ -147,7 +148,7 @@ class TestNewtonSolve:
             v_star = rng.uniform(-0.5, 2.0, (n_rays, n_m))
             center = v_star + rng.uniform(-0.4, 0.4, (n_rays, n_m))
             lin = -subproblem_gradient(model, 0.0, center, sigma_diag, v_star)
-            sol = R.newton_ray_solve(model, lin, center, sigma_diag, iters=10)
+            sol = R.newton_ray_solve(ray_loss(model, n_rays), lin, center, sigma_diag, iters=10)
             grad = subproblem_gradient(model, lin, center, sigma_diag, sol)
             assert np.abs(grad).max() <= 1e-8
 
@@ -165,7 +166,9 @@ class TestNewtonSolve:
             v = center.copy()
             prev = ray_subproblem_objective(model, lin, center, sigma_diag, v)
             for _ in range(10):
-                v = R.newton_ray_solve(model, lin, center, sigma_diag, iters=1, start=v)
+                v = R.newton_ray_solve(
+                    ray_loss(model, n_rays), lin, center, sigma_diag, iters=1, start=v
+                )
                 vals = ray_subproblem_objective(model, lin, center, sigma_diag, v)
                 assert np.all(vals <= prev + 1e-12 * np.maximum(1.0, np.abs(prev)))
                 prev = vals
@@ -182,7 +185,7 @@ class TestNewtonSolve:
                 model, 0.0, np.array([[center]]), np.array([sigma]), np.array([[v_star]])
             )
             got = R.newton_ray_solve(
-                model, lin, np.array([[center]]), np.array([sigma]), iters=10
+                ray_loss(model, 1), lin, np.array([[center]]), np.array([sigma]), iters=10
             )[0, 0]
 
             def deriv(v):
@@ -262,7 +265,9 @@ class TestAdaptiveNewton:
         for seed in range(10, 30):
             model, lin, center, sigma_diag, start = mixed_ray_batch(seed)
             counting.rows.clear()
-            got = R.newton_ray_solve(model, lin, center, sigma_diag, iters=10, start=start)
+            got = R.newton_ray_solve(
+                ray_loss(model, len(center)), lin, center, sigma_diag, iters=10, start=start
+            )
             ref = newton_ray_solve_fixed(model, lin, center, sigma_diag, iters=10, start=start)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
             assert counting.rows[1] <= 100  # the rays started at their minimizer stopped
@@ -277,7 +282,9 @@ class TestAdaptiveNewton:
             model, lin, center, sigma_diag, start = mixed_ray_batch(seed)
             counting.rows.clear()
             plain_counting.rows.clear()
-            got = R.newton_ray_solve(model, lin, center, sigma_diag, iters=10, start=start)
+            got = R.newton_ray_solve(
+                ray_loss(model, len(center)), lin, center, sigma_diag, iters=10, start=start
+            )
             ref = newton_ray_solve_plain(model, lin, center, sigma_diag, iters=10, start=start)
             assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
             # One entry may differ by more: a ray whose plain loop takes one
@@ -290,7 +297,9 @@ class TestAdaptiveNewton:
     def test_stopped_ray_is_frozen(self):
         model, lin, center, sigma_diag, start = mixed_ray_batch(10)
         runs = [
-            R.newton_ray_solve(model, lin, center, sigma_diag, iters=k, start=start)
+            R.newton_ray_solve(
+                ray_loss(model, len(center)), lin, center, sigma_diag, iters=k, start=start
+            )
             for k in range(13)
         ]
         stopped_at_some_k = 0
@@ -311,7 +320,7 @@ class TestAdaptiveNewton:
         counting = CountingSlopes(monkeypatch)
         problem, *_ = R.build_ct_problem(model, active, counts, sigma=10.0)
         state = engine.AdmmState.initial(
-            np.zeros(problem.dim_x), np.zeros(problem.dim_y), np.zeros(problem.dim_u)
+            np.zeros(problem.dim_x), np.zeros(problem.dim_y), np.zeros(problem.dim_y)
         )
         for t in range(1, 31):
             counting.rows.clear()
@@ -341,7 +350,7 @@ class TestAdaptiveNewton:
         engine.admm_step(
             problem,
             engine.AdmmState.initial(
-                np.zeros(problem.dim_x), np.zeros(problem.dim_y), np.zeros(problem.dim_u)
+                np.zeros(problem.dim_x), np.zeros(problem.dim_y), np.zeros(problem.dim_y)
             ),
             record_time=False,
         )
@@ -370,7 +379,7 @@ class TestLossEvaluator:
         model = F.build_spectral_model(n_energies=100)
         problem, *_ = R.build_ct_problem(model, active, counts, sigma=10.0)
         state = engine.AdmmState.initial(
-            np.zeros(problem.dim_x), np.zeros(problem.dim_y), np.zeros(problem.dim_u)
+            np.zeros(problem.dim_x), np.zeros(problem.dim_y), np.zeros(problem.dim_y)
         )
         for _ in range(3):
             state = engine.admm_step(problem, state, record_time=False)
@@ -398,12 +407,12 @@ class TestLossEvaluator:
     def test_newton_reusing_held_slopes_matches_fresh_slopes(self, small_ct, monkeypatch):
         model, loss, y, lin, sigma_diag = loss_and_newton_inputs(small_ct)
         counting = CountingSlopes(monkeypatch)
-        fresh = R.newton_ray_solve(model, lin, y, sigma_diag)
+        fresh = R.newton_ray_solve(ray_loss(model, len(y)), lin, y, sigma_diag)
         fresh_calls = len(counting.rows)
         loss.parts(y)
         assert loss.held_slopes(y) is not None
         counting.rows.clear()
-        reused = R.newton_ray_solve(model, lin, y.copy(), sigma_diag, loss=loss)
+        reused = R.newton_ray_solve(loss, lin, y.copy(), sigma_diag)
         assert reused.tobytes() == fresh.tobytes()
         assert len(counting.rows) == fresh_calls - 1  # the first step took the held slopes
         assert loss.held_slopes(y) is None  # Newton overwrote the work arrays
@@ -415,8 +424,9 @@ class TestLossEvaluator:
         moved[5, 1] += 1e-12
         loss.parts(y)
         assert loss.held_slopes(moved) is None
-        got = R.newton_ray_solve(model, lin, moved, sigma_diag, loss=loss)
-        assert got.tobytes() == R.newton_ray_solve(model, lin, moved, sigma_diag).tobytes()
+        got = R.newton_ray_solve(loss, lin, moved, sigma_diag)
+        fresh = R.newton_ray_solve(ray_loss(model, len(moved)), lin, moved, sigma_diag)
+        assert got.tobytes() == fresh.tobytes()
         # A y changed in place after its evaluation is a new point too.
         loss.parts(y)
         y[0, 0] += 0.25
@@ -477,7 +487,7 @@ class TestEngineEquivalence:
         specialized = run_ct_specialized(model, active, counts, sigma=sigma, iters=10)
         problem, *_ = R.build_ct_problem(model, active, counts, sigma=sigma)
         state = engine.AdmmState.initial(
-            np.zeros(problem.dim_x), np.zeros(problem.dim_y), np.zeros(problem.dim_u)
+            np.zeros(problem.dim_x), np.zeros(problem.dim_y), np.zeros(problem.dim_y)
         )
         for xs, ys, us in specialized:
             state = engine.admm_step(problem, state)
@@ -489,13 +499,13 @@ class TestEngineEquivalence:
     def test_lean_step_matches_reference_step_bitwise(self, small_ct):
         _, model, _, active, counts = small_ct
         problem, *_ = R.build_ct_problem(model, active, counts, sigma=10.0)
-        zeros = (np.zeros(problem.dim_x), np.zeros(problem.dim_y), np.zeros(problem.dim_u))
+        zeros = (np.zeros(problem.dim_x), np.zeros(problem.dim_y), np.zeros(problem.dim_y))
         lean = engine.AdmmState.initial(*zeros)
         ref = engine.AdmmState.initial(*zeros)
         for _ in range(15):
             lean = engine.admm_step(problem, lean, record_time=False)
             ref = admm_step_reference(problem, ref, record_time=False)
-        for v in ("x", "y", "u", "ax", "by", "x_bar", "y_bar"):
+        for v in ("x", "y", "u", "ax", "x_bar", "y_bar"):
             assert np.array_equal(getattr(lean, v), getattr(ref, v)), v
         assert [(r.objective, r.primal_residual) for r in lean.trace] == [
             (r.objective, r.primal_residual) for r in ref.trace
@@ -584,11 +594,47 @@ class TestExperimentRunner:
             b2 = (out2 / R.trace_filename(sigma)).read_bytes()
             assert b1 == b2
 
+    def test_sigmas_sharing_an_output_name_rejected_before_any_solve(self, tmp_path, monkeypatch):
+        geom = F.CtGeometry(grid_nx=5, grid_ny=5, pixel_size=0.5, n_angles=6, n_detectors=6)
+        model = F.build_spectral_model(n_energies=20)
+        monkeypatch.setattr(F, "build_projector", None)  # set-up must not start
+        with pytest.raises(ValueError, match="share the output name sigma1"):
+            R.run_ct_experiment(
+                geom, model, F.default_phantom(geom), sigma_list=[1.0, 1.0000001], iters=2,
+                seed=13, out_dir=tmp_path,
+            )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_step_leaves_rows_of_completed_steps(self, tmp_path, monkeypatch):
+        geom = F.CtGeometry(grid_nx=5, grid_ny=5, pixel_size=0.5, n_angles=6, n_detectors=6)
+        model = F.build_spectral_model(n_energies=20)
+        phantom = F.default_phantom(geom)
+        whole, partial = tmp_path / "whole", tmp_path / "partial"
+        for out in (whole, partial):
+            out.mkdir()
+        kwargs = dict(sigma_list=[2.0, 20.0], iters=8, seed=13, record_time=False)
+        R.run_ct_experiment(geom, model, phantom, out_dir=whole, **kwargs)
+        real, calls = R.newton_ray_solve, []
+
+        def fail_on_fifth(*args, **kw):
+            calls.append(1)
+            if len(calls) == 5:
+                raise RuntimeError("Newton diverged")
+            return real(*args, **kw)
+
+        monkeypatch.setattr(R, "newton_ray_solve", fail_on_fifth)
+        with pytest.raises(engine.AdmmStepError, match="iteration 5: y prox_step failed"):
+            R.run_ct_experiment(geom, model, phantom, out_dir=partial, **kwargs)
+        rows = (partial / R.trace_filename(2.0)).read_text().splitlines()
+        assert len(rows) == 1 + 4
+        assert rows == (whole / R.trace_filename(2.0)).read_text().splitlines()[:5]
+        assert sorted(p.name for p in partial.iterdir()) == [R.trace_filename(2.0)]
+
     def test_newton_work_counts(self, small_ct):
         # With a cap of one step every ray is updated once, and the rays not
         # yet converged count as capped.
         model, loss, y, lin, sigma_diag = loss_and_newton_inputs(small_ct)
-        R.newton_ray_solve(model, lin, y, sigma_diag, iters=1, loss=loss)
+        R.newton_ray_solve(loss, lin, y, sigma_diag, iters=1)
         assert loss.newton_ray_steps == y.shape[0]
         assert loss.newton_capped > 0
         _, model, _, active, counts = small_ct

@@ -4,7 +4,7 @@ import pytest
 from ncadmm import diagnostics as D
 from ncadmm import engine
 from ncadmm import quantile as Q
-from ncadmm.engine import AdmmProblem, CompositeObjective, DenseMap, ScaledIdentity, quadratic_prox
+from ncadmm.engine import AdmmProblem, CompositeObjective, DenseMap, quadratic_prox
 from ncadmm.numerics import DiagonalMatrix
 
 from _oracles import probe_trajectory_loop
@@ -14,12 +14,10 @@ def toy_problem(a):
     n = a.shape[0]
     return AdmmProblem(
         A=DenseMap(a),
-        B=ScaledIdentity(n, -1.0),
-        c=np.zeros(n),
         sigma=DiagonalMatrix(np.full(n, 0.5)),
         f=CompositeObjective(prox_step=quadratic_prox),
         g=CompositeObjective(prox_step=quadratic_prox),
-        # the probes read only A, B, c and Sigma; no step is taken
+        # the probes read only A and Sigma; no step is taken
         D_f=DiagonalMatrix(np.ones(a.shape[1])),
         D_g=DiagonalMatrix(np.ones(n)),
     )

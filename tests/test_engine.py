@@ -13,7 +13,6 @@ from ncadmm.engine import (
     CompositeObjective,
     DenseMap,
     KahanSum,
-    ScaledIdentity,
     TraceRecord,
     load_trace,
     quadratic_prox,
@@ -22,17 +21,21 @@ from ncadmm.engine import (
 from ncadmm.numerics import DiagonalMatrix, spectral_norm
 from ncadmm.prox import soft_threshold
 
-from _oracles import admm_step_reference, fista_lasso, kahan_add_reference, validate_stepsizes
+from _oracles import (
+    ScaledIdentity,
+    admm_step_reference,
+    fista_lasso,
+    kahan_add_reference,
+    validate_stepsizes,
+)
 
-# A = I, B = -I, Sigma = I in one dimension: both subproblem quadratics are 1.
+# A = I, Sigma = I in one dimension: both subproblem quadratics are 1.
 UNIT = DiagonalMatrix(np.ones(1))
 
 
 def scalar_problem(f=None, **kwargs):
     return AdmmProblem(
         A=ScaledIdentity(1, 1.0),
-        B=ScaledIdentity(1, -1.0),
-        c=np.zeros(1),
         sigma=UNIT,
         f=f or CompositeObjective(prox_step=quadratic_prox),
         g=CompositeObjective(prox_step=quadratic_prox),
@@ -55,8 +58,6 @@ def lasso_problem(a, w, lam, sigma):
 
     return AdmmProblem(
         A=DenseMap(a),
-        B=ScaledIdentity(n, -1.0),
-        c=np.zeros(n),
         sigma=DiagonalMatrix(np.full(n, sigma)),
         f=CompositeObjective(prox_step=prox_x),
         g=CompositeObjective(prox_step=prox_y),
@@ -85,8 +86,6 @@ class TestAdmmStep:
 
         prob = AdmmProblem(
             A=ScaledIdentity(1, 1.0),
-            B=ScaledIdentity(1, -1.0),
-            c=np.zeros(1),
             sigma=DiagonalMatrix(np.ones(1)),
             f=CompositeObjective(prox_step=prox_quad),
             g=CompositeObjective(prox_step=quadratic_prox),
@@ -232,8 +231,7 @@ class TestProductReuse:
         a, w = rng.standard_normal((5, 4)), rng.standard_normal(5)
         prob = lasso_problem(a, w, 0.05, 0.5)
         counting = CountingMap(a)
-        counting_b = CountingMap(-np.eye(5))  # the lasso's B = -I, as a dense map
-        prob.A, prob.B = counting, counting_b
+        prob.A = counting
         prob.sigma = CountingSigma(prob.sigma.diag)
         seen = []
 
@@ -248,18 +246,15 @@ class TestProductReuse:
         prob.objective = objective
         state = engine.admm_step(prob, AdmmState.initial(np.ones(4), np.ones(5), np.zeros(5)),
                                  alpha_hook=alpha_hook)
-        # the first step also forms A x_0, B y_0 and Sigma(A x_0 + B y_0 - c)
+        # the first step also forms A x_0 and Sigma(A x_0 - y_0)
         assert (counting.matvecs, counting.rmatvecs) == (2, 1)
-        assert (counting_b.matvecs, counting_b.rmatvecs) == (2, 1)
         assert prob.sigma.matvecs == 3
         for step in range(1, 11):
             state = engine.admm_step(prob, state, alpha_hook=alpha_hook)
             assert (counting.matvecs, counting.rmatvecs) == (2 + step, 1 + step)
-            assert (counting_b.matvecs, counting_b.rmatvecs) == (2 + step, 1 + step)
             assert prob.sigma.matvecs == 3 + 2 * step
             assert np.array_equal(state.ax, a @ state.x)
-            assert np.array_equal(state.by, -state.y)
-            assert np.array_equal(state.sr, prob.sigma.diag * (state.ax + state.by - prob.c))
+            assert np.array_equal(state.sr, prob.sigma.diag * (state.ax - state.y))
         assert seen == [True] * 22
 
     def test_carried_product_matches_a_fresh_one_bitwise(self):
@@ -270,7 +265,7 @@ class TestProductReuse:
         for _ in range(20):
             carried = engine.admm_step(prob, carried, record_time=False)
             fresh = engine.admm_step(
-                prob, replace(fresh, ax=None, by=None, sr=None), record_time=False
+                prob, replace(fresh, ax=None, sr=None), record_time=False
             )
             for v in ("x", "y", "u"):
                 assert np.array_equal(getattr(carried, v), getattr(fresh, v))
@@ -285,7 +280,7 @@ class TestLeanStepMatchesReference:
         for _ in range(2000):
             lean = engine.admm_step(prob, lean, record_time=False)
             ref = admm_step_reference(prob, ref, record_time=False)
-        for v in ("x", "y", "u", "ax", "by", "x_bar", "y_bar"):
+        for v in ("x", "y", "u", "ax", "x_bar", "y_bar"):
             assert np.array_equal(getattr(lean, v), getattr(ref, v)), v
         for acc in ("sum_x", "sum_y"):
             assert np.array_equal(getattr(lean, acc)._comp, getattr(ref, acc)._comp), acc
@@ -322,11 +317,30 @@ class TestRun:
         state = AdmmState.initial(np.zeros(4), np.zeros(4), np.zeros(4))
         for _ in range(30):
             new = engine.admm_step(prob, state)
-            # recompute u_t + Sigma(Ax + By - c) in the engine's op order:
+            # recompute u_t + Sigma(Ax - y) in the engine's op order:
             # the stored dual must reproduce bitwise from the recorded iterates
-            resid = prob.A.matvec(new.x) + prob.B.matvec(new.y) - prob.c
+            resid = prob.A.matvec(new.x) - new.y
             assert np.array_equal(new.u, state.u + prob.sigma.matvec(resid))
             state = new
+
+    def test_failure_carries_records_of_completed_steps(self):
+        rng = np.random.default_rng(12)
+        a, w = rng.standard_normal((5, 4)), rng.standard_normal(5)
+        whole = engine.run(lasso_problem(a, w, 0.05, 0.5), iters=8, record_time=False).trace
+        prob = lasso_problem(a, w, 0.05, 0.5)
+        real, calls = prob.g.prox_step, []
+
+        def fail_on_fifth(lin, D, center):
+            calls.append(1)
+            if len(calls) == 5:
+                raise RuntimeError("inner solve diverged")
+            return real(lin, D, center)
+
+        prob.g.prox_step = fail_on_fifth
+        with pytest.raises(AdmmStepError) as err:
+            engine.run(prob, iters=8, record_time=False)
+        assert err.value.iteration == 5
+        assert err.value.trace == whole[:4]
 
     def test_alpha_hook_recorded(self):
         prob = scalar_problem()
@@ -425,16 +439,14 @@ class TestLinearMaps:
 
 class TestProblemValidation:
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="inconsistent"):
+        with pytest.raises(ValueError, match="Sigma dimension does not match the rows of A"):
             AdmmProblem(
-                A=ScaledIdentity(2, 1.0),
-                B=ScaledIdentity(3, -1.0),
-                c=np.zeros(2),
-                sigma=DiagonalMatrix(np.ones(2)),
+                A=DenseMap(np.ones((2, 3))),
+                sigma=DiagonalMatrix(np.ones(3)),
                 f=CompositeObjective(prox_step=quadratic_prox),
                 g=CompositeObjective(prox_step=quadratic_prox),
-                D_f=DiagonalMatrix(np.ones(2)),
-                D_g=DiagonalMatrix(np.ones(3)),
+                D_f=DiagonalMatrix(np.ones(3)),
+                D_g=DiagonalMatrix(np.ones(2)),
             )
 
     @pytest.mark.parametrize("side", ["D_f", "D_g"])
@@ -444,8 +456,6 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match=rf"{side} has shape \(1, 1\), expected \(3, 3\)"):
             AdmmProblem(
                 A=ScaledIdentity(3, 1.0),
-                B=ScaledIdentity(3, -1.0),
-                c=np.zeros(3),
                 sigma=DiagonalMatrix(np.ones(3)),
                 f=CompositeObjective(prox_step=quadratic_prox),
                 g=CompositeObjective(prox_step=quadratic_prox),
@@ -456,8 +466,6 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="positive"):
             AdmmProblem(
                 A=ScaledIdentity(1, 1.0),
-                B=ScaledIdentity(1, -1.0),
-                c=np.zeros(1),
                 sigma=DiagonalMatrix(np.zeros(1)),
                 f=CompositeObjective(prox_step=quadratic_prox),
                 g=CompositeObjective(prox_step=quadratic_prox),

@@ -20,10 +20,13 @@ MODULES = sorted(
 
 # Capabilities no run uses, and reference code that lives in tests/_oracles.py.
 GONE = [
-    (engine, ["DenseQuadratic", "_map_dense", "validate_stepsizes", "StepsizeReport", "_min_eig"]),
+    (engine, [
+        "DenseQuadratic", "_map_dense", "validate_stepsizes", "StepsizeReport", "_min_eig",
+        "ScaledIdentity",
+    ]),
     (engine.AdmmProblem, ["_build_quadratic"]),
+    (engine.AdmmState, ["by"]),
     (engine.DenseMap, ["dense"]),
-    (engine.ScaledIdentity, ["dense"]),
     (engine.KronEye, ["dense"]),
     (numerics, ["check_psd", "spmv"]),
     (prox, ["qexp_value"]),
@@ -58,7 +61,10 @@ def test_trimmed_names_are_gone(owner, names):
 
 def test_engine_problem_fields():
     fields = [f.name for f in dataclasses.fields(engine.AdmmProblem)]
-    assert fields == ["A", "B", "c", "sigma", "f", "g", "D_f", "D_g", "objective"]
+    assert fields == ["A", "sigma", "f", "g", "D_f", "D_g", "objective"]
+    assert [f.name for f in dataclasses.fields(engine.AdmmState)] == [
+        "t", "x", "y", "u", "sum_x", "sum_y", "trace", "ax", "sr",
+    ]
     assert [f.name for f in dataclasses.fields(engine.CompositeObjective)] == ["prox_step", "grad_d"]
     assert [f.name for f in dataclasses.fields(forward.SpectralModel)] == [
         "energies", "mu", "window_weights", "beam", "materials",
@@ -77,6 +83,9 @@ def test_trimmed_parameters_are_gone():
     for fn in (recon.build_ct_problem, recon.run_ct_reconstruction, recon.run_ct_experiment):
         assert "newton_iters" not in inspect.signature(fn).parameters, fn.__name__
     assert list(inspect.signature(forward.build_spectral_model).parameters)[-1] == "spectrum_path"
+    assert list(inspect.signature(recon.newton_ray_solve).parameters) == [
+        "loss", "lin", "center", "sigma_diag", "iters", "start",
+    ]
     alpha = inspect.signature(recon.alpha_t_diagnostic).parameters
     assert "model" not in alpha and "counts" not in alpha
     assert [alpha[name].default for name in ("grad_star", "grad_y")] == [inspect.Parameter.empty] * 2

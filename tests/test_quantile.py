@@ -334,3 +334,36 @@ class TestSigmaSweepRunner:
         )
         expected = [Q.quantile_objective(spec, ds, x_bar) for x_bar in x_bars]
         assert avg_losses == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_sigmas_sharing_an_output_name_rejected_before_any_solve(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(Q, "generate_dataset", None)  # set-up must not start
+        with pytest.raises(ValueError, match="share the output name sigma0.001"):
+            Q.run_sigma_sweep(
+                small_spec(), [1.0000001e-3, 1.0000002e-3], iters=2, out_dir=tmp_path
+            )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_step_leaves_rows_of_completed_steps(self, tmp_path, monkeypatch):
+        spec = small_spec(d=12, n=20, s_star=2, seed=3)
+        sigmas = [5e-3, 1e-2]
+        whole, partial = tmp_path / "whole", tmp_path / "partial"
+        whole.mkdir()
+        partial.mkdir()
+        Q.run_sigma_sweep(spec, sigmas, iters=10, out_dir=whole, record_time=False)
+        real, calls = Q.quantile_prox_update, []
+
+        def fail_on_fifth(*args):
+            calls.append(1)
+            if len(calls) == 5:
+                raise RuntimeError("inner solve diverged")
+            return real(*args)
+
+        monkeypatch.setattr(Q, "quantile_prox_update", fail_on_fifth)
+        with pytest.raises(engine.AdmmStepError, match="iteration 5: y prox_step failed"):
+            Q.run_sigma_sweep(spec, sigmas, iters=10, out_dir=partial, record_time=False)
+        name = Q.trace_filename(sigmas[0])
+        rows = (partial / name).read_text().splitlines()
+        assert len(rows) == 1 + 4
+        assert rows == (whole / name).read_text().splitlines()[:5]
+        assert rows[0].endswith(",objective_avg")
+        assert not (partial / Q.trace_filename(sigmas[1])).exists()
