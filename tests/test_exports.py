@@ -11,6 +11,8 @@ import ncadmm
 from ncadmm import cli, config, engine, numerics, prox, quantile
 from ncadmm.ct import forward, recon
 
+from _oracles import ScaledIdentity
+
 # __main__ runs the command line on import
 MODULES = sorted(
     info.name
@@ -27,6 +29,7 @@ GONE = [
     (engine.AdmmProblem, ["_build_quadratic"]),
     (engine.AdmmState, ["by"]),
     (engine.DenseMap, ["dense"]),
+    (ScaledIdentity, ["dense"]),
     (engine.KronEye, ["dense"]),
     (numerics, ["check_psd", "spmv"]),
     (prox, ["qexp_value"]),
