@@ -8,7 +8,8 @@ Subcommands:
 `run` writes, under --out: one trace file per sigma, reconstructed images for
 the ct experiment, and manifest.json (resolved config + seed + versions),
 which can itself be passed back as --config to reproduce the run. Exit codes:
-0 success, 2 invalid configuration or arguments, 3 numerical failure.
+0 success, 2 invalid configuration or arguments or an output file that
+cannot be written, 3 numerical failure.
 
 Setting NCADMM_SEQUENTIAL=1 zeroes the per-iteration timing column so trace
 files are byte-identical across runs.
@@ -113,6 +114,11 @@ def _config_error(exc) -> int:
     return EXIT_CONFIG
 
 
+def _write_error(exc: OSError) -> int:
+    """The config-error exit for an output file that cannot be written."""
+    return _config_error(f"cannot write {exc.filename or 'output'}: {exc.strerror or exc}")
+
+
 def _make_dir(path) -> None:
     """os.makedirs(path, exist_ok=True), with a failure as a ConfigError."""
     try:
@@ -146,14 +152,16 @@ def cmd_run(args) -> int:
     record_time = not _sequential_mode()
     try:
         paths = _EXPERIMENTS[cfg.kind](cfg, record_time)
+        manifest = _write_manifest(cfg)
     except ConfigError as exc:
         return _config_error(exc)
+    except OSError as exc:
+        return _write_error(exc)
     except (AdmmStepError, FloatingPointError, ValueError) as exc:
         # ValueError also covers np.linalg.LinAlgError and set-up failures
         # outside the engine, e.g. a nonpositive CT window mean at y*.
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    manifest = _write_manifest(cfg)
     print(f"wrote {len(paths)} trace file(s) and {manifest}")
     for p in paths:
         print(f"  {p}")
@@ -193,8 +201,16 @@ def cmd_summarize(args) -> int:
     if args.data_dir is not None:
         try:
             _make_dir(args.data_dir)
+            for path, records in traces:
+                stem = os.path.splitext(os.path.basename(path))[0]
+                with open(os.path.join(args.data_dir, stem + ".dat"), "w") as fh:
+                    fh.write("# iter objective primal_residual\n")
+                    for r in records:
+                        fh.write(f"{r.t} {r.objective!r} {r.primal_residual!r}\n")
         except ConfigError as exc:
             return _config_error(exc)
+        except OSError as exc:
+            return _write_error(exc)
     # gnuplot-compatible: '#' comments, whitespace-separated columns
     print("# file final_iter final_objective min_objective final_primal_residual")
     for path, records in traces:
@@ -204,13 +220,6 @@ def cmd_summarize(args) -> int:
             f"{os.path.basename(path)} {last.t} {last.objective!r} "
             f"{min(objectives)!r} {last.primal_residual!r}"
         )
-        if args.data_dir is not None:
-            stem = os.path.splitext(os.path.basename(path))[0]
-            dat = os.path.join(args.data_dir, stem + ".dat")
-            with open(dat, "w") as fh:
-                fh.write("# iter objective primal_residual\n")
-                for r in records:
-                    fh.write(f"{r.t} {r.objective!r} {r.primal_residual!r}\n")
     return EXIT_OK
 
 

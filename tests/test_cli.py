@@ -352,6 +352,25 @@ class TestRunCommand:
         assert err.startswith(f"config error: cannot create directory {out}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "kind, blocked",
+        [
+            ("quantile", "quantile_sigma0.005.csv"),
+            ("quantile", "manifest.json"),
+            ("ct", "ct_sigma5.csv"),
+            ("ct", "ct_sigma5_aluminum.txt"),
+            ("ct", "ct_sigma5_gadolinium.pgm"),
+            ("ct", "ct_report.json"),
+        ],
+    )
+    def test_unwritable_output_file_exits_2(self, tmp_path, capsys, kind, blocked):
+        path, out = write_config(tmp_path, {"quantile": QUANTILE_SMALL, "ct": CT_SMALL}[kind])
+        (out / blocked).mkdir(parents=True)
+        assert cli.main(["run", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: cannot write {out / blocked}: Is a directory\n"
+        assert captured.out == ""
+
     def test_failed_step_leaves_partial_trace_exits_3(self, tmp_path, monkeypatch, capsys):
         from ncadmm import quantile
 
@@ -548,6 +567,16 @@ class TestSummarize:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"config error: cannot create directory {blocker / 'dat'}: ")
         assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_unwritable_data_file_exits_2(self, tmp_path, capsys):
+        trace = tmp_path / "quantile_sigma0.005.csv"
+        engine.save_trace(trace, [engine.TraceRecord(1, 1.0, 0.5, None, 0.0)])
+        blocked = tmp_path / "dat" / "quantile_sigma0.005.dat"
+        blocked.mkdir(parents=True)
+        assert cli.main(["summarize", str(trace), "--data-dir", str(tmp_path / "dat")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: cannot write {blocked}: Is a directory\n"
         assert captured.out == ""
 
     def test_no_traces_exits_2(self, tmp_path):

@@ -437,6 +437,67 @@ class TestLinearMaps:
         np.testing.assert_allclose(op.matmat(cols), expected, rtol=1e-14, atol=1e-14)
 
 
+class PlainMap(DenseMap):
+    """DenseMap whose matvec is always the full product a @ v."""
+
+    def matvec(self, v):
+        return self.a @ v
+
+
+class TestDenseMatvec:
+    A = np.random.default_rng(11).standard_normal((30, 200))
+
+    def test_sparse_vector_matches_full_product(self):
+        rng = np.random.default_rng(12)
+        v = np.zeros(200)
+        v[[3, 50, 199]] = rng.standard_normal(3)
+        assert engine.GATHER_RATIO * 3 <= v.size
+        bound = 4 * np.finfo(float).eps * (np.abs(self.A) @ np.abs(v))
+        assert np.all(np.abs(DenseMap(self.A).matvec(v) - self.A @ v) <= bound)
+
+    def test_vector_over_the_threshold_is_the_full_product(self):
+        v = np.zeros(200)
+        v[:4] = np.random.default_rng(13).standard_normal(4)
+        assert engine.GATHER_RATIO * 4 > v.size
+        assert DenseMap(self.A).matvec(v).tobytes() == (self.A @ v).tobytes()
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_vector_gives_positive_zeros(self, zero):
+        out = DenseMap(self.A).matvec(np.full(200, zero))
+        assert out.shape == (30,)
+        assert np.all(out == 0.0) and not np.signbit(out).any()
+
+    def test_nan_in_the_vector_reaches_the_output(self):
+        v = np.zeros(200)
+        v[7] = np.nan
+        assert np.isnan(DenseMap(self.A).matvec(v)).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        a = self.A.copy()
+        a[2, 5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            DenseMap(a)
+
+    def test_probe_size_run_is_bitwise_the_full_product_run(self):
+        # perfbench's quantile-probe gate: a 1e-12 change in gamma moves its
+        # last RSC slack by 13.5%, so this size must keep the full product's bits.
+        spec = Q.QuantileProblemSpec(d=50, n=100, s_star=3, sigma=5e-3, seed=20240802)
+        dataset = Q.generate_dataset(spec)
+        gamma = Q.quantile_gamma(dataset.phi)
+        runs = []
+        for linear_map in (DenseMap, PlainMap):
+            prob = Q.build_problem(spec, dataset, gamma=gamma)
+            prob.A = linear_map(dataset.phi)
+            runs.append(engine.run(prob, iters=2000, record_time=False))
+        sparse, plain = runs
+        assert [(r.objective, r.primal_residual) for r in sparse.trace] == [
+            (r.objective, r.primal_residual) for r in plain.trace
+        ]
+        for v in ("x", "y", "u", "ax"):
+            assert getattr(sparse.state, v).tobytes() == getattr(plain.state, v).tobytes(), v
+
+
 class TestProblemValidation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="Sigma dimension does not match the rows of A"):
