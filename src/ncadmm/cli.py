@@ -18,6 +18,7 @@ files are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import os
 import sys
@@ -101,6 +102,8 @@ def _write_manifest(cfg: ExperimentConfig) -> str:
             "ncadmm": __version__,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
+            # read from the installed metadata, so quantile runs never import scipy
+            "scipy": importlib.metadata.version("scipy"),
         },
     }
     path = os.path.join(cfg.out, "manifest.json")

@@ -4,12 +4,14 @@ Dense vectors are plain 1-D ``numpy.ndarray``s throughout the package; this
 module adds the two structured matrix types everything else is built on,
 plus the spectral-norm estimator (on dense arrays) that sets the quantile
 step size.
+
+scipy serves only `SparseMatrix` (the CT projector), which imports
+`scipy.sparse` when the first one is built; a quantile run never loads it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "SparseMatrix",
@@ -51,6 +53,10 @@ class SparseMatrix:
             keys = np.sort(row_idx * cols + col_idx)
             if (keys[1:] == keys[:-1]).any():
                 raise ValueError("duplicate (row, col) entries")
+        # Imported here, not at module level: scipy.sparse costs ~15 MB of
+        # resident memory and only the CT projector builds a sparse matrix.
+        import scipy.sparse as sp
+
         self._set_csr(sp.csr_matrix((values, (row_idx, col_idx)), shape=(rows, cols)))
 
     def _set_csr(self, csr) -> None:

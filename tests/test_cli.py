@@ -253,7 +253,7 @@ class TestRunCommand:
         assert len(extras["objective_avg"]) == 15
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["experiment"]["kind"] == "quantile"
-        assert "numpy" in manifest["versions"]
+        assert set(manifest["versions"]) == {"ncadmm", "python", "numpy", "scipy"}
 
     def test_manifest_rerun_reproduces_traces(self, tmp_path):
         path, out = write_config(tmp_path, QUANTILE_SMALL)

@@ -3,7 +3,11 @@
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -92,3 +96,44 @@ def test_trimmed_parameters_are_gone():
     alpha = inspect.signature(recon.alpha_t_diagnostic).parameters
     assert "model" not in alpha and "counts" not in alpha
     assert [alpha[name].default for name in ("grad_star", "grad_y")] == [inspect.Parameter.empty] * 2
+
+
+# Run in a fresh interpreter: this process has already imported scipy (the oracles use it).
+SCIPY_SPARSE_PROBE = textwrap.dedent("""
+    import sys
+
+    import ncadmm
+    from ncadmm import cli, diagnostics, engine
+    from ncadmm import quantile as Q
+    from ncadmm.ct import recon
+    from ncadmm.numerics import SparseMatrix
+
+    out = sys.argv[1]
+    spec = Q.QuantileProblemSpec(d=12, n=20, s_star=2, seed=3)
+    Q.run_sigma_sweep(spec, [5e-3], iters=5, out_dir=out)
+    ds = Q.generate_dataset(spec)
+    problem = Q.build_problem(spec, ds)
+    xi_star, zeta_star, _ = Q.star_subgradients(spec, ds)
+    iterates = []
+    engine.run(problem, iters=5, record_time=False,
+               iteration_hook=lambda t, state: iterates.append((state.x, state.y)))
+    y_star = ds.phi @ ds.x_true
+    diagnostics.probe_trajectory(problem, Q.subgradient_selector(spec, ds), iterates,
+                                 ds.x_true, y_star, xi_star, zeta_star)
+    diagnostics.fosp_residuals(problem, ds.x_true, y_star, zeta_star, xi_star, zeta_star)
+    assert cli.main(["validate-config", "--experiment", "quantile"]) == 0
+    assert cli.main(["summarize", "--out", out]) == 0
+    assert "scipy.sparse" not in sys.modules, "a quantile path loaded scipy.sparse"
+    SparseMatrix(2, 2, [0, 1], [1, 0], [1.0, 2.0])
+    assert "scipy.sparse" in sys.modules, "building a SparseMatrix did not load scipy.sparse"
+""")
+
+
+def test_only_a_sparse_matrix_loads_scipy_sparse(tmp_path):
+    src = os.path.dirname(os.path.dirname(ncadmm.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_SPARSE_PROBE, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
