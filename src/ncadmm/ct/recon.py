@@ -14,8 +14,8 @@ Hessian entries as vectors over rays, and solves the shifted 3x3 (in
 general n_m x n_m) systems by a Cholesky factorization vectorized over rays
 (`spd_solve`).
 
-x, y, u are matrices here: (n_pixels, n_materials) for x and
-(n_rays, n_materials) for y and u.
+The engine iterates on matrices, unflattened: (n_pixels, n_materials) for x
+and (n_rays, n_materials) for y and u.
 """
 
 from __future__ import annotations
@@ -230,7 +230,7 @@ def alpha_t_diagnostic(
 ) -> float | None:
     """Empirical curvature ratio along the trajectory, for the CT loss.
 
-    `weights` holds the penalty Sigma entry by entry, shaped like y;
+    `weights` is the diagonal of the penalty Sigma, broadcast against y;
     `grad_star` and `grad_y` are the loss gradients at y_star and y.
     """
     penalty = 0.5 * float((weights * (proj_x - y) ** 2).sum())
@@ -257,38 +257,34 @@ def build_ct_problem(
     counts: np.ndarray,
     sigma: float,
 ) -> tuple[AdmmProblem, CtLoss]:
-    """Wire the CT problem into the generic engine on flattened variables.
+    """Wire the CT problem into the generic engine on matrix variables.
 
-    D_f = Q_f kron I is diagonal, so the (empty) image-block objective uses
-    the exact quadratic prox; the projection block prox reshapes and runs the
-    batched Newton solver. The problem holds the step sizes: Sigma = D_g =
-    sigma_tilde kron I and D_f = Q_f kron I. One `CtLoss`, returned with it,
-    serves the gradient of g_d, the objective and Newton's work arrays.
+    D_f = Q_f is diagonal, so the (empty) image-block objective uses the
+    exact quadratic prox; the projection block prox runs the batched Newton
+    solver. The problem holds the step sizes, one entry per row for all
+    materials: Sigma = D_g = sigma_tilde and D_f = Q_f. One `CtLoss`,
+    returned with it, serves the gradient of g_d, the objective and Newton's
+    work arrays.
     """
-    n_m = model.n_materials
-    n_rays = projector.rows
     q_f, sigma_tilde = build_preconditioners(projector, sigma)
-    penalty = DiagonalMatrix(np.repeat(sigma_tilde, n_m))
+    penalty = DiagonalMatrix(sigma_tilde[:, None])
     loss = CtLoss(model, counts)
 
     def prox_y(lin, D, center):
-        v = newton_ray_solve(
-            loss, lin.reshape(n_rays, n_m), center.reshape(n_rays, n_m), sigma_tilde
-        )
-        return v.ravel()
+        return newton_ray_solve(loss, lin, center, sigma_tilde)
 
-    def grad_d(y_flat):
-        return loss.parts(y_flat.reshape(n_rays, n_m)).grad_d.ravel()
+    def grad_d(y):
+        return loss.parts(y).grad_d
 
-    def objective(x_flat, y_flat, proj_flat):
-        return loss.parts(proj_flat.reshape(n_rays, n_m), want_grad=False).value
+    def objective(x, y, proj):
+        return loss.parts(proj, want_grad=False).value
 
     problem = AdmmProblem(
-        A=KronEye(projector, n_m),
+        A=KronEye(projector, model.n_materials),
         sigma=penalty,
         f=CompositeObjective(prox_step=quadratic_prox),
         g=CompositeObjective(prox_step=prox_y, grad_d=grad_d),
-        D_f=DiagonalMatrix(np.repeat(q_f, n_m)),
+        D_f=DiagonalMatrix(q_f[:, None]),
         D_g=penalty,
         objective=objective,
     )
@@ -314,16 +310,13 @@ def run_ct_reconstruction(
     moving when the cap ended a solve).
     """
     problem, loss = build_ct_problem(model, projector, counts, sigma)
-    shape = (projector.rows, model.n_materials)
     alpha_hook = None
     if y_star is not None:
         grad_star = loss.parts(y_star).grad
-        weights = problem.sigma.diag.reshape(shape)
 
-        def alpha_hook(t, x_flat, y_flat, u_flat, proj_flat):
-            y = y_flat.reshape(shape)
+        def alpha_hook(t, x, y, u, proj):
             return alpha_t_diagnostic(
-                weights, proj_flat.reshape(shape), y, y_star, grad_star, loss.parts(y).grad
+                problem.sigma.diag, proj, y, y_star, grad_star, loss.parts(y).grad
             )
 
     result = engine_run(
@@ -382,7 +375,7 @@ def run_ct_experiment(
             if path is not None:
                 save_trace(path, exc.trace)
             raise
-        x_final = result.state.x.reshape(geom.n_pixels, model.n_materials)
+        x_final = result.state.x
         entry = {"result": result, "image": x_final, "newton": newton}
         if path is not None:
             save_trace(path, result.trace)

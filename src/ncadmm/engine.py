@@ -15,7 +15,8 @@ form  argmin_v { h_c(v) + <v, lin> + 0.5*||v - center||^2_D }  with
 D = H_f + A'Sigma A, center = x_t and lin = grad f_d(x_t) + A'(u_t + Sigma(Ax_t - y_t));
 the y subproblem is analogous with D = H_g + Sigma, center = y_t and
 lin = grad g_d(y_t) - (u_t + Sigma(Ax_{t+1} - y_t)). Completing the square
-shows this is the same minimization.
+shows this is the same minimization. The iterates are arrays of any shape:
+vectors for quantile regression, (rows, materials) matrices for CT.
 """
 
 from __future__ import annotations
@@ -50,9 +51,10 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Linear maps: anything with shape/matvec/rmatvec works for A; the RSC probe
-# (diagnostics) also needs matmat, the product with a stack of column
-# vectors. SparseMatrix (numerics) already satisfies the protocol.
+# Linear maps: anything with shape = (y shape, x shape), an int for a vector,
+# and matvec/rmatvec works for A; the RSC probe (diagnostics) also needs
+# matmat, the product with a stack of column vectors. SparseMatrix (numerics)
+# already satisfies the protocol.
 
 
 # DenseMap.matvec gathers the columns of v's nonzeros when at most one entry
@@ -98,11 +100,7 @@ class DenseMap:
 
 
 class KronEye:
-    """(P kron I_m) acting on C-order flattenings of (cols, m) matrices.
-
-    Avoids materializing the Kronecker product: matvec reshapes, applies P to
-    the stacked columns, and flattens back.
-    """
+    """P kron I_m without the Kronecker product: P applied to (cols, m) matrices."""
 
     def __init__(self, p: SparseMatrix, m: int):
         self.p = p
@@ -110,15 +108,13 @@ class KronEye:
 
     @property
     def shape(self):
-        return (self.p.rows * self.m, self.p.cols * self.m)
+        return ((self.p.rows, self.m), (self.p.cols, self.m))
 
-    def matvec(self, v):
-        x = np.asarray(v, dtype=float).reshape(self.p.cols, self.m)
-        return self.p.matmat(x).ravel()
+    def matvec(self, x):
+        return self.p.matmat(x)
 
-    def rmatvec(self, v):
-        y = np.asarray(v, dtype=float).reshape(self.p.rows, self.m)
-        return self.p.rmatmat(y).ravel()
+    def rmatvec(self, y):
+        return self.p.rmatmat(y)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +127,7 @@ class CompositeObjective:
     prox_step(lin, D, center) must return
     argmin_v { h_c(v) + <v, lin> + 0.5*||v - center||^2_D }
     to first-order residual <= 1e-8; D is the positive-definite subproblem
-    quadratic of the problem (e.g. a DiagonalMatrix), with a `solve` method.
+    quadratic of the problem, a DiagonalMatrix, with a `solve` method.
     grad_d may be None when the differentiable part is absent.
     """
 
@@ -148,11 +144,12 @@ def quadratic_prox(lin: np.ndarray, D, center: np.ndarray) -> np.ndarray:
 class AdmmProblem:
     """Problem data for the linearized-ADMM loop on the constraint y = A x.
 
-    A is (dim_y, dim_x); Sigma, like the dual u, lives in y's space. D_f / D_g
-    are the subproblem quadratics H_f + A'Sigma A and H_g + Sigma for the
-    caller's step-size matrices H_f, H_g, which the iteration never needs on
-    their own. `objective(x, y, ax)`, if given, is evaluated at every
-    iterate; ax = A x is the product the step already computed.
+    `x_shape` and `y_shape` come from A.shape; the dual u lives in y's space.
+    Sigma and D_f / D_g, the subproblem quadratics H_f + A'Sigma A and
+    H_g + Sigma for the caller's step-size matrices H_f, H_g, are diagonal
+    with one weight per row: shape (n,) for a vector, (n, 1) for an (n, m)
+    matrix. `objective(x, y, ax)`, if given, is evaluated at every iterate;
+    ax = A x is the product the step already computed.
     """
 
     A: object
@@ -164,14 +161,19 @@ class AdmmProblem:
     objective: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], float]] = None
 
     def __post_init__(self):
-        self.dim_y, self.dim_x = self.A.shape
-        if self.sigma.diag.shape != (self.dim_y,):
+        self.y_shape, self.x_shape = (d if isinstance(d, tuple) else (d,) for d in self.A.shape)
+        if self.sigma.diag.shape != _row_weights(self.y_shape):
             raise ValueError("Sigma dimension does not match the rows of A")
         if not self.sigma.is_positive():
             raise ValueError("Sigma must have strictly positive entries")
-        for name, quad, dim in (("D_f", self.D_f, self.dim_x), ("D_g", self.D_g, self.dim_y)):
-            if quad.shape != (dim, dim):
-                raise ValueError(f"{name} has shape {quad.shape}, expected {(dim, dim)}")
+        for name, quad, shape in (("D_f", self.D_f, self.x_shape), ("D_g", self.D_g, self.y_shape)):
+            expected = _row_weights(shape)
+            if quad.diag.shape != expected:
+                raise ValueError(f"{name} has shape {quad.diag.shape}, expected {expected}")
+
+
+def _row_weights(shape: tuple) -> tuple:
+    return shape[:1] + (1,) * (len(shape) - 1)
 
 
 @dataclass
@@ -184,11 +186,11 @@ class TraceRecord:
 
 
 class KahanSum:
-    """Compensated vector accumulator, so long running averages stay trustworthy."""
+    """Compensated array accumulator, so long running averages stay trustworthy."""
 
-    def __init__(self, n: int):
-        self.total = np.zeros(n)
-        self._comp = np.zeros(n)
+    def __init__(self, shape):
+        self.total = np.zeros(shape)
+        self._comp = np.zeros(shape)
 
     def add(self, v: np.ndarray) -> None:
         y = v - self._comp
@@ -226,8 +228,8 @@ class AdmmState:
             x=np.asarray(x0, dtype=float),
             y=np.asarray(y0, dtype=float),
             u=np.asarray(u0, dtype=float),
-            sum_x=KahanSum(np.asarray(x0).size),
-            sum_y=KahanSum(np.asarray(y0).size),
+            sum_x=KahanSum(np.shape(x0)),
+            sum_y=KahanSum(np.shape(y0)),
         )
 
     @property
@@ -305,18 +307,18 @@ def admm_step(
     if problem.f.grad_d is not None:
         lin_x = lin_x + _call(it, "x grad_d", problem.f.grad_d, x)
     x_new = _call(it, "x prox_step", problem.f.prox_step, lin_x, problem.D_f, x)
-    x_new = _checked(x_new, (problem.dim_x,), it, "x update")
+    x_new = _checked(x_new, problem.x_shape, it, "x update")
 
     ax_new = problem.A.matvec(x_new)
     lin_y = -(u + sig.matvec(ax_new - y))
     if problem.g.grad_d is not None:
         lin_y = lin_y + _call(it, "y grad_d", problem.g.grad_d, y)
     y_new = _call(it, "y prox_step", problem.g.prox_step, lin_y, problem.D_g, y)
-    y_new = _checked(y_new, (problem.dim_y,), it, "y update")
+    y_new = _checked(y_new, problem.y_shape, it, "y update")
 
     residual = ax_new - y_new
     sr_new = sig.matvec(residual)
-    u_new = _checked(u + sr_new, (problem.dim_y,), it, "u update")
+    u_new = _checked(u + sr_new, problem.y_shape, it, "u update")
 
     obj = float("nan")
     if problem.objective is not None:
@@ -330,7 +332,7 @@ def admm_step(
     state.sum_x.add(x_new)
     state.sum_y.add(y_new)
     seconds = time.perf_counter() - t0 if record_time else 0.0
-    state.trace.append(TraceRecord(it, obj, math.sqrt(residual @ residual), alpha, seconds))
+    state.trace.append(TraceRecord(it, obj, math.sqrt(np.vdot(residual, residual)), alpha, seconds))
     return AdmmState(
         t=it, x=x_new, y=y_new, u=u_new, sum_x=state.sum_x, sum_y=state.sum_y,
         trace=state.trace, ax=ax_new, sr=sr_new,
@@ -364,7 +366,7 @@ def run(
     if iters < 1:
         raise ValueError("iters must be at least 1")
     if init is None:
-        init = (np.zeros(problem.dim_x), np.zeros(problem.dim_y), np.zeros(problem.dim_y))
+        init = (np.zeros(problem.x_shape), np.zeros(problem.y_shape), np.zeros(problem.y_shape))
     state = AdmmState.initial(*init)
     try:
         for _ in range(iters):

@@ -1,7 +1,7 @@
 """Minimal linear-algebra substrate: sparse/diagonal matrices and spectral norms.
 
-Dense vectors are plain 1-D ``numpy.ndarray``s throughout the package; this
-module adds the two structured matrix types everything else is built on,
+Dense vectors and matrices are plain ``numpy.ndarray``s throughout the
+package; this module adds the two structured matrix types built on them,
 plus the spectral-norm estimator (on dense arrays) that sets the quantile
 step size.
 
@@ -116,32 +116,32 @@ class SparseMatrix:
 
 
 class DiagonalMatrix:
-    """Immutable PSD diagonal matrix: entries must be nonnegative."""
+    """Immutable PSD diagonal matrix, one nonnegative entry per row: (n,) for
+    vectors, (n, 1) for (n, m) matrices. Operands must match its axes and
+    rows exactly, so that no product broadcasts to another shape."""
 
     def __init__(self, diagonal):
         diag = _as_float_array(diagonal, "diagonal")
-        if diag.ndim != 1:
-            raise ValueError("diagonal must be 1-D")
+        if diag.ndim == 0 or any(n != 1 for n in diag.shape[1:]):
+            raise ValueError("diagonal must hold one entry per row")
         if diag.size and diag.min() < 0:
             raise ValueError("PSD diagonal matrix requires nonnegative entries")
         diag.flags.writeable = False
         self.diag = diag
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        n = self.diag.size
-        return (n, n)
+    def _operand(self, v) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        if v.ndim != self.diag.ndim or v.shape[0] != self.diag.shape[0]:
+            raise ValueError(f"dimension mismatch: diagonal {self.diag.shape}, operand {v.shape}")
+        return v
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.diag.size,):
-            raise ValueError("dimension mismatch in diagonal matvec")
-        return self.diag * v
+        return self.diag * self._operand(v)
 
     rmatvec = matvec
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        return np.asarray(v, dtype=float) / self.diag
+        return self._operand(v) / self.diag
 
     def is_positive(self) -> bool:
         return bool(self.diag.size == 0 or self.diag.min() > 0.0)

@@ -11,8 +11,10 @@ out as matrix formulas (the engine runs them as prox callbacks), the CT
 model's noise-free means and convex-part Hessian blocks, the fixed-budget
 per-ray Newton loop and the adaptive one with the step-size stop alone, the
 plain ADMM step on the general constraint Ax + By = c that the lean engine
-step must match bit for bit, the per-point RSC probe the block probe must
-match, and small linear-map, sparse-matrix and phantom-file helpers.
+step must match bit for bit, the CT problem wired on flattened variables
+that the matrix-shaped one must match bit for bit, the per-point RSC probe
+the block probe must match, and small linear-map, sparse-matrix and
+phantom-file helpers.
 """
 
 import math
@@ -23,10 +25,18 @@ import numpy as np
 from scipy.optimize import linprog
 
 from ncadmm.ct import recon as R
-from ncadmm.engine import AdmmState, AdmmStepError, TraceRecord
+from ncadmm.engine import (
+    AdmmProblem,
+    AdmmState,
+    AdmmStepError,
+    CompositeObjective,
+    TraceRecord,
+    quadratic_prox,
+    run,
+)
 from ncadmm.ct.forward import DEFAULT_MATERIALS, CtLoss, ct_loss_parts
 from ncadmm.diagnostics import RscProbeResult
-from ncadmm.numerics import SparseMatrix
+from ncadmm.numerics import DiagonalMatrix, SparseMatrix
 from ncadmm.prox import ball_project, qexp, qexp_slopes, quantile_prox_update, soft_threshold
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -534,6 +544,84 @@ def run_ct_specialized(model, projector, counts, sigma, iters,
 
 
 # ---------------------------------------------------------------------------
+# The CT problem on flattened variables
+
+
+class FlatKronEye:
+    """(P kron I_m) acting on C-order flattenings of (cols, m) matrices: each
+    product reshapes, applies P to the stacked columns and flattens back."""
+
+    def __init__(self, p, m):
+        self.p = p
+        self.m = int(m)
+
+    @property
+    def shape(self):
+        return (self.p.rows * self.m, self.p.cols * self.m)
+
+    def matvec(self, v):
+        x = np.asarray(v, dtype=float).reshape(self.p.cols, self.m)
+        return self.p.matmat(x).ravel()
+
+    def rmatvec(self, v):
+        y = np.asarray(v, dtype=float).reshape(self.p.rows, self.m)
+        return self.p.rmatmat(y).ravel()
+
+
+def build_ct_problem_flat(model, projector, counts, sigma):
+    """`recon.build_ct_problem` on flattened variables: the map is
+    `FlatKronEye`, Sigma = D_g and D_f repeat their per-ray and per-pixel
+    entries over the materials, and the callbacks reshape their inputs and
+    flatten their outputs."""
+    n_m = model.n_materials
+    n_rays = projector.rows
+    q_f, sigma_tilde = R.build_preconditioners(projector, sigma)
+    penalty = DiagonalMatrix(np.repeat(sigma_tilde, n_m))
+    loss = CtLoss(model, counts)
+
+    def prox_y(lin, D, center):
+        v = R.newton_ray_solve(
+            loss, lin.reshape(n_rays, n_m), center.reshape(n_rays, n_m), sigma_tilde
+        )
+        return v.ravel()
+
+    def grad_d(y_flat):
+        return loss.parts(y_flat.reshape(n_rays, n_m)).grad_d.ravel()
+
+    def objective(x_flat, y_flat, proj_flat):
+        return loss.parts(proj_flat.reshape(n_rays, n_m), want_grad=False).value
+
+    problem = AdmmProblem(
+        A=FlatKronEye(projector, n_m),
+        sigma=penalty,
+        f=CompositeObjective(prox_step=quadratic_prox),
+        g=CompositeObjective(prox_step=prox_y, grad_d=grad_d),
+        D_f=DiagonalMatrix(np.repeat(q_f, n_m)),
+        D_g=penalty,
+        objective=objective,
+    )
+    return problem, loss
+
+
+def run_ct_reconstruction_flat(model, projector, counts, sigma, iters, y_star):
+    """`recon.run_ct_reconstruction` (untimed, with the alpha diagnostic) on
+    `build_ct_problem_flat`; the alpha hook reshapes the flat iterates."""
+    problem, loss = build_ct_problem_flat(model, projector, counts, sigma)
+    shape = (projector.rows, model.n_materials)
+    grad_star = loss.parts(y_star).grad
+    weights = problem.sigma.diag.reshape(shape)
+
+    def alpha_hook(t, x_flat, y_flat, u_flat, proj_flat):
+        y = y_flat.reshape(shape)
+        return R.alpha_t_diagnostic(
+            weights, proj_flat.reshape(shape), y, y_star, grad_star, loss.parts(y).grad
+        )
+
+    result = run(problem, iters=iters, alpha_hook=alpha_hook, record_time=False)
+    return result, {"newton_ray_steps": loss.newton_ray_steps, "newton_capped": loss.newton_capped}
+
+
+# ---------------------------------------------------------------------------
 # The ADMM step written plainly
 
 
@@ -573,7 +661,7 @@ def admm_step_reference(problem, state, alpha_hook=None, record_time=True):
     it = state.t + 1
     x, y, u = state.x, state.y, state.u
     sig = problem.sigma
-    B, c = ScaledIdentity(problem.dim_y, -1.0), np.zeros(problem.dim_y)
+    B, c = ScaledIdentity(len(y), -1.0), np.zeros(y.shape)
 
     ax = problem.A.matvec(x) if state.ax is None else state.ax
     by = B.matvec(y)

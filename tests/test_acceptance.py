@@ -279,16 +279,16 @@ def test_criterion_3b_ct_specialized_matches_engine():
     specialized = run_ct_specialized(model, active, counts, sigma=10.0, iters=10)
     problem, *_ = R.build_ct_problem(model, active, counts, sigma=10.0)
     state = engine.AdmmState.initial(
-        np.zeros(problem.dim_x), np.zeros(problem.dim_y), np.zeros(problem.dim_y)
+        np.zeros(problem.x_shape), np.zeros(problem.y_shape), np.zeros(problem.y_shape)
     )
     worst = 0.0
     for xs, ys, us in specialized:
         state = engine.admm_step(problem, state)
         worst = max(
             worst,
-            float(np.abs(state.x.reshape(xs.shape) - xs).max()),
-            float(np.abs(state.y.reshape(ys.shape) - ys).max()),
-            float(np.abs(state.u.reshape(us.shape) - us).max()),
+            float(np.abs(state.x - xs).max()),
+            float(np.abs(state.y - ys).max()),
+            float(np.abs(state.u - us).max()),
         )
     assert report("3b: specialized CT updates match generic engine (10 iters)", worst <= 1e-8,
                   f"max diff={worst:.2e}")

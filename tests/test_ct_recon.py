@@ -22,6 +22,7 @@ from _oracles import (
     newton_ray_solve_plain,
     ray_loss,
     ray_subproblem_objective,
+    run_ct_reconstruction_flat,
     run_ct_specialized,
     stepsize_matrix_factor,
 )
@@ -320,7 +321,7 @@ class TestAdaptiveNewton:
         counting = CountingSlopes(monkeypatch)
         problem, *_ = R.build_ct_problem(model, active, counts, sigma=10.0)
         state = engine.AdmmState.initial(
-            np.zeros(problem.dim_x), np.zeros(problem.dim_y), np.zeros(problem.dim_y)
+            np.zeros(problem.x_shape), np.zeros(problem.y_shape), np.zeros(problem.y_shape)
         )
         for t in range(1, 31):
             counting.rows.clear()
@@ -350,11 +351,11 @@ class TestAdaptiveNewton:
         engine.admm_step(
             problem,
             engine.AdmmState.initial(
-                np.zeros(problem.dim_x), np.zeros(problem.dim_y), np.zeros(problem.dim_y)
+                np.zeros(problem.x_shape), np.zeros(problem.y_shape), np.zeros(problem.y_shape)
             ),
             record_time=False,
         )
-        lin, center, v = (a.reshape(active.rows, model.n_materials) for a in solves[0])
+        lin, center, v = solves[0]
         _, sigma_tilde = R.build_preconditioners(active, sigma)
         grad = subproblem_gradient(model, lin, center, sigma_tilde, v)
         # CompositeObjective.prox_step: first-order residual <= 1e-8 on every ray.
@@ -379,7 +380,7 @@ class TestLossEvaluator:
         model = F.build_spectral_model(n_energies=100)
         problem, *_ = R.build_ct_problem(model, active, counts, sigma=10.0)
         state = engine.AdmmState.initial(
-            np.zeros(problem.dim_x), np.zeros(problem.dim_y), np.zeros(problem.dim_y)
+            np.zeros(problem.x_shape), np.zeros(problem.y_shape), np.zeros(problem.y_shape)
         )
         for _ in range(3):
             state = engine.admm_step(problem, state, record_time=False)
@@ -487,19 +488,19 @@ class TestEngineEquivalence:
         specialized = run_ct_specialized(model, active, counts, sigma=sigma, iters=10)
         problem, *_ = R.build_ct_problem(model, active, counts, sigma=sigma)
         state = engine.AdmmState.initial(
-            np.zeros(problem.dim_x), np.zeros(problem.dim_y), np.zeros(problem.dim_y)
+            np.zeros(problem.x_shape), np.zeros(problem.y_shape), np.zeros(problem.y_shape)
         )
         for xs, ys, us in specialized:
             state = engine.admm_step(problem, state)
-            assert np.abs(state.x.reshape(xs.shape) - xs).max() <= 1e-8
-            assert np.abs(state.y.reshape(ys.shape) - ys).max() <= 1e-8
-            assert np.abs(state.u.reshape(us.shape) - us).max() <= 1e-8
+            assert np.abs(state.x - xs).max() <= 1e-8
+            assert np.abs(state.y - ys).max() <= 1e-8
+            assert np.abs(state.u - us).max() <= 1e-8
 
 
     def test_lean_step_matches_reference_step_bitwise(self, small_ct):
         _, model, _, active, counts = small_ct
         problem, *_ = R.build_ct_problem(model, active, counts, sigma=10.0)
-        zeros = (np.zeros(problem.dim_x), np.zeros(problem.dim_y), np.zeros(problem.dim_y))
+        zeros = (np.zeros(problem.x_shape), np.zeros(problem.y_shape), np.zeros(problem.y_shape))
         lean = engine.AdmmState.initial(*zeros)
         ref = engine.AdmmState.initial(*zeros)
         for _ in range(15):
@@ -510,6 +511,30 @@ class TestEngineEquivalence:
         assert [(r.objective, r.primal_residual) for r in lean.trace] == [
             (r.objective, r.primal_residual) for r in ref.trace
         ]
+
+
+    def test_matrix_iterates_match_the_flat_wiring_bitwise(self, small_ct):
+        # The oracle wires the same problem on flattened variables: a Kronecker
+        # map, diagonals repeated over the materials, callbacks that reshape.
+        _, model, phantom, active, counts = small_ct
+        y_star = active.matmat(phantom)
+        result, newton = R.run_ct_reconstruction(
+            model, active, counts, sigma=10.0, iters=15, y_star=y_star, record_time=False
+        )
+        flat, flat_newton = run_ct_reconstruction_flat(
+            model, active, counts, sigma=10.0, iters=15, y_star=y_star
+        )
+        n_m = model.n_materials
+        pairs = [
+            (getattr(result.state, v), getattr(flat.state, v)) for v in ("x", "y", "u", "ax")
+        ] + [(result.x_bar, flat.x_bar), (result.y_bar, flat.y_bar)]
+        for got, ref in pairs:
+            assert got.shape[1:] == (n_m,)
+            assert got.tobytes() == ref.reshape(got.shape).tobytes()
+        assert [(r.objective, r.primal_residual, r.alpha_t) for r in result.trace] == [
+            (r.objective, r.primal_residual, r.alpha_t) for r in flat.trace
+        ]
+        assert newton == flat_newton
 
 
 class TestDiagnostics:

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 
 from ncadmm import engine
 from ncadmm import quantile as Q
+from ncadmm.ct import forward as F
+from ncadmm.ct import recon as R
 from ncadmm.engine import (
     AdmmProblem,
     AdmmState,
@@ -26,6 +29,7 @@ from _oracles import (
     admm_step_reference,
     fista_lasso,
     kahan_add_reference,
+    sparse_identity,
     validate_stepsizes,
 )
 
@@ -43,6 +47,17 @@ def scalar_problem(f=None, **kwargs):
         D_g=UNIT,
         **kwargs,
     )
+
+
+def small_ct_problem():
+    """A CT problem on matrix iterates: 4x4 pixels, 25 energies, 3 materials."""
+    geom = F.CtGeometry(grid_nx=4, grid_ny=4, pixel_size=0.5, n_angles=8, n_detectors=8)
+    projector = F.build_projector(geom)
+    model = F.build_spectral_model(n_energies=25)
+    counts = F.forward_counts(model, projector, F.default_phantom(geom), seed=31)
+    mask = R.active_ray_mask(projector)
+    problem, _ = R.build_ct_problem(model, projector.select_rows(mask), counts[:, mask], 10.0)
+    return problem
 
 
 def lasso_problem(a, w, lam, sigma):
@@ -132,15 +147,24 @@ class TestAdmmStep:
         with pytest.raises(AdmmStepError, match="non-finite"):
             engine.run(prob, iters=5)
 
-    @pytest.mark.parametrize("side", ["x", "y"])
+    # "ct-*": a CT prox that returns its (rows, materials) update flattened.
+    @pytest.mark.parametrize("side", ["x", "y", "ct-x", "ct-y"])
     def test_wrong_shape_update_raises_and_leaves_state(self, side):
-        def column_prox(lin, D, center):
-            return quadratic_prox(lin, D, center).reshape(-1, 1)
-
-        prob = scalar_problem()
-        getattr(prob, "f" if side == "x" else "g").prox_step = column_prox
-        state = AdmmState.initial(np.ones(1), np.full(1, 2.0), np.zeros(1))
-        message = rf"{side} update has shape \(1, 1\), expected \(1,\)"
+        if side.startswith("ct"):
+            prob = small_ct_problem()
+            init = (np.zeros(prob.x_shape), np.full(prob.y_shape, 0.1), np.zeros(prob.y_shape))
+            reshape = np.ravel
+        else:
+            prob = scalar_problem()
+            init = (np.ones(1), np.full(1, 2.0), np.zeros(1))
+            reshape = lambda v: v.reshape(-1, 1)
+        var = side[-1]
+        block = getattr(prob, "f" if var == "x" else "g")
+        prox = block.prox_step
+        block.prox_step = lambda lin, D, center: reshape(prox(lin, D, center))
+        state = AdmmState.initial(*init)
+        shape = getattr(prob, f"{var}_shape")
+        message = re.escape(f"{var} update has shape {reshape(np.zeros(shape)).shape}, expected {shape}")
         with pytest.raises(AdmmStepError, match=message) as err:
             engine.admm_step(prob, state)
         assert err.value.iteration == 1
@@ -510,14 +534,38 @@ class TestProblemValidation:
                 D_g=DiagonalMatrix(np.ones(2)),
             )
 
-    @pytest.mark.parametrize("side", ["D_f", "D_g"])
+    def test_vector_sigma_rejected_for_matrix_iterates(self):
+        # y is (3, 2), so Sigma needs one weight per row: (3, 1), not (3,).
+        rows = DiagonalMatrix(np.ones((3, 1)))
+
+        def problem(sigma):
+            return AdmmProblem(
+                A=engine.KronEye(sparse_identity(3), 2),
+                sigma=sigma,
+                f=CompositeObjective(prox_step=quadratic_prox),
+                g=CompositeObjective(prox_step=quadratic_prox),
+                D_f=rows,
+                D_g=rows,
+            )
+
+        assert problem(rows).y_shape == (3, 2)
+        with pytest.raises(ValueError, match="Sigma dimension does not match the rows of A"):
+            problem(DiagonalMatrix(np.ones(3)))
+
+    # "*-matrix": A acts on (3, 2) matrices and the bad D is a vector diagonal.
+    @pytest.mark.parametrize("side", ["D_f", "D_g", "D_f-matrix", "D_g-matrix"])
     def test_wrong_size_subproblem_quadratic_rejected(self, side):
-        kwargs = dict(D_f=DiagonalMatrix(np.ones(3)), D_g=DiagonalMatrix(np.ones(3)))
-        kwargs[side] = DiagonalMatrix(np.ones(1))
-        with pytest.raises(ValueError, match=rf"{side} has shape \(1, 1\), expected \(3, 3\)"):
+        if side.endswith("matrix"):
+            a, good, bad = engine.KronEye(sparse_identity(3), 2), (3, 1), (3,)
+        else:
+            a, good, bad = ScaledIdentity(3, 1.0), (3,), (1,)
+        name = side[:3]
+        kwargs = dict(D_f=DiagonalMatrix(np.ones(good)), D_g=DiagonalMatrix(np.ones(good)))
+        kwargs[name] = DiagonalMatrix(np.ones(bad))
+        with pytest.raises(ValueError, match=re.escape(f"{name} has shape {bad}, expected {good}")):
             AdmmProblem(
-                A=ScaledIdentity(3, 1.0),
-                sigma=DiagonalMatrix(np.ones(3)),
+                A=a,
+                sigma=DiagonalMatrix(np.ones(good)),
                 f=CompositeObjective(prox_step=quadratic_prox),
                 g=CompositeObjective(prox_step=quadratic_prox),
                 **kwargs,

@@ -37,7 +37,7 @@ GONE = [
     (engine.KronEye, ["dense"]),
     (numerics, ["check_psd", "spmv"]),
     (prox, ["qexp_value"]),
-    (numerics.DiagonalMatrix, ["dense"]),
+    (numerics.DiagonalMatrix, ["dense", "shape"]),
     (numerics.SparseMatrix, [
         "save", "load", "to_triples", "dense", "from_dense", "identity", "nnz",
     ]),

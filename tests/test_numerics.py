@@ -175,3 +175,33 @@ class TestDiagonalMatrix:
         d = DiagonalMatrix([1.0])
         with pytest.raises(ValueError):
             d.diag[0] = 3.0
+
+    def test_row_diagonal_weights_every_entry_of_its_row(self):
+        rng = np.random.default_rng(3)
+        w = rng.uniform(0.5, 2.0, 4)
+        v = rng.standard_normal((4, 3))
+        d = DiagonalMatrix(w[:, None])
+        # the same products as the diagonal repeated over the columns
+        assert d.matvec(v).tobytes() == (np.repeat(w, 3) * v.ravel()).tobytes()
+        assert d.solve(v).tobytes() == (v.ravel() / np.repeat(w, 3)).tobytes()
+
+    def test_more_than_one_entry_per_row_rejected(self):
+        with pytest.raises(ValueError, match="one entry per row"):
+            DiagonalMatrix(np.ones((3, 2)))
+        with pytest.raises(ValueError, match="one entry per row"):
+            DiagonalMatrix(2.0)
+
+    @pytest.mark.parametrize("method", ["matvec", "solve"])
+    @pytest.mark.parametrize(
+        "diag, operand",
+        [
+            (np.ones(1), np.ones(3)),  # would broadcast to (3,)
+            (np.ones((3, 1)), np.ones(3)),  # would broadcast to (3, 3)
+            (np.ones(3), np.ones((3, 3))),  # would weight columns, not rows
+            (np.ones((1, 1)), np.ones((3, 2))),  # would broadcast to (3, 2)
+        ],
+        ids=["length-one", "row-on-vector", "vector-on-matrix", "one-row"],
+    )
+    def test_operand_rows_must_match_exactly(self, method, diag, operand):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            getattr(DiagonalMatrix(diag), method)(operand)
