@@ -11,7 +11,10 @@ points, and in each runs one call:
   that keeps every iterate, then `diagnostics.probe_trajectory` and
   `diagnostics.fosp_residuals` (as `scripts/probe_rsc_quantile.py`);
 - `ct-sweep`: `recon.run_ct_experiment` at the paper geometry (25x25 grid,
-  50 angles x 50 detectors, 100 energies, sigmas 1, 10, 100).
+  50 angles x 50 detectors, 100 energies, sigmas 1, 10, 100);
+- `ct-repeat`: 8 such sweeps of 30 iterations each in one process, which
+  shows whether the peak creeps up from sweep to sweep; it also reports
+  `ru_maxrss` after each sweep.
 
 After the call each process reports `ru_maxrss` in MB (resource.getrusage,
 as `perfbench/run.py` reports `peak_rss_mb`) and whether `scipy.sparse` was
@@ -31,7 +34,8 @@ import resource
 import subprocess
 import sys
 
-ITERS = {"quantile-sweep": 20, "quantile-probe": 20_000, "ct-sweep": 5}
+ITERS = {"quantile-sweep": 20, "quantile-probe": 20_000, "ct-sweep": 5, "ct-repeat": 30}
+CT_REPEAT_SWEEPS = 8
 PAPER_QUANTILE = {"d": 2000, "n": 1000, "s_star": 10}
 PAPER_SIGMAS = (5e-5, 1e-4, 2e-4, 5e-4)
 PROBE_QUANTILE = {"d": 50, "n": 100, "s_star": 3, "sigma": 5e-3}
@@ -78,15 +82,33 @@ def ct_sweep(iters):
     )
 
 
-ENTRIES = {"quantile-sweep": quantile_sweep, "quantile-probe": quantile_probe, "ct-sweep": ct_sweep}
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def ct_repeat(iters):
+    after = {}
+    for k in range(1, CT_REPEAT_SWEEPS + 1):
+        ct_sweep(iters)
+        after[f"peak_rss_mb_after_sweep_{k}"] = peak_rss_mb()
+    return after
+
+
+ENTRIES = {
+    "quantile-sweep": quantile_sweep,
+    "quantile-probe": quantile_probe,
+    "ct-sweep": ct_sweep,
+    "ct-repeat": ct_repeat,
+}
 
 
 def child(entry: str) -> None:
     """Run one entry point in this process and print its memory record as JSON."""
-    ENTRIES[entry](ITERS[entry])
+    extra = ENTRIES[entry](ITERS[entry]) or {}
     print(json.dumps({
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "peak_rss_mb": peak_rss_mb(),
         "scipy_sparse_loaded": float("scipy.sparse" in sys.modules),
+        **extra,
     }))
 
 
@@ -119,6 +141,9 @@ def main() -> int:
             f"{entry:16s} peak_rss_mb {rss['median']:8.2f}  (q1 {rss['q1']:.2f}, q3 {rss['q3']:.2f})"
             f"  scipy.sparse loaded: {stats['scipy_sparse_loaded']['median'] == 1.0}"
         )
+        sweeps = [v["median"] for k, v in stats.items() if k.startswith("peak_rss_mb_after")]
+        if sweeps:
+            print(f"{'':16s} median after each sweep: " + " ".join(f"{v:.2f}" for v in sweeps))
     if args.write is not None:
         record = {}
         if os.path.exists(args.write):
@@ -128,6 +153,7 @@ def main() -> int:
             "quantile-sweep": f"d=2000, n=1000, s*=10, sigmas {list(PAPER_SIGMAS)}",
             "quantile-probe": "d=50, n=100, s*=3, sigma 5e-3, probe and FOSP residuals",
             "ct-sweep": f"25x25 grid, 50x50 rays, 100 energies, sigmas {list(CT_SIGMAS)}",
+            "ct-repeat": f"{CT_REPEAT_SWEEPS} ct-sweep runs in one process",
             "iters": ITERS,
             "seed": SEED,
             "processes": args.processes,

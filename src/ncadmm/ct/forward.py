@@ -476,7 +476,8 @@ def forward_counts(
     if image.shape != (projector.cols, model.n_materials):
         raise ValueError("image shape does not match projector/model")
     proj = projector.matmat(image)                      # (n_rays, n_m)
-    trans = np.exp(-(proj @ model.mu))                  # (n_rays, n_i)
+    trans = proj @ model.mu                             # (n_rays, n_i)
+    np.exp(np.negative(trans, out=trans), out=trans)
     means = model.response @ trans.T                    # (n_w, n_rays)
     if means.min() < 0:
         raise ValueError("negative Poisson mean")
@@ -503,16 +504,18 @@ class LossParts:
 class CtLoss:
     """The split loss of one CT problem, evaluated in work arrays allocated once.
 
-    Owns four (n_rays, n_energies) arrays. One object serves every loss
-    evaluation of a run (the gradient of g_d at y_t, the value at P x_{t+1},
-    the gradient the alpha diagnostic takes at y_{t+1}) and lends three of
-    the arrays to the per-ray Newton solve, so a reconstruction step forms no
-    (rays x energies) array of its own. It holds on to its last point: the
-    slopes d1, d2 of `qexp` there, and the parts formed there with their
-    gradient, are handed out again for a y equal to that point, and for no
-    other y. `newton_ray_steps` and `newton_capped` count the work of the
-    Newton solves that used its arrays: rays updated, summed over steps,
-    and rays still moving when the step cap ended a solve.
+    Owns three (n_rays, n_energies) arrays: t, which ends up holding the
+    slope d2, the slope d1, and w, which holds qexp's value and then the
+    gradient's weights. One object serves every loss evaluation of a run
+    (the gradient of g_d at y_t, the value at P x_{t+1}, the gradient the
+    alpha diagnostic takes at y_{t+1}) and lends t and d1 to the per-ray
+    Newton solve, so a reconstruction step forms no (rays x energies) array
+    of its own. It holds on to its last point: the slopes d1, d2 of `qexp`
+    there, and the parts formed there with their gradient, are handed out
+    again for a y equal to that point, and for no other y.
+    `newton_ray_steps` and `newton_capped` count the work of the Newton
+    solves that used its arrays: rays updated, summed over steps, and rays
+    still moving when the step cap ended a solve.
     """
 
     def __init__(self, model: SpectralModel, counts: np.ndarray):
@@ -530,9 +533,9 @@ class CtLoss:
         self.neg_mu_b = -mu_b
         n_m = model.n_materials
         self.mu_pairs = np.stack([model.mu[i] * mu_b[j] for i in range(n_m) for j in range(i + 1)])
-        self.t, self.d1, self.d2, self.w = np.empty((4, n_rays, model.n_energies))
+        self.t, self.d1, self.w = np.empty((3, n_rays, model.n_energies))
         self._at = np.empty((n_rays, model.n_materials))
-        self._held = False  # d1, d2 hold the slopes at _at
+        self._held = False  # d1 and t hold the slopes d1, d2 at _at
         self._parts = None  # the parts at _at, when formed with the gradient
         self.newton_ray_steps = 0
         self.newton_capped = 0
@@ -541,14 +544,16 @@ class CtLoss:
         return self._held and np.array_equal(y, self._at)
 
     def held_slopes(self, y):
-        """(d1, d2) at y if the last evaluation was at this y, else None."""
-        return (self.d1, self.d2) if self._holds(y) else None
+        """(d1, d2) at y if the last evaluation was at this y, else None;
+        d2 lives in the array `work_arrays` lends as t."""
+        return (self.d1, self.t) if self._holds(y) else None
 
     def work_arrays(self):
-        """(t, d1, d2) for the caller to overwrite; the held point is dropped."""
+        """(t, d1) for the caller to overwrite; the held point is dropped.
+        Newton forms t in the first and then writes d2 over it."""
         self._held = False
         self._parts = None
-        return self.t, self.d1, self.d2
+        return self.t, self.d1
 
     def parts(self, y: np.ndarray, want_grad: bool = True) -> LossParts:
         """Split loss at projections y (n_rays x n_m): convex part, concave part.
@@ -565,14 +570,17 @@ class CtLoss:
             return self._parts
         model = self.model
         t = np.matmul(y, self.neg_mu, out=self.t)
-        # qexp_slopes and then qexp's value d1 + tp * (0.5 tp), with
-        # tp = max(t, 0) formed once; t is not needed after.
+        # qexp_slopes, with d2 written over t, and then qexp's value
+        # d1 + (tp tp) 0.5 from tp = max(t, 0) formed once. The bits are
+        # qexp's d1 + tp (0.5 tp) wherever tp tp is finite: the factor 0.5
+        # is exact, and d1 >= 1 absorbs any subnormal tail of tp tp.
         val = np.maximum(t, 0.0, out=self.w)
-        d2 = np.exp(np.minimum(t, 0.0, out=self.d2), out=self.d2)
+        d2 = np.exp(np.minimum(t, 0.0, out=t), out=t)
         d1 = np.add(val, d2, out=self.d1)
         np.copyto(self._at, y)
         self._held, self._parts = True, None
-        val *= np.multiply(val, 0.5, out=t)
+        val *= val
+        val *= 0.5
         val += d1
         sb = model.response                              # (n_w, n_i)
         means = sb @ val.T                               # (n_w, n_rays)

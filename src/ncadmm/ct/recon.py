@@ -6,13 +6,13 @@ diagonal-preconditioner construction: Q_f over pixels from projector column
 sums, and a per-ray penalty sigma / row sum. The y step solves one small
 strictly-convex problem per ray by Newton's method, at most
 `DEFAULT_NEWTON_ITERS` (20) steps per ray, and stops each ray once its step
-has converged or its next step is predicted below an ulp. Its (rays x
-energies) work arrays belong to the problem's loss evaluator
-(`forward.CtLoss`), whose slopes at y_t serve the first step. A Newton step
-folds the beam into the attenuation rows, keeps the per-ray gradient and
-Hessian entries as vectors over rays, and solves the shifted 3x3 (in
-general n_m x n_m) systems by a Cholesky factorization vectorized over rays
-(`spd_solve`).
+has converged or its next step is predicted below an ulp. Its two (rays x
+energies) work arrays, t and d1, belong to the problem's loss evaluator
+(`forward.CtLoss`), whose slopes at y_t serve the first step; each step
+writes the slope d2 over t. A Newton step folds the beam into the
+attenuation rows, keeps the per-ray gradient and Hessian entries as vectors
+over rays, and solves the shifted 3x3 (in general n_m x n_m) systems by a
+Cholesky factorization vectorized over rays (`spd_solve`).
 
 The engine iterates on matrices, unflattened: (n_pixels, n_materials) for x
 and (n_rays, n_materials) for y and u.
@@ -37,6 +37,8 @@ from ..numerics import DiagonalMatrix, SparseMatrix
 # Newton needs only qexp_slopes. qexp stays importable from here because the
 # benchmark's tracer patches recon.qexp by name.
 from ..prox import qexp, qexp_slopes
+# ct_loss_parts stays importable from here because the benchmark's tracer
+# patches recon.ct_loss_parts by name; fosp_ratio evaluates through CtLoss.
 from .forward import CtLoss, SpectralModel, ct_loss_parts
 
 __all__ = [
@@ -151,10 +153,11 @@ def newton_ray_solve(
     step, which would then move v_l by less than an ulp; the floor on e_k
     keeps a step that is not yet in that phase from being trusted.
 
-    `loss`, the problem's `CtLoss`, lends its (rays x energies) work arrays
-    and counts the ray-steps and capped rays; when its last evaluation was
-    at the start point, the first step takes the slopes from it instead of
-    forming them again.
+    `loss`, the problem's `CtLoss`, lends its two (rays x energies) work
+    arrays and counts the ray-steps and capped rays. A step forms t in the
+    first, d1 in the second and d2 over t (`qexp_slopes` with out=(d1, t)).
+    When the loss's last evaluation was at the start point, the first step
+    takes the slopes from it instead of forming them again.
     """
     n_rays = center.shape[0]
     neg_mu, neg_mu_b, mu_pairs = loss.neg_mu, loss.neg_mu_b, loss.mu_pairs
@@ -164,13 +167,13 @@ def newton_ray_solve(
     held = loss.held_slopes(v)
     e_prev = None  # max|dv| of each moving ray's last step
     # A step uses the leading rows of the work arrays.
-    t_buf, d1_buf, d2_buf = loss.work_arrays()
+    t_buf, d1_buf = loss.work_arrays()
     for _ in range(iters):
         n_a = rows.size
         loss.newton_ray_steps += n_a
         if held is None:
             t = np.matmul(v_a, neg_mu, out=t_buf[:n_a])
-            d1, d2 = qexp_slopes(t, out=(d1_buf[:n_a], d2_buf[:n_a]))
+            d1, d2 = qexp_slopes(t, out=(d1_buf[:n_a], t))
         else:
             (d1, d2), held = held, None
         # Gradient and Hessian entries laid out (entry, ray).
@@ -239,8 +242,9 @@ def alpha_t_diagnostic(
 
 def fosp_ratio(model: SpectralModel, counts: np.ndarray, y_star: np.ndarray) -> float:
     """||grad g(y*)|| / ||grad g(0)||: near-zero certifies approximate stationarity."""
-    grad_star = ct_loss_parts(model, y_star, counts).grad
-    grad_zero = ct_loss_parts(model, np.zeros_like(y_star), counts).grad
+    loss = CtLoss(model, counts)
+    grad_star = loss.parts(y_star).grad
+    grad_zero = loss.parts(np.zeros_like(y_star)).grad
     denom = float(np.linalg.norm(grad_zero))
     if denom == 0.0:
         raise ValueError("gradient at zero vanishes; ratio undefined")

@@ -42,22 +42,30 @@ class SparseMatrix:
             raise ValueError("matrix dimensions must be nonnegative")
         row_idx = np.asarray(row_idx, dtype=np.int64)
         col_idx = np.asarray(col_idx, dtype=np.int64)
-        values = _as_float_array(values, "values")
+        # A copy: the CSR keeps it as its data and makes that read-only.
+        values = _as_float_array(values, "values").copy()
         if not (row_idx.shape == col_idx.shape == values.shape):
             raise ValueError("row/col/value arrays must have equal length")
+        indptr = np.zeros(rows + 1, dtype=np.int64)
         if row_idx.size:
             if row_idx.min() < 0 or row_idx.max() >= rows:
                 raise ValueError("row index out of range")
             if col_idx.min() < 0 or col_idx.max() >= cols:
                 raise ValueError("col index out of range")
-            keys = np.sort(row_idx * cols + col_idx)
-            if (keys[1:] == keys[:-1]).any():
-                raise ValueError("duplicate (row, col) entries")
+            # The CSR order is the order of the keys; sort only if not in it.
+            keys = row_idx * cols + col_idx
+            if not (keys[1:] > keys[:-1]).all():
+                order = np.argsort(keys)
+                keys, values = keys[order], values[order]
+                if (keys[1:] == keys[:-1]).any():
+                    raise ValueError("duplicate (row, col) entries")
+            row_idx, col_idx = np.divmod(keys, cols)
+            np.cumsum(np.bincount(row_idx, minlength=rows), out=indptr[1:])
         # Imported here, not at module level: scipy.sparse costs ~15 MB of
         # resident memory and only the CT projector builds a sparse matrix.
         import scipy.sparse as sp
 
-        self._set_csr(sp.csr_matrix((values, (row_idx, col_idx)), shape=(rows, cols)))
+        self._set_csr(sp.csr_matrix((values, col_idx, indptr), shape=(rows, cols)))
 
     def _set_csr(self, csr) -> None:
         self.rows, self.cols = csr.shape

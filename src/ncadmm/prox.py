@@ -105,12 +105,15 @@ def qexp_slopes(t, out=None):
 
     d2 = exp(min(t, 0)) and d1 = max(t, 0) + d2: 1 + t, 1 for t >= 0 and
     exp(t), exp(t) for t <= 0. Newton on the spliced exponential needs only
-    these two. `out`, a pair of float arrays shaped like t, receives them.
+    these two. `out`, a pair of float arrays shaped like t, receives them;
+    its second array may be t itself, which then ends up holding d2.
     """
     t = np.asarray(t, dtype=float)
     d1, d2 = (np.empty_like(t), np.empty_like(t)) if out is None else out
+    # max(t, 0) is taken before d2 can overwrite t.
+    np.maximum(t, 0.0, out=d1)
     np.exp(np.minimum(t, 0.0, out=d2), out=d2)
-    np.add(np.maximum(t, 0.0, out=d1), d2, out=d1)
+    d1 += d2
     return d1, d2
 
 

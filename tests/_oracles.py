@@ -8,7 +8,8 @@ are slow and simple on purpose.
 The rest holds what the tests check the library against but no run executes:
 the dense step-size checker, the closed-form quantile and CT updates written
 out as matrix formulas (the engine runs them as prox callbacks), the CT
-model's noise-free means and convex-part Hessian blocks, the fixed-budget
+model's noise-free means, convex-part Hessian blocks and split loss in
+fresh arrays (which the loss evaluator must match bit for bit), the fixed-budget
 per-ray Newton loop and the adaptive one with the step-size stop alone, the
 plain ADMM step on the general constraint Ax + By = c that the lean engine
 step must match bit for bit, the CT problem wired on flattened variables
@@ -34,7 +35,7 @@ from ncadmm.engine import (
     quadratic_prox,
     run,
 )
-from ncadmm.ct.forward import DEFAULT_MATERIALS, CtLoss, ct_loss_parts
+from ncadmm.ct.forward import DEFAULT_MATERIALS, CtLoss, LossParts, ct_loss_parts
 from ncadmm.diagnostics import RscProbeResult
 from ncadmm.numerics import DiagonalMatrix, SparseMatrix
 from ncadmm.prox import ball_project, qexp, qexp_slopes, quantile_prox_update, soft_threshold
@@ -436,6 +437,23 @@ def stepsize_matrix_factor(projector, pre):
     p = dense(projector)
     gram = p.T @ (sigma_tilde[:, None] * p)
     return np.diag(q_f) - gram
+
+
+def ct_loss_parts_fresh(model, y, counts):
+    """The split loss at y with its gradient, and the slopes d1, d2 there, in
+    fresh arrays: the value, d1 and d2 from `qexp`, as the four-array
+    evaluator formed them. Returns (LossParts, d1, d2)."""
+    value, d1, d2 = qexp(y @ -model.mu)
+    sb = model.response
+    means = sb @ value.T
+    counts = np.asarray(counts, dtype=float)
+    parts = LossParts(
+        g_c=float((value @ model.beam).sum()),
+        g_d=float(-(counts * np.log(means)).sum()),
+        grad_c=d1 @ -(model.mu * model.beam).T,
+        grad_d=(((counts / means).T @ sb) * d1) @ model.mu.T,
+    )
+    return parts, d1, d2
 
 
 def ray_loss(model, n_rays):

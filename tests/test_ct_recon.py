@@ -14,6 +14,7 @@ import _oracles
 from _oracles import (
     admm_step_reference,
     bisect_min,
+    ct_loss_parts_fresh,
     ct_u_update,
     ct_x_update,
     ct_y_update,
@@ -392,6 +393,36 @@ class TestLossEvaluator:
         finally:
             tracemalloc.stop()
         assert peak - base < active.rows * model.n_energies * 8
+
+    def test_evaluator_holds_three_rays_by_energies_arrays(self, small_ct):
+        _, _, _, active, counts = small_ct
+        model = F.build_spectral_model(n_energies=100)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            loss = F.CtLoss(model, counts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        work = active.rows * model.n_energies * 8
+        # The slack covers counts, the attenuation rows and the held point,
+        # about 17 KB here, but not a fourth 48 KB work array.
+        assert peak - base <= 3 * work + 24_000
+        assert loss.t.nbytes == work
+
+    def test_parts_match_the_fresh_array_oracle(self, small_ct):
+        model, loss, y, _, _ = loss_and_newton_inputs(small_ct)
+        counts = small_ct[4]
+        # Both signs of t = -mu.y, and a point where t > 0 on most entries.
+        for point in (y, np.zeros_like(y), -5.0 * np.abs(y), 3.0 * y):
+            got = loss.parts(point)
+            held = loss.held_slopes(point)
+            ref, d1, d2 = ct_loss_parts_fresh(model, point, counts)
+            assert (got.g_c, got.g_d) == (ref.g_c, ref.g_d)
+            assert got.grad_c.tobytes() == ref.grad_c.tobytes()
+            assert got.grad_d.tobytes() == ref.grad_d.tobytes()
+            assert held[0].tobytes() == d1.tobytes()
+            assert held[1].tobytes() == d2.tobytes()
 
     def test_parts_match_a_fresh_evaluator_at_every_point(self, small_ct):
         model, loss, y, _, _ = loss_and_newton_inputs(small_ct)

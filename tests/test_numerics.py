@@ -81,6 +81,32 @@ class TestSparseMatrixValidation:
         SparseMatrix(200, 300, rows[:-1], cols[:-1], np.ones(keys.size - 1))
 
 
+class TestCsrBuild:
+    @pytest.mark.parametrize("shuffle", [True, False])
+    def test_matches_scipy_coo_build_bitwise(self, shuffle):
+        import scipy.sparse as sp
+
+        rng = np.random.default_rng(5)
+        keys = np.sort(rng.permutation(60 * 40)[:500])
+        rows, cols = np.divmod(keys, 40)
+        keys = keys[(rows % 7 != 3) & (rows < 55)]  # empty rows inside and at the end
+        if shuffle:
+            keys = rng.permutation(keys)
+        r, c = np.divmod(keys, 40)
+        v = rng.standard_normal(keys.size)
+        got = SparseMatrix(60, 40, r, c, v)._csr
+        want = sp.csr_matrix((v, (r, c)), shape=(60, 40))
+        for name in ("indptr", "indices", "data"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+        assert v.flags.writeable  # the CSR froze its own copy
+
+    def test_no_entries(self):
+        m = SparseMatrix(3, 2, [], [], [])
+        assert m._csr.indptr.tolist() == [0, 0, 0, 0]
+        assert np.array_equal(m.matvec(np.ones(2)), np.zeros(3))
+
+
 class TestSelectRows:
     def setup_method(self):
         rng = np.random.default_rng(4)

@@ -179,6 +179,13 @@ class TestQexp:
         assert b1 is out[0] and b2 is out[1]
         assert b1.tobytes() == d1.tobytes()
         assert b2.tobytes() == d2.tobytes()
+        # d2 written over t itself, as Newton does.
+        ref1, ref2 = qexp_slopes(t.copy())
+        t_buf = t.copy()
+        a1, a2 = qexp_slopes(t_buf, out=(np.full_like(t, np.nan), t_buf))
+        assert a2 is t_buf
+        assert a1.tobytes() == ref1.tobytes()
+        assert a2.tobytes() == ref2.tobytes()
 
     def test_second_derivative_bounded_for_nonneg(self):
         t = np.linspace(0.0, 50.0, 101)
