@@ -45,6 +45,7 @@ __all__ = [
     "alpha_ratio",
     "run_ct_experiment",
     "trace_filename",
+    "image_filenames",
     "active_ray_mask",
     "build_preconditioners",
     "spd_solve",
@@ -333,6 +334,12 @@ def trace_filename(sigma: float) -> str:
     return f"ct_sigma{sigma:g}.csv"
 
 
+def image_filenames(sigma: float, material: str) -> tuple[str, str]:
+    """The text grid and the graymap file of one material's image at sigma."""
+    stem = f"ct_sigma{sigma:g}_{material}"
+    return f"{stem}.txt", f"{stem}.pgm"
+
+
 def run_ct_experiment(
     geom,
     model: SpectralModel,
@@ -385,9 +392,9 @@ def run_ct_experiment(
             save_trace(path, result.trace)
             entry["path"] = path
             for m, name in enumerate(model.materials):
-                stem = f"{out_dir}/ct_sigma{sigma:g}_{name}"
-                save_image_grid(f"{stem}.txt", x_final[:, m], geom.grid_nx, geom.grid_ny)
-                save_pgm(f"{stem}.pgm", x_final[:, m], geom.grid_nx, geom.grid_ny)
+                grid, pgm = image_filenames(sigma, name)
+                save_image_grid(f"{out_dir}/{grid}", x_final[:, m], geom.grid_nx, geom.grid_ny)
+                save_pgm(f"{out_dir}/{pgm}", x_final[:, m], geom.grid_nx, geom.grid_ny)
         runs[sigma] = entry
     return {
         "runs": runs,

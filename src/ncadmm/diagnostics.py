@@ -12,9 +12,13 @@ exhaustively checkable at nonsmooth points.
 from __future__ import annotations
 
 import itertools
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+
+from .engine import RecordColumns
 
 __all__ = [
     "RscProbeResult",
@@ -71,15 +75,16 @@ def rsc_probe(
     (k, dim_x) and (k, dim_y) stacks it is given, here a stack of one; the
     caller fixes (xi_star, zeta_star) once at the anchor.
     """
-    (result,) = _probe_block(
+    columns = _probe_block(
         problem, subgrad_selector, np.asarray(x, dtype=float)[None],
-        np.asarray(y, dtype=float)[None], x_star, y_star, xi_star, zeta_star, [t],
+        np.asarray(y, dtype=float)[None], x_star, y_star, xi_star, zeta_star,
     )
-    return result
+    return RscProbeResult(t, *(column.item() for column in columns))
 
 
-def _probe_block(problem, subgrad_selector, xs, ys, x_star, y_star, xi_star, zeta_star, ts):
-    """`rsc_probe` at every row of `xs` and `ys`, labelled by `ts`.
+def _probe_block(problem, subgrad_selector, xs, ys, x_star, y_star, xi_star, zeta_star):
+    """`rsc_probe` at every row of `xs` and `ys`: the lhs, penalty, dist_x
+    and dist_y columns, one entry per row.
 
     One selector call, one product with A on the column stack, and row-wise
     inner products and norms.
@@ -92,10 +97,7 @@ def _probe_block(problem, subgrad_selector, xs, ys, x_star, y_star, xi_star, zet
     penalty = 0.5 * np.sum(problem.sigma.diag[:, None] * violation * violation, axis=0)
     dist_x = np.linalg.norm(dx, axis=1)
     dist_y = np.linalg.norm(dy, axis=1)
-    return [
-        RscProbeResult(*row)
-        for row in zip(ts, lhs.tolist(), penalty.tolist(), dist_x.tolist(), dist_y.tolist())
-    ]
+    return lhs, penalty, dist_x, dist_y
 
 
 def fosp_residuals(
@@ -125,27 +127,36 @@ def probe_trajectory(
     y_star: np.ndarray,
     xi_star: np.ndarray,
     zeta_star: np.ndarray,
-) -> list[RscProbeResult]:
+) -> Sequence[RscProbeResult]:
     """Probe along an iterable of (x_t, y_t) pairs, t = 1, 2, ...; summary
     data only, no pass/fail.
 
     The pairs are probed PROBE_BLOCK at a time, so the selector sees row
     stacks of at most that many iterates and never the whole trajectory.
+    Each block's lhs, penalty, dist_x and dist_y columns are appended to
+    columns of doubles, and the result hands out one RscProbeResult per
+    iterate from them (32 bytes an iterate); no iterates give an empty
+    sequence, equal to [].
     """
     pairs = iter(iterates)
-    results = []
+    columns = tuple(array("d") for _ in range(4))
     while block := list(itertools.islice(pairs, PROBE_BLOCK)):
         xs, ys = zip(*block)
-        start = len(results) + 1
-        results += _probe_block(
+        values = _probe_block(
             problem, subgrad_selector, np.array(xs, dtype=float), np.array(ys, dtype=float),
-            x_star, y_star, xi_star, zeta_star, range(start, start + len(block)),
+            x_star, y_star, xi_star, zeta_star,
         )
-    return results
+        for column, block_values in zip(columns, values):
+            column.extend(block_values.tolist())
+    return RecordColumns(RscProbeResult, (range(1, len(columns[0]) + 1), *columns))
 
 
 def write_probe_report(path, results) -> None:
-    """Sidecar report: one row per probe with the raw curvature quantities."""
+    """Sidecar report: one row per probe with the raw curvature quantities.
+
+    `results` is any iterable of RscProbeResult, such as `probe_trajectory`'s
+    sequence; each row's slack is its lhs + penalty, as the record computes it.
+    """
     with open(path, "w") as fh:
         fh.write("t,lhs,penalty,slack,dist_x,dist_y\n")
         for r in results:

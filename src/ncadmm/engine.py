@@ -21,10 +21,15 @@ vectors for quantile regression, (rows, materials) matrices for CT.
 
 from __future__ import annotations
 
+import copy
+import itertools
 import math
+import operator
 import time
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -37,6 +42,8 @@ __all__ = [
     "AdmmProblem",
     "AdmmState",
     "TraceRecord",
+    "RecordColumns",
+    "Trace",
     "AdmmStepError",
     "KahanSum",
     "RunResult",
@@ -185,6 +192,68 @@ class TraceRecord:
     seconds: float
 
 
+class RecordColumns(Sequence):
+    """A read-only sequence of records kept as one column per field.
+
+    `columns` holds equal-length sequences that index and slice like a list
+    (stdlib arrays, ranges), one value per record each; `record(*values)`
+    builds the record of one index from one value per column. Indexing and
+    iteration hand out fresh records and a slice keeps columns, so a long
+    sequence costs its columns' bytes, not one Python object per record. It
+    equals any sequence of records that compare equal one by one, as a list
+    of them would.
+    """
+
+    def __init__(self, record: Callable, columns: tuple):
+        self._record = record
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            part = copy.copy(self)
+            part._columns = tuple(column[i] for column in self._columns)
+            return part
+        return self._record(*(column[i] for column in self._columns))
+
+    def __iter__(self):
+        return itertools.starmap(self._record, zip(*self._columns))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+def _trace_record(t, objective, primal_residual, alpha_t, has_alpha, seconds) -> TraceRecord:
+    return TraceRecord(t, objective, primal_residual, alpha_t if has_alpha else None, seconds)
+
+
+class Trace(RecordColumns):
+    """A run's TraceRecords, one per step, as typed columns (41 bytes a step).
+
+    alpha_t is kept as a double beside a presence mask, so an alpha_t of None
+    (no hook, or a hook that returned None) stays distinct from a NaN one.
+    """
+
+    def __init__(self):
+        columns = (array("q"), array("d"), array("d"), array("d"), array("b"), array("d"))
+        super().__init__(_trace_record, columns)
+
+    def append(self, rec: TraceRecord) -> None:
+        # alpha_t first: it alone comes from a caller's hook, so a value that
+        # is no number fails before any column has grown.
+        alpha = 0.0 if rec.alpha_t is None else float(rec.alpha_t)
+        row = (rec.t, rec.objective, rec.primal_residual, alpha, rec.alpha_t is not None, rec.seconds)
+        for column, value in zip(self._columns, row):
+            column.append(value)
+
+
 class KahanSum:
     """Compensated array accumulator, so long running averages stay trustworthy."""
 
@@ -207,8 +276,8 @@ class AdmmState:
     `ax` and `sr` cache A x_t and Sigma (A x_t - y_t) for the next step; None
     (as from `initial`) makes the next step compute them, so whoever resets
     `ax` resets `sr` too. Each step returns fresh x, y, u, ax and sr arrays
-    but advances `sum_x`, `sum_y` and `trace` in place and hands them on, so
-    only the newest state's averages and trace are current.
+    but advances `sum_x`, `sum_y` and `trace` (a `Trace`) in place and hands
+    them on, so only the newest state's averages and trace are current.
     """
 
     t: int
@@ -217,7 +286,7 @@ class AdmmState:
     u: np.ndarray
     sum_x: KahanSum
     sum_y: KahanSum
-    trace: list = field(default_factory=list)
+    trace: Trace = field(default_factory=Trace)
     ax: Optional[np.ndarray] = None
     sr: Optional[np.ndarray] = None
 
@@ -248,13 +317,14 @@ class AdmmState:
 class AdmmStepError(RuntimeError):
     """Raised when a step callback fails or goes non-finite; carries the iteration index.
 
-    `run` sets `trace` to the records of the steps completed before the failure.
+    `run` sets `trace` to the `Trace` of the steps completed before the
+    failure; it is empty until then.
     """
 
     def __init__(self, iteration: int, message: str):
         super().__init__(f"iteration {iteration}: {message}")
         self.iteration = iteration
-        self.trace: list = []
+        self.trace = Trace()
 
 
 def _checked(v, shape: tuple, iteration: int, what: str) -> np.ndarray:
@@ -344,7 +414,7 @@ class RunResult:
     state: AdmmState
     x_bar: np.ndarray
     y_bar: np.ndarray
-    trace: list
+    trace: Trace
 
 
 def run(
@@ -357,11 +427,12 @@ def run(
 ) -> RunResult:
     """Run `iters` cycles from `init` (default all-zeros) and return averages.
 
-    `alpha_hook(t, x, y, u, ax)` may return a diagnostic scalar recorded in
-    the trace, where ax = A x comes from the step; `iteration_hook(t, state)`
-    is called after every step (used by the experiments to log extra
-    per-iteration quantities). An AdmmStepError at step t leaves with the
-    records of steps 1..t-1 as its `trace`.
+    `alpha_hook(t, x, y, u, ax)` may return a diagnostic scalar, or None,
+    recorded in the trace, where ax = A x comes from the step;
+    `iteration_hook(t, state)` is called after every step (used by the
+    experiments to log extra per-iteration quantities). The result's `trace`
+    is a `Trace`, one TraceRecord per step. An AdmmStepError at step t leaves
+    with the records of steps 1..t-1 as its `trace`.
     """
     if iters < 1:
         raise ValueError("iters must be at least 1")

@@ -129,7 +129,9 @@ class DiagonalMatrix:
     rows exactly, so that no product broadcasts to another shape."""
 
     def __init__(self, diagonal):
-        diag = _as_float_array(diagonal, "diagonal")
+        # A copy, frozen below: neither the caller's array nor the base of a
+        # view may be frozen by, or move, this matrix.
+        diag = _as_float_array(diagonal, "diagonal").copy()
         if diag.ndim == 0 or any(n != 1 for n in diag.shape[1:]):
             raise ValueError("diagonal must hold one entry per row")
         if diag.size and diag.min() < 0:

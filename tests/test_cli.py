@@ -363,13 +363,20 @@ class TestRunCommand:
             ("ct", "ct_report.json"),
         ],
     )
-    def test_unwritable_output_file_exits_2(self, tmp_path, capsys, kind, blocked):
+    def test_unwritable_output_file_exits_2(self, tmp_path, monkeypatch, capsys, kind, blocked):
+        from ncadmm import quantile
+
+        solves = []
+        for owner, name in ((quantile, "quantile_prox_update"), (R, "newton_ray_solve")):
+            monkeypatch.setattr(owner, name, lambda *args, **kwargs: solves.append(name))
         path, out = write_config(tmp_path, {"quantile": QUANTILE_SMALL, "ct": CT_SMALL}[kind])
         (out / blocked).mkdir(parents=True)
         assert cli.main(["run", "--config", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"config error: cannot write {out / blocked}: Is a directory\n"
         assert captured.out == ""
+        assert solves == []  # the check came before the first step
+        assert [p.name for p in out.iterdir()] == [blocked]
 
     def test_failed_step_leaves_partial_trace_exits_3(self, tmp_path, monkeypatch, capsys):
         from ncadmm import quantile

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,21 @@ class TestBlockProbe:
         from_list = D.probe_trajectory(problem, selector, iterates, *anchors)
         from_gen = D.probe_trajectory(problem, selector, (pair for pair in iterates), *anchors)
         assert from_gen == from_list
+
+    def test_results_cost_columns_not_one_object_per_iterate(self):
+        # A list of RscProbeResults traced ~195 B an iterate; four doubles
+        # take 32, and t is a range.
+        _, problem, selector, iterates, anchors = quantile_probe_setup(2000)
+        D.probe_trajectory(problem, selector, iterates[:10], *anchors)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            results = D.probe_trajectory(problem, selector, iterates, *anchors)
+            traced = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 2000 and results[-1].t == 2000
+        assert traced <= 64 * 2000
 
     def test_quantile_selector_acts_row_wise(self):
         ds, _, selector, iterates, _ = quantile_probe_setup(12)

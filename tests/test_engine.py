@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -371,6 +372,22 @@ class TestRun:
         res = engine.run(prob, iters=3, alpha_hook=lambda t, x, y, u, ax: float(t) * 2.0)
         assert [r.alpha_t for r in res.trace] == [2.0, 4.0, 6.0]
 
+    def test_trace_costs_columns_not_one_object_per_step(self):
+        # A list of TraceRecords traced ~220 B a step; five numbers and a
+        # mask byte take 41.
+        prob = scalar_problem()
+        alpha = lambda t, x, y, u, ax: 0.5 * t  # noqa: E731
+        engine.run(prob, iters=10, alpha_hook=alpha)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = engine.run(prob, iters=2000, alpha_hook=alpha)
+            traced = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(res.trace) == 2000 and res.trace[-1].alpha_t == 1000.0
+        assert traced <= 64 * 2000
+
 
 class TestAveraging:
     def test_kahan_matches_fsum(self):
@@ -599,6 +616,35 @@ class TestTracePersistence:
         assert records[0].alpha_t is None
         assert records[1].alpha_t == 3.5
         assert extras["objective_avg"] == [1.5, 1.375]
+
+    def test_trace_behaves_as_the_list_of_its_records(self):
+        records = [
+            TraceRecord(1, 1.5, 0.25, None, 0.0),
+            TraceRecord(2, 1.25, 0.125, 3.5, 0.5),
+            TraceRecord(3, 1.0, 0.0625, -0.0, 1.0),
+        ]
+        trace = engine.Trace()
+        for rec in records:
+            trace.append(rec)
+        assert trace == records and list(trace) == records
+        assert trace[-1] == records[-1] and trace[1:] == records[1:]
+        assert trace != records[:2] and trace != records[::-1]
+        assert engine.Trace() == [] and len(trace[5:]) == 0
+
+    def test_none_and_nan_alpha_stay_distinct(self, tmp_path):
+        res = engine.run(
+            scalar_problem(), iters=4, record_time=False,
+            alpha_hook=lambda t, x, y, u, ax: None if t % 2 else float("nan"),
+        )
+        path = tmp_path / "trace.csv"
+        save_trace(path, res.trace)
+        assert [row.split(",")[3] for row in path.read_text().splitlines()[1:]] == [
+            "", "nan", "", "nan",
+        ]
+        records, _ = load_trace(path)
+        for rows in (res.trace, records):
+            assert [r.alpha_t is None for r in rows] == [True, False, True, False]
+            assert all(math.isnan(r.alpha_t) for r in rows[1::2])
 
     def test_wrong_extra_length_rejected(self, tmp_path):
         trace = [TraceRecord(1, 1.0, 1.0, None, 0.0)]

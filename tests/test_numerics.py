@@ -202,6 +202,18 @@ class TestDiagonalMatrix:
         with pytest.raises(ValueError):
             d.diag[0] = 3.0
 
+    def test_callers_array_stays_writeable(self):
+        a = np.ones(3)
+        DiagonalMatrix(a)
+        a[0] = 2.0
+        assert a.flags.writeable
+
+    def test_diagonal_does_not_move_with_the_base_of_a_view(self):
+        b = np.ones(3)
+        d = DiagonalMatrix(b[:, None])
+        b[0] = 5.0
+        assert np.array_equal(d.diag, np.ones((3, 1)))
+
     def test_row_diagonal_weights_every_entry_of_its_row(self):
         rng = np.random.default_rng(3)
         w = rng.uniform(0.5, 2.0, 4)
