@@ -18,7 +18,6 @@ files are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import errno
 import importlib.metadata
 import json
 import os
@@ -37,7 +36,7 @@ from .config import (
 )
 from .ct import forward as F
 from .ct import recon as R
-from .engine import AdmmStepError, load_trace
+from .engine import AdmmStepError, check_output_paths, load_trace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,21 +49,10 @@ def _sequential_mode() -> bool:
     return os.environ.get(SEQUENTIAL_ENV, "") not in ("", "0")
 
 
-def _check_outputs(out: str, names) -> None:
-    """Raise the error that writing would raise for an output file (or
-    manifest.json) under `out` that is an existing directory, so a run fails
-    before its set-up and not after its solve. Creates no file."""
-    for name in (*names, "manifest.json"):
-        path = os.path.join(out, name)
-        if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-
-
 def _run_quantile(cfg: ExperimentConfig, record_time: bool) -> list[str]:
     spec = Q.QuantileProblemSpec(
         **cfg.params(Q.QuantileProblemSpec), sigma=cfg.sigma_list[0], seed=cfg.seed
     )
-    _check_outputs(cfg.out, [Q.trace_filename(sigma) for sigma in cfg.sigma_list])
     out = Q.run_sigma_sweep(
         spec, cfg.sigma_list, iters=cfg.iters, out_dir=cfg.out, record_time=record_time
     )
@@ -78,12 +66,7 @@ def _run_ct(cfg: ExperimentConfig, record_time: bool) -> list[str]:
         phantom = F.make_phantom(geom, **cfg.params(F.make_phantom))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"ct inputs: {exc}") from exc
-    names = ["ct_report.json"]
-    for sigma in cfg.sigma_list:
-        names.append(R.trace_filename(sigma))
-        for material in model.materials:
-            names += R.image_filenames(sigma, material)
-    _check_outputs(cfg.out, names)
+    check_output_paths(cfg.out, ["ct_report.json"])
     summary = R.run_ct_experiment(
         geom,
         model,
@@ -172,6 +155,7 @@ def cmd_run(args) -> int:
         return _config_error(exc)
     record_time = not _sequential_mode()
     try:
+        check_output_paths(cfg.out, ["manifest.json"])
         paths = _EXPERIMENTS[cfg.kind](cfg, record_time)
         manifest = _write_manifest(cfg)
     except ConfigError as exc:

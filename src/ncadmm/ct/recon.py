@@ -28,6 +28,7 @@ from ..engine import (
     CompositeObjective,
     KronEye,
     RunResult,
+    check_output_paths,
     check_sigma_names,
     quadratic_prox,
     save_trace,
@@ -356,13 +357,20 @@ def run_ct_experiment(
     out_dir is given) one trace per sigma, with the projection-domain loss in
     the objective column and the curvature ratio in the alpha_t column, plus
     one reconstructed image grid per material (text and graymap). Sigmas
-    whose file names would coincide are rejected before any solve. A step
-    failure writes the rows of the steps before it to that sigma's trace and
-    re-raises.
+    whose file names would coincide, and an output path that is a directory,
+    are rejected before the set-up. A step failure writes the rows of the
+    steps before it to that sigma's trace and re-raises.
     """
     from .forward import build_projector, forward_counts
 
     check_sigma_names(sigma_list)
+    if out_dir is not None:
+        names = []
+        for sigma in sigma_list:
+            names.append(trace_filename(sigma))
+            for material in model.materials:
+                names += image_filenames(sigma, material)
+        check_output_paths(out_dir, names)
     projector = build_projector(geom)
     counts_full = forward_counts(model, projector, phantom, seed)
     mask = active_ray_mask(projector)
@@ -400,9 +408,6 @@ def run_ct_experiment(
         "runs": runs,
         "fosp_ratio": ratio,
         "active_rays": int(mask.sum()),
-        "counts": counts,
-        "projector": active,
-        "y_star": y_star,
         "phantom": phantom,
     }
 

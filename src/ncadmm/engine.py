@@ -22,9 +22,11 @@ vectors for quantile regression, (rows, materials) matrices for CT.
 from __future__ import annotations
 
 import copy
+import errno
 import itertools
 import math
 import operator
+import os
 import time
 from array import array
 from collections.abc import Sequence
@@ -51,6 +53,7 @@ __all__ = [
     "run",
     "quadratic_prox",
     "check_sigma_names",
+    "check_output_paths",
     "save_trace",
     "load_trace",
     "TRACE_HEADER",
@@ -471,6 +474,16 @@ def check_sigma_names(sigma_list) -> None:
                 f"share the output name sigma{name}"
             )
         by_name[name] = sigma
+
+
+def check_output_paths(out_dir, names) -> None:
+    """Raise the IsADirectoryError that writing would raise for an output
+    file under `out_dir` that is an existing directory, so that a run fails
+    before its set-up and not after its solve. Creates no file."""
+    for name in names:
+        path = os.path.join(out_dir, name)
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def save_trace(path, trace: Sequence[TraceRecord], extra_columns: Optional[dict] = None) -> None:

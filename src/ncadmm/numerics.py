@@ -76,36 +76,25 @@ class SparseMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
+    def _operand(self, v, rows: int) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        if v.shape != (self.cols,):
+        if v.ndim not in (1, 2) or v.shape[0] != rows:
             raise ValueError(
                 f"dimension mismatch: matrix is {self.rows}x{self.cols}, "
-                f"vector has shape {v.shape}"
+                f"operand has shape {v.shape}"
             )
-        return self._csr @ v
+        return v
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """Product against a vector or a dense matrix with self.cols rows."""
+        return self._csr @ self._operand(v, self.cols)
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.rows,):
-            raise ValueError(
-                f"dimension mismatch: matrix is {self.rows}x{self.cols}, "
-                f"vector has shape {v.shape}"
-            )
-        return self._csr.T @ v
+        """Transposed product against a vector or a dense matrix with self.rows rows."""
+        return self._csr.T @ self._operand(v, self.rows)
 
-    def matmat(self, x: np.ndarray) -> np.ndarray:
-        """Product against a dense matrix with self.cols rows."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[0] != self.cols:
-            raise ValueError("dimension mismatch in matmat")
-        return self._csr @ x
-
-    def rmatmat(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[0] != self.rows:
-            raise ValueError("dimension mismatch in rmatmat")
-        return self._csr.T @ x
+    matmat = matvec
+    rmatmat = rmatvec
 
     def row_sums(self) -> np.ndarray:
         return np.asarray(self._csr.sum(axis=1)).ravel()

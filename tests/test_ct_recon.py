@@ -661,6 +661,22 @@ class TestExperimentRunner:
             )
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("blocked", ["ct_sigma2.csv", "ct_sigma2_gadolinium.pgm"])
+    def test_directory_at_an_output_path_rejected_before_any_set_up(
+        self, tmp_path, monkeypatch, blocked
+    ):
+        geom = F.CtGeometry(grid_nx=5, grid_ny=5, pixel_size=0.5, n_angles=6, n_detectors=6)
+        model = F.build_spectral_model(n_energies=20)
+        monkeypatch.setattr(F, "build_projector", None)  # set-up must not start
+        (tmp_path / blocked).mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            R.run_ct_experiment(
+                geom, model, F.default_phantom(geom), sigma_list=[1.0, 2.0], iters=2,
+                seed=13, out_dir=str(tmp_path),
+            )
+        assert info.value.filename == str(tmp_path / blocked)
+        assert [p.name for p in tmp_path.iterdir()] == [blocked]
+
     def test_failed_step_leaves_rows_of_completed_steps(self, tmp_path, monkeypatch):
         geom = F.CtGeometry(grid_nx=5, grid_ny=5, pixel_size=0.5, n_angles=6, n_detectors=6)
         model = F.build_spectral_model(n_energies=20)

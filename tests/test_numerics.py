@@ -36,6 +36,27 @@ class TestSpmv:
         with pytest.raises(ValueError, match="dimension mismatch"):
             m.matvec(np.zeros(4))
 
+    @pytest.mark.parametrize(
+        "shape_for",
+        [lambda rows: (rows, 2, 2), lambda rows: (7 - rows, 2), lambda rows: ()],
+        ids=["3-D", "matrix-of-other-rows", "scalar"],
+    )
+    def test_operand_of_other_rows_or_axes_rejected(self, shape_for):
+        m = sparse_from_dense(np.arange(12.0).reshape(4, 3))
+        for product, rows in ((m.matvec, 3), (m.rmatvec, 4), (m.matmat, 3), (m.rmatmat, 4)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                product(np.zeros(shape_for(rows)))
+
+    def test_one_product_pair_for_vectors_and_matrices(self):
+        m, a = random_sparse(np.random.default_rng(6), 7, 5)
+        x, y = np.random.default_rng(7).standard_normal((2, 35))
+        x, y = x.reshape(5, 7), y.reshape(7, 5)
+        assert SparseMatrix.__dict__["matmat"] is SparseMatrix.__dict__["matvec"]
+        assert SparseMatrix.__dict__["rmatmat"] is SparseMatrix.__dict__["rmatvec"]
+        assert np.array_equal(m.matvec(x), m.matmat(x))
+        assert np.array_equal(m.rmatvec(y), m.rmatmat(y))
+        assert np.abs(m.matvec(x) - a @ x).max() <= 1e-12
+
     def test_dense_round_trip_and_repr(self):
         m, a = random_sparse(np.random.default_rng(1), 50, 30)
         assert np.array_equal(dense(m), a)

@@ -343,6 +343,14 @@ class TestSigmaSweepRunner:
             )
         assert list(tmp_path.iterdir()) == []
 
+    def test_directory_at_a_trace_path_rejected_before_any_set_up(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(Q, "generate_dataset", None)  # set-up must not start
+        (tmp_path / "quantile_sigma0.002.csv").mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            Q.run_sigma_sweep(small_spec(), [1e-3, 2e-3], iters=2, out_dir=str(tmp_path))
+        assert info.value.filename == str(tmp_path / "quantile_sigma0.002.csv")
+        assert [p.name for p in tmp_path.iterdir()] == ["quantile_sigma0.002.csv"]
+
     def test_failed_step_leaves_rows_of_completed_steps(self, tmp_path, monkeypatch):
         spec = small_spec(d=12, n=20, s_star=2, seed=3)
         sigmas = [5e-3, 1e-2]
