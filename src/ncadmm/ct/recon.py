@@ -20,6 +20,8 @@ and (n_rays, n_materials) for y and u.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from ..engine import (
@@ -384,7 +386,7 @@ def run_ct_experiment(
     runs = {}
     for sigma in sigma_list:
         sigma = float(sigma)
-        path = None if out_dir is None else f"{out_dir}/{trace_filename(sigma)}"
+        path = None if out_dir is None else os.path.join(out_dir, trace_filename(sigma))
         try:
             result, newton = run_ct_reconstruction(
                 model, active, counts, sigma=sigma, iters=iters, y_star=y_star,
@@ -400,9 +402,9 @@ def run_ct_experiment(
             save_trace(path, result.trace)
             entry["path"] = path
             for m, name in enumerate(model.materials):
-                grid, pgm = image_filenames(sigma, name)
-                save_image_grid(f"{out_dir}/{grid}", x_final[:, m], geom.grid_nx, geom.grid_ny)
-                save_pgm(f"{out_dir}/{pgm}", x_final[:, m], geom.grid_nx, geom.grid_ny)
+                grid, pgm = (os.path.join(out_dir, f) for f in image_filenames(sigma, name))
+                save_image_grid(grid, x_final[:, m], geom.grid_nx, geom.grid_ny)
+                save_pgm(pgm, x_final[:, m], geom.grid_nx, geom.grid_ny)
         runs[sigma] = entry
     return {
         "runs": runs,

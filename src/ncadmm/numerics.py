@@ -5,11 +5,16 @@ package; this module adds the two structured matrix types built on them,
 plus the spectral-norm estimator (on dense arrays) that sets the quantile
 step size.
 
-scipy serves only `SparseMatrix` (the CT projector), which imports
-`scipy.sparse` when the first one is built; a quantile run never loads it.
+scipy serves only `SparseMatrix` (the CT projector) products, with the compiled
+kernels of `scipy/sparse/_sparsetools`; the `scipy.sparse` package is never imported.
 """
 
 from __future__ import annotations
+
+import functools
+import os
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import find_spec, module_from_spec, spec_from_loader
 
 import numpy as np
 
@@ -23,6 +28,22 @@ __all__ = [
 _POWER_MAX_ITERS = 10_000
 
 
+@functools.cache
+def _sparsetools():
+    """scipy's compiled sparse kernels, loaded on the first product from their
+    extension file alone: importing `scipy.sparse` costs ~20 MB resident."""
+    spec = find_spec("scipy")
+    where = [os.path.join(d, "sparse") for d in (spec.submodule_search_locations if spec else ())]
+    for path in (os.path.join(d, "_sparsetools" + s) for d in where for s in EXTENSION_SUFFIXES):
+        if os.path.isfile(path):
+            # The name must end in _sparsetools: the init symbol is PyInit__sparsetools.
+            loader = ExtensionFileLoader("_sparsetools", path)
+            module = module_from_spec(spec_from_loader("_sparsetools", loader))
+            loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy's _sparsetools extension not found in {where}")
+
+
 def _as_float_array(v, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -34,7 +55,8 @@ class SparseMatrix:
     """Immutable sparse matrix stored as CSR, built from (row, col, value) triples.
 
     Duplicate (row, col) pairs are rejected rather than summed, so the triple
-    representation is canonical.
+    representation is canonical. Its read-only CSR arrays are `indptr`, `indices`
+    and `data`, with int32 indices when they fit, as scipy stores them.
     """
 
     def __init__(self, rows: int, cols: int, row_idx, col_idx, values):
@@ -42,7 +64,7 @@ class SparseMatrix:
             raise ValueError("matrix dimensions must be nonnegative")
         row_idx = np.asarray(row_idx, dtype=np.int64)
         col_idx = np.asarray(col_idx, dtype=np.int64)
-        # A copy: the CSR keeps it as its data and makes that read-only.
+        # A copy: the matrix keeps it as its data and makes that read-only.
         values = _as_float_array(values, "values").copy()
         if not (row_idx.shape == col_idx.shape == values.shape):
             raise ValueError("row/col/value arrays must have equal length")
@@ -61,55 +83,67 @@ class SparseMatrix:
                     raise ValueError("duplicate (row, col) entries")
             row_idx, col_idx = np.divmod(keys, cols)
             np.cumsum(np.bincount(row_idx, minlength=rows), out=indptr[1:])
-        # Imported here, not at module level: scipy.sparse costs ~15 MB of
-        # resident memory and only the CT projector builds a sparse matrix.
-        import scipy.sparse as sp
+        idx = np.int32 if max(rows, cols, values.size) <= np.iinfo(np.int32).max else np.int64
+        self._set_csr(rows, cols, indptr.astype(idx), col_idx.astype(idx), values)
 
-        self._set_csr(sp.csr_matrix((values, col_idx, indptr), shape=(rows, cols)))
-
-    def _set_csr(self, csr) -> None:
-        self.rows, self.cols = csr.shape
-        self._csr = csr
-        self._csr.data.flags.writeable = False
+    def _set_csr(self, rows: int, cols: int, indptr, indices, data) -> None:
+        self.rows, self.cols = rows, cols
+        self.indptr, self.indices, self.data = indptr, indices, data
+        for a in (indptr, indices, data):
+            a.flags.writeable = False
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def _operand(self, v, rows: int) -> np.ndarray:
+    def _product(self, fmt: str, out_rows: int, in_rows: int, v) -> np.ndarray:
+        """The `_sparsetools` call that scipy makes for `csr @ v` (fmt "csr") or
+        `csr.T @ v` (fmt "csc"); a matrix kernel takes the column count third."""
         v = np.asarray(v, dtype=float)
-        if v.ndim not in (1, 2) or v.shape[0] != rows:
-            raise ValueError(
-                f"dimension mismatch: matrix is {self.rows}x{self.cols}, "
-                f"operand has shape {v.shape}"
-            )
-        return v
+        if v.ndim not in (1, 2) or v.shape[0] != in_rows:
+            raise ValueError(f"dimension mismatch: matrix is {self.rows}x{self.cols}, "
+                             f"operand has shape {v.shape}")
+        v, out = np.ascontiguousarray(v), np.zeros((out_rows,) + v.shape[1:])
+        kernel = getattr(_sparsetools(), fmt + ("_matvec" if v.ndim == 1 else "_matvecs"))
+        kernel(out_rows, in_rows, *v.shape[1:], self.indptr, self.indices, self.data, v, out)
+        return out
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Product against a vector or a dense matrix with self.cols rows."""
-        return self._csr @ self._operand(v, self.cols)
+        return self._product("csr", self.rows, self.cols, v)
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
         """Transposed product against a vector or a dense matrix with self.rows rows."""
-        return self._csr.T @ self._operand(v, self.rows)
+        return self._product("csc", self.cols, self.rows, v)
 
     matmat = matvec
     rmatmat = rmatvec
 
     def row_sums(self) -> np.ndarray:
-        return np.asarray(self._csr.sum(axis=1)).ravel()
+        """scipy's minor-axis sum: each nonempty row reduced in storage order."""
+        sums = np.zeros(self.rows)
+        nonempty = np.flatnonzero(np.diff(self.indptr))
+        sums[nonempty] = np.add.reduceat(self.data, self.indptr[nonempty])
+        return sums
 
     def col_sums(self) -> np.ndarray:
-        return np.asarray(self._csr.sum(axis=0)).ravel()
+        return self.rmatvec(np.ones(self.rows))
 
     def select_rows(self, mask: np.ndarray) -> "SparseMatrix":
-        """The rows where the boolean `mask` is set, sliced from the CSR as is."""
+        """The rows where the boolean `mask` (one entry per row) is set, sliced as is."""
+        mask = np.asarray(mask)
+        if mask.dtype != bool or mask.shape != (self.rows,):
+            raise ValueError(f"row mask must be boolean of shape ({self.rows},), not {mask.dtype}"
+                             f" of shape {mask.shape}")
+        lengths = np.diff(self.indptr)
+        keep = np.repeat(mask, lengths)
+        indptr = np.append(0, np.cumsum(lengths[mask])).astype(self.indptr.dtype)
         sub = SparseMatrix.__new__(SparseMatrix)
-        sub._set_csr(self._csr[np.asarray(mask)])
+        sub._set_csr(indptr.size - 1, self.cols, indptr, self.indices[keep], self.data[keep])
         return sub
 
     def __repr__(self) -> str:
-        return f"SparseMatrix({self.rows}x{self.cols}, nnz={self._csr.nnz})"
+        return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.data.size})"
 
 
 class DiagonalMatrix:

@@ -9,6 +9,7 @@ sigma-sweep experiment runner.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -227,7 +228,7 @@ def run_sigma_sweep(
     outputs = {}
     for sigma in sigma_list:
         sigma = float(sigma)
-        path = None if out_dir is None else f"{out_dir}/{trace_filename(sigma)}"
+        path = None if out_dir is None else os.path.join(out_dir, trace_filename(sigma))
         run_spec = replace(spec, sigma=sigma)
         try:
             result, avg_losses = run_quantile(

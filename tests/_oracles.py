@@ -281,7 +281,7 @@ def sparse_identity(n, scale=1.0):
 
 def sparse_nnz(m):
     """Stored entries of a SparseMatrix."""
-    return int(m._csr.nnz)
+    return int(m.indptr[-1])
 
 
 def save_phantom(path, image, geom, materials=DEFAULT_MATERIALS):

@@ -294,6 +294,15 @@ class TestRunCommand:
         manifest = json.loads((other / "manifest.json").read_text())
         assert manifest["config"]["experiment"]["seed"] == 11
 
+    @pytest.mark.parametrize("kind", ["quantile", "ct"])
+    def test_reported_paths_have_no_doubled_separator(self, tmp_path, capsys, kind):
+        path, out = write_config(tmp_path, {"quantile": QUANTILE_SMALL, "ct": CT_SMALL}[kind])
+        assert cli.main(["run", "--config", str(path), "--iters", "2", "--out", f"{out}/"]) == 0
+        reported = capsys.readouterr().out
+        assert "//" not in reported
+        listed = [line.strip() for line in reported.splitlines()[1:]]
+        assert listed and all(Path(p).is_file() for p in listed)
+
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text("[experiment]\nkind = quantile\n[quantile]\nq = 1.5\n")

@@ -105,8 +105,8 @@ SCIPY_SPARSE_PROBE = textwrap.dedent("""
     import ncadmm
     from ncadmm import cli, diagnostics, engine
     from ncadmm import quantile as Q
+    from ncadmm.ct import forward as F
     from ncadmm.ct import recon
-    from ncadmm.numerics import SparseMatrix
 
     out = sys.argv[1]
     spec = Q.QuantileProblemSpec(d=12, n=20, s_star=2, seed=3)
@@ -124,12 +124,15 @@ SCIPY_SPARSE_PROBE = textwrap.dedent("""
     assert cli.main(["validate-config", "--experiment", "quantile"]) == 0
     assert cli.main(["summarize", "--out", out]) == 0
     assert "scipy.sparse" not in sys.modules, "a quantile path loaded scipy.sparse"
-    SparseMatrix(2, 2, [0, 1], [1, 0], [1.0, 2.0])
-    assert "scipy.sparse" in sys.modules, "building a SparseMatrix did not load scipy.sparse"
+    geom = F.CtGeometry(grid_nx=5, grid_ny=5, pixel_size=0.5, n_angles=6, n_detectors=6)
+    summary = recon.run_ct_experiment(geom, F.build_spectral_model(n_energies=20),
+                                      F.default_phantom(geom), [2.0], iters=3, seed=13, out_dir=out)
+    assert len(summary["runs"][2.0]["result"].trace) == 3
+    assert "scipy.sparse" not in sys.modules, "a CT run loaded scipy.sparse"
 """)
 
 
-def test_only_a_sparse_matrix_loads_scipy_sparse(tmp_path):
+def test_no_run_loads_scipy_sparse(tmp_path):
     src = os.path.dirname(os.path.dirname(ncadmm.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(

@@ -115,16 +115,16 @@ class TestCsrBuild:
             keys = rng.permutation(keys)
         r, c = np.divmod(keys, 40)
         v = rng.standard_normal(keys.size)
-        got = SparseMatrix(60, 40, r, c, v)._csr
+        got = SparseMatrix(60, 40, r, c, v)
         want = sp.csr_matrix((v, (r, c)), shape=(60, 40))
         for name in ("indptr", "indices", "data"):
             g, w = getattr(got, name), getattr(want, name)
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
-        assert v.flags.writeable  # the CSR froze its own copy
+        assert v.flags.writeable  # the matrix froze its own copy
 
     def test_no_entries(self):
         m = SparseMatrix(3, 2, [], [], [])
-        assert m._csr.indptr.tolist() == [0, 0, 0, 0]
+        assert m.indptr.tolist() == [0, 0, 0, 0]
         assert np.array_equal(m.matvec(np.ones(2)), np.zeros(3))
 
 
@@ -140,21 +140,78 @@ class TestSelectRows:
         ref = SparseMatrix(int(self.mask.sum()), 25, r, c, self.a[self.mask][r, c])
         assert (sub.rows, sub.cols) == (ref.rows, ref.cols)
         for name in ("indptr", "indices", "data"):
-            got, want = getattr(sub._csr, name), getattr(ref._csr, name)
+            got, want = getattr(sub, name), getattr(ref, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
         assert np.array_equal(dense(sub), self.a[self.mask])
 
     def test_data_stays_read_only(self):
         sub = self.m.select_rows(self.mask)
-        assert not sub._csr.data.flags.writeable
+        assert not sub.data.flags.writeable
         with pytest.raises(ValueError):
-            sub._csr.data[0] = 1.0
+            sub.data[0] = 1.0
+
+    @pytest.mark.parametrize("name", ["indptr", "indices"])
+    def test_index_arrays_stay_read_only(self, name):
+        for m in (self.m, self.m.select_rows(self.mask)):
+            arr = getattr(m, name)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    @pytest.mark.parametrize(
+        "mask",
+        [
+            np.arange(3), np.ones(40, dtype=int), np.ones(39, dtype=bool),
+            np.ones((40, 1), dtype=bool),
+        ],
+        ids=["row-indices", "int-ones", "one-entry-short", "column"],
+    )
+    def test_mask_other_than_one_bool_per_row_rejected(self, mask):
+        with pytest.raises(ValueError, match=r"row mask must be boolean of shape \(40,\)"):
+            self.m.select_rows(mask)
 
     def test_all_false_mask_gives_zero_rows(self):
         sub = self.m.select_rows(np.zeros(40, dtype=bool))
         assert sub.shape == (0, 25)
         assert sub.matvec(np.ones(25)).shape == (0,)
         assert np.array_equal(sub.rmatvec(np.zeros(0)), np.zeros(25))
+
+
+class TestMatchesScipySparse:
+    """The products, the sums and select_rows bit for bit against scipy.sparse
+    on the same CSR arrays: every kernel is scipy's, called as scipy calls it."""
+
+    @staticmethod
+    def same(got, want):
+        want = np.asarray(want)
+        same_kind = got.dtype == want.dtype and got.shape == want.shape
+        return same_kind and got.tobytes() == want.tobytes()
+
+    def test_thirty_random_matrices_with_empty_rows_and_f_order_operands(self):
+        import scipy.sparse as sp
+
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            rows, cols = rng.integers(1, 30, size=2)
+            a = np.where(rng.random((rows, cols)) < rng.uniform(0.05, 0.6),
+                         rng.standard_normal((rows, cols)), 0.0)
+            a[rng.random(rows) < 0.25] = 0.0  # empty rows
+            m = sparse_from_dense(a)
+            ref = sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+            for k in (1, 3):
+                x, y = rng.standard_normal((cols, k)), rng.standard_normal((rows, k))
+                for v, w in ((x, y), (np.asfortranarray(x), np.asfortranarray(y))):
+                    assert self.same(m.matmat(v), ref @ v)
+                    assert self.same(m.rmatmat(w), ref.T @ w)
+                assert self.same(m.matvec(x[:, 0]), ref @ x[:, 0])
+                assert self.same(m.rmatvec(y[:, 0]), ref.T @ y[:, 0])
+            assert self.same(m.row_sums(), np.asarray(ref.sum(axis=1)).ravel())
+            assert self.same(m.col_sums(), np.asarray(ref.sum(axis=0)).ravel())
+            mask = rng.random(rows) < 0.5
+            sub, want = m.select_rows(mask), ref[mask]
+            assert sub.shape == want.shape
+            for name in ("indptr", "indices", "data"):
+                assert self.same(getattr(sub, name), getattr(want, name)), name
 
 
 class TestSpectralNorm:
