@@ -12,7 +12,8 @@ which can itself be passed back as --config to reproduce the run. Exit codes:
 cannot be written, 3 numerical failure.
 
 Setting NCADMM_SEQUENTIAL=1 zeroes the per-iteration timing column so trace
-files are byte-identical across runs.
+files are byte-identical across runs; unset or 0 keeps the timings, and any
+other value is a configuration error.
 """
 
 from __future__ import annotations
@@ -46,7 +47,10 @@ SEQUENTIAL_ENV = "NCADMM_SEQUENTIAL"
 
 
 def _sequential_mode() -> bool:
-    return os.environ.get(SEQUENTIAL_ENV, "") not in ("", "0")
+    value = os.environ.get(SEQUENTIAL_ENV, "0")
+    if value not in ("0", "1"):
+        raise ConfigError(f"{SEQUENTIAL_ENV} must be unset, 0 or 1, got {value!r}")
+    return value == "1"
 
 
 def _run_quantile(cfg: ExperimentConfig, record_time: bool) -> list[str]:
@@ -149,11 +153,11 @@ def _resolve_config(args) -> ExperimentConfig:
 
 def cmd_run(args) -> int:
     try:
+        record_time = not _sequential_mode()
         cfg = _resolve_config(args)
         _make_dir(cfg.out)
     except ConfigError as exc:
         return _config_error(exc)
-    record_time = not _sequential_mode()
     try:
         check_output_paths(cfg.out, ["manifest.json"])
         paths = _EXPERIMENTS[cfg.kind](cfg, record_time)

@@ -30,9 +30,7 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "read_sections",
-    "parse_config",
     "config_from_sections",
-    "default_config",
     "config_to_manifest_dict",
 ]
 
@@ -42,8 +40,7 @@ class ConfigError(ValueError):
 
 
 # The settable keys of each kind's section, in manifest order.
-# QuantileProblemSpec's sigma and seed come from [experiment]; its noise_df
-# is not settable.
+# QuantileProblemSpec's sigma and seed come from [experiment].
 KEYS = {
     "quantile": ("d", "n", "s_star", "q", "lam", "beta", "radius"),
     "ct": (
@@ -234,15 +231,6 @@ def read_sections(path) -> dict:
         # configparser messages span lines; the CLI reports one
         raise ConfigError(f"malformed config {path}: {' '.join(str(exc).split())}") from None
     return {s: dict(parser.items(s)) for s in parser.sections()}
-
-
-def parse_config(path) -> ExperimentConfig:
-    """Parse an INI config file, or a manifest.json from a previous run."""
-    return config_from_sections(read_sections(path))
-
-
-def default_config(kind: str) -> ExperimentConfig:
-    return config_from_sections({"experiment": {"kind": kind}})
 
 
 def _jsonable(value):

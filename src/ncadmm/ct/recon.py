@@ -305,10 +305,10 @@ def run_ct_reconstruction(
     counts: np.ndarray,
     sigma: float,
     iters: int,
-    y_star: np.ndarray | None = None,
+    y_star: np.ndarray,
     record_time: bool = True,
 ) -> tuple[RunResult, dict]:
-    """Run the full loop at one sigma; records alpha_t when y_star is given.
+    """Run the full loop at one sigma, recording alpha_t against `y_star`.
 
     The alpha hook evaluates the loss gradient at y_{t+1} with the problem's
     `CtLoss`, which hands the parts found there to the next step's grad_d
@@ -318,18 +318,14 @@ def run_ct_reconstruction(
     moving when the cap ended a solve).
     """
     problem, loss = build_ct_problem(model, projector, counts, sigma)
-    alpha_hook = None
-    if y_star is not None:
-        grad_star = loss.parts(y_star).grad
+    grad_star = loss.parts(y_star).grad
 
-        def alpha_hook(t, x, y, u, proj):
-            return alpha_t_diagnostic(
-                problem.sigma.diag, proj, y, y_star, grad_star, loss.parts(y).grad
-            )
+    def alpha_hook(t, x, y, u, proj):
+        return alpha_t_diagnostic(
+            problem.sigma.diag, proj, y, y_star, grad_star, loss.parts(y).grad
+        )
 
-    result = engine_run(
-        problem, iters=iters, alpha_hook=alpha_hook, record_time=record_time
-    )
+    result = engine_run(problem, iters=iters, alpha_hook=alpha_hook, record_time=record_time)
     return result, {"newton_ray_steps": loss.newton_ray_steps, "newton_capped": loss.newton_capped}
 
 

@@ -16,7 +16,9 @@ D = H_f + A'Sigma A, center = x_t and lin = grad f_d(x_t) + A'(u_t + Sigma(Ax_t 
 the y subproblem is analogous with D = H_g + Sigma, center = y_t and
 lin = grad g_d(y_t) - (u_t + Sigma(Ax_{t+1} - y_t)). Completing the square
 shows this is the same minimization. The iterates are arrays of any shape:
-vectors for quantile regression, (rows, materials) matrices for CT.
+vectors for quantile regression, (rows, materials) matrices for CT. Beside
+the iterate, a run keeps the compensated sum of the x iterates, whose mean
+x_bar is the averaged output, and one trace record per step.
 """
 
 from __future__ import annotations
@@ -158,8 +160,9 @@ class AdmmProblem:
     Sigma and D_f / D_g, the subproblem quadratics H_f + A'Sigma A and
     H_g + Sigma for the caller's step-size matrices H_f, H_g, are diagonal
     with one weight per row: shape (n,) for a vector, (n, 1) for an (n, m)
-    matrix. `objective(x, y, ax)`, if given, is evaluated at every iterate;
-    ax = A x is the product the step already computed.
+    matrix. `objective(x, y, ax)` is evaluated at every iterate, the value
+    of the trace's objective column; ax = A x is the product the step
+    already computed.
     """
 
     A: object
@@ -168,7 +171,7 @@ class AdmmProblem:
     g: CompositeObjective
     D_f: object
     D_g: object
-    objective: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], float]] = None
+    objective: Callable[[np.ndarray, np.ndarray, np.ndarray], float]
 
     def __post_init__(self):
         self.y_shape, self.x_shape = (d if isinstance(d, tuple) else (d,) for d in self.A.shape)
@@ -274,13 +277,13 @@ class KahanSum:
 
 @dataclass
 class AdmmState:
-    """Iterate (x_t, y_t, u_t), the running sums and the trace so far.
+    """Iterate (x_t, y_t, u_t), the running sum of the x iterates and the trace so far.
 
     `ax` and `sr` cache A x_t and Sigma (A x_t - y_t) for the next step; None
     (as from `initial`) makes the next step compute them, so whoever resets
     `ax` resets `sr` too. Each step returns fresh x, y, u, ax and sr arrays
-    but advances `sum_x`, `sum_y` and `trace` (a `Trace`) in place and hands
-    them on, so only the newest state's averages and trace are current.
+    but advances `sum_x` and `trace` (a `Trace`) in place and hands them on,
+    so only the newest state's `x_bar` and trace are current.
     """
 
     t: int
@@ -288,7 +291,6 @@ class AdmmState:
     y: np.ndarray
     u: np.ndarray
     sum_x: KahanSum
-    sum_y: KahanSum
     trace: Trace = field(default_factory=Trace)
     ax: Optional[np.ndarray] = None
     sr: Optional[np.ndarray] = None
@@ -301,7 +303,6 @@ class AdmmState:
             y=np.asarray(y0, dtype=float),
             u=np.asarray(u0, dtype=float),
             sum_x=KahanSum(np.shape(x0)),
-            sum_y=KahanSum(np.shape(y0)),
         )
 
     @property
@@ -309,12 +310,6 @@ class AdmmState:
         if self.t == 0:
             return self.x.copy()
         return self.sum_x.total / self.t
-
-    @property
-    def y_bar(self) -> np.ndarray:
-        if self.t == 0:
-            return self.y.copy()
-        return self.sum_y.total / self.t
 
 
 class AdmmStepError(RuntimeError):
@@ -393,22 +388,19 @@ def admm_step(
     sr_new = sig.matvec(residual)
     u_new = _checked(u + sr_new, problem.y_shape, it, "u update")
 
-    obj = float("nan")
-    if problem.objective is not None:
-        obj = float(_call(it, "objective", problem.objective, x_new, y_new, ax_new))
-        if not math.isfinite(obj):
-            raise AdmmStepError(it, f"objective is not finite ({obj!r})")
+    obj = float(_call(it, "objective", problem.objective, x_new, y_new, ax_new))
+    if not math.isfinite(obj):
+        raise AdmmStepError(it, f"objective is not finite ({obj!r})")
     alpha = None
     if alpha_hook is not None:
         alpha = _call(it, "alpha_hook", alpha_hook, it, x_new, y_new, u_new, ax_new)
 
     state.sum_x.add(x_new)
-    state.sum_y.add(y_new)
     seconds = time.perf_counter() - t0 if record_time else 0.0
     state.trace.append(TraceRecord(it, obj, math.sqrt(np.vdot(residual, residual)), alpha, seconds))
     return AdmmState(
-        t=it, x=x_new, y=y_new, u=u_new, sum_x=state.sum_x, sum_y=state.sum_y,
-        trace=state.trace, ax=ax_new, sr=sr_new,
+        t=it, x=x_new, y=y_new, u=u_new, sum_x=state.sum_x, trace=state.trace,
+        ax=ax_new, sr=sr_new,
     )
 
 
@@ -416,7 +408,6 @@ def admm_step(
 class RunResult:
     state: AdmmState
     x_bar: np.ndarray
-    y_bar: np.ndarray
     trace: Trace
 
 
@@ -428,7 +419,8 @@ def run(
     iteration_hook: Optional[Callable] = None,
     record_time: bool = True,
 ) -> RunResult:
-    """Run `iters` cycles from `init` (default all-zeros) and return averages.
+    """Run `iters` cycles from `init` (default all-zeros) and return the
+    final state, the average x_bar of the x iterates and the trace.
 
     `alpha_hook(t, x, y, u, ax)` may return a diagnostic scalar, or None,
     recorded in the trace, where ax = A x comes from the step;
@@ -450,7 +442,7 @@ def run(
     except AdmmStepError as exc:
         exc.trace = state.trace
         raise
-    return RunResult(state=state, x_bar=state.x_bar, y_bar=state.y_bar, trace=state.trace)
+    return RunResult(state=state, x_bar=state.x_bar, trace=state.trace)
 
 
 # ---------------------------------------------------------------------------

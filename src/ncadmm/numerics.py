@@ -24,8 +24,10 @@ __all__ = [
     "spectral_norm",
 ]
 
-# Power iteration bounds (deterministic: all-ones start vector).
+# Power iteration bounds (deterministic: all-ones start vector): the cap on
+# steps and the relative change of the Rayleigh quotient that ends the loop.
 _POWER_MAX_ITERS = 10_000
+_POWER_REL_TOL = 1e-10
 
 
 @functools.cache
@@ -171,8 +173,6 @@ class DiagonalMatrix:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.diag * self._operand(v)
 
-    rmatvec = matvec
-
     def solve(self, v: np.ndarray) -> np.ndarray:
         return self._operand(v) / self.diag
 
@@ -183,15 +183,13 @@ class DiagonalMatrix:
         return f"DiagonalMatrix(n={self.diag.size})"
 
 
-def spectral_norm(m, rel_tol: float = 1e-9) -> float:
+def spectral_norm(m) -> float:
     """Largest singular value of the dense 2-D array `m`, via power iteration on M^T M.
 
     Deterministic: starts from the normalized all-ones vector and stops when
-    successive Rayleigh quotients agree to `rel_tol` relative (or after
+    successive Rayleigh quotients agree to 1e-10 relative (or after
     10 000 iterations). Returns 0.0 for the zero matrix.
     """
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
     a = np.asarray(m, dtype=float)
     cols = a.shape[1]
     if cols == 0:
@@ -205,7 +203,7 @@ def spectral_norm(m, rel_tol: float = 1e-9) -> float:
             return 0.0
         new_rayleigh = float(v @ w)
         v = w / norm_w
-        if abs(new_rayleigh - rayleigh) <= rel_tol * abs(new_rayleigh):
+        if abs(new_rayleigh - rayleigh) <= _POWER_REL_TOL * abs(new_rayleigh):
             rayleigh = new_rayleigh
             break
         rayleigh = new_rayleigh

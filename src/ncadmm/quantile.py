@@ -47,6 +47,9 @@ __all__ = [
 # despite power-iteration error.
 GAMMA_INFLATION = 1e-6
 
+# Degrees of freedom of the Student-t noise.
+NOISE_DF = 5.0
+
 
 @dataclass(frozen=True)
 class QuantileProblemSpec:
@@ -58,7 +61,6 @@ class QuantileProblemSpec:
     beta: float = 0.5
     radius: float = math.inf
     sigma: float = 1e-4
-    noise_df: float = 5.0
     seed: int = 20240801
 
     def __post_init__(self):
@@ -92,7 +94,7 @@ class QuantileDataset:
 def generate_dataset(spec: QuantileProblemSpec) -> QuantileDataset:
     """Draw a seeded dataset: Phi ~ iid N(0,1), x_true = (1,..,1,0,..,0).
 
-    Noise is Student-t with `noise_df` degrees of freedom, sampled as
+    Noise is Student-t with NOISE_DF degrees of freedom, sampled as
     normal / sqrt(chisquare/df) from a PCG64 generator seeded with
     spec.seed; draw order is Phi, then the normal block, then the
     chi-square block, so datasets are reproducible bit-for-bit.
@@ -101,7 +103,7 @@ def generate_dataset(spec: QuantileProblemSpec) -> QuantileDataset:
     phi = rng.standard_normal((spec.n, spec.d))
     x_true = np.zeros(spec.d)
     x_true[: spec.s_star] = 1.0
-    z = rng.standard_normal(spec.n) / np.sqrt(rng.chisquare(spec.noise_df, spec.n) / spec.noise_df)
+    z = rng.standard_normal(spec.n) / np.sqrt(rng.chisquare(NOISE_DF, spec.n) / NOISE_DF)
     w = phi @ x_true + z
     return QuantileDataset(phi=phi, w=w, x_true=x_true)
 
@@ -123,7 +125,7 @@ def _objective_at(q: float, penalty: LogL1Penalty, w: np.ndarray, phi_x, x) -> f
 
 def quantile_gamma(phi: np.ndarray) -> float:
     """Squared spectral norm of Phi, inflated so sigma*(gamma*I - Phi'Phi) is PSD."""
-    return spectral_norm(phi, 1e-10) ** 2 * (1.0 + GAMMA_INFLATION)
+    return spectral_norm(phi) ** 2 * (1.0 + GAMMA_INFLATION)
 
 
 def build_problem(

@@ -14,8 +14,9 @@ per-ray Newton loop and the adaptive one with the step-size stop alone, the
 plain ADMM step on the general constraint Ax + By = c that the lean engine
 step must match bit for bit, the CT problem wired on flattened variables
 that the matrix-shaped one must match bit for bit, the per-point RSC probe
-the block probe must match, and small linear-map, sparse-matrix and
-phantom-file helpers.
+the block probe must match, small linear-map, sparse-matrix and
+phantom-file helpers, the objective of problems whose trace the test does
+not read, and the config readers the config tests use.
 """
 
 import math
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
+from ncadmm.config import ExperimentConfig, config_from_sections, read_sections
 from ncadmm.ct import recon as R
 from ncadmm.engine import (
     AdmmProblem,
@@ -267,6 +269,11 @@ class ScaledIdentity:
     rmatvec = matmat = matvec
 
 
+def zero_objective(x, y, ax):
+    """The objective of a problem whose trace objective the test does not read."""
+    return 0.0
+
+
 def sparse_from_dense(a):
     """SparseMatrix holding the nonzero entries of a dense 2-D array."""
     a = np.asarray(a, dtype=float)
@@ -294,6 +301,19 @@ def save_phantom(path, image, geom, materials=DEFAULT_MATERIALS):
             for row in grid:
                 fh.write(" ".join(repr(float(v)) for v in row) + "\n")
             fh.write("\n")
+
+
+# ---------------------------------------------------------------------------
+# Config files
+
+
+def parse_config(path) -> ExperimentConfig:
+    """Parse an INI config file, or a manifest.json from a previous run."""
+    return config_from_sections(read_sections(path))
+
+
+def default_config(kind: str) -> ExperimentConfig:
+    return config_from_sections({"experiment": {"kind": kind}})
 
 
 # ---------------------------------------------------------------------------
@@ -671,8 +691,8 @@ def admm_step_reference(problem, state, alpha_hook=None, record_time=True):
     c = 0 written out, that forms Sigma(A x_t + B y_t - c) afresh every step.
 
     Carries A x_t but not the scaled residual, checks finiteness with
-    np.all, takes the residual norm with np.linalg.norm and sums the
-    averages with `kahan_add_reference`: the step before the lean one, whose
+    np.all, takes the residual norm with np.linalg.norm and sums the x
+    iterates with `kahan_add_reference`: the step before the lean one, whose
     outputs it must reproduce bit for bit.
     """
     t0 = time.perf_counter()
@@ -699,22 +719,18 @@ def admm_step_reference(problem, state, alpha_hook=None, record_time=True):
     residual = ax_new + B.matvec(y_new) - c
     u_new = _finite(u + sig.matvec(residual), it, "u update")
 
-    obj = float("nan")
-    if problem.objective is not None:
-        obj = float(_checked_call(it, "objective", problem.objective, x_new, y_new, ax_new))
-        if not math.isfinite(obj):
-            raise AdmmStepError(it, f"objective is not finite ({obj!r})")
+    obj = float(_checked_call(it, "objective", problem.objective, x_new, y_new, ax_new))
+    if not math.isfinite(obj):
+        raise AdmmStepError(it, f"objective is not finite ({obj!r})")
     alpha = None
     if alpha_hook is not None:
         alpha = _checked_call(it, "alpha_hook", alpha_hook, it, x_new, y_new, u_new, ax_new)
 
     kahan_add_reference(state.sum_x, x_new)
-    kahan_add_reference(state.sum_y, y_new)
     seconds = time.perf_counter() - t0 if record_time else 0.0
     state.trace.append(TraceRecord(it, obj, float(np.linalg.norm(residual)), alpha, seconds))
     return AdmmState(
-        t=it, x=x_new, y=y_new, u=u_new, sum_x=state.sum_x, sum_y=state.sum_y,
-        trace=state.trace, ax=ax_new,
+        t=it, x=x_new, y=y_new, u=u_new, sum_x=state.sum_x, trace=state.trace, ax=ax_new,
     )
 
 

@@ -53,7 +53,7 @@ def report(name: str, ok: bool, detail: str = "") -> bool:
 def quantile_sweep():
     spec = Q.QuantileProblemSpec(
         d=2000, n=1000, s_star=10, q=0.5, lam=0.1, beta=0.5,
-        radius=math.inf, sigma=1e-4, noise_df=5.0, seed=20240801,
+        radius=math.inf, sigma=1e-4, seed=20240801,
     )
     out = Q.run_sigma_sweep(spec, QUANTILE_SIGMAS, iters=500, record_time=False)
     losses = {s: np.array([r.objective for r in out[s]["result"].trace]) for s in out}

@@ -9,11 +9,11 @@ import pytest
 from ncadmm import cli, config, engine
 from ncadmm.ct import forward as F
 from ncadmm.ct import recon as R
-from ncadmm.config import ConfigError, config_to_manifest_dict, default_config, parse_config
+from ncadmm.config import ConfigError, config_to_manifest_dict
 from ncadmm.engine import AdmmStepError, load_trace
 from ncadmm.quantile import QuantileProblemSpec
 
-from _oracles import save_phantom
+from _oracles import default_config, parse_config, save_phantom
 
 QUANTILE_SMALL = """
 [experiment]
@@ -315,6 +315,36 @@ class TestRunCommand:
     def test_kind_conflict_exits_2(self, tmp_path):
         path, _ = write_config(tmp_path, QUANTILE_SMALL)
         assert cli.main(["run", "--config", str(path), "--experiment", "ct"]) == 2
+
+    @pytest.mark.parametrize("value, timed", [(None, True), ("0", True), ("1", False)])
+    def test_sequential_mode_zeroes_only_the_timings(self, tmp_path, monkeypatch, value, timed):
+        if value is None:
+            monkeypatch.delenv(cli.SEQUENTIAL_ENV)
+        else:
+            monkeypatch.setenv(cli.SEQUENTIAL_ENV, value)
+        path, out = write_config(tmp_path, QUANTILE_SMALL)
+        assert cli.main(["run", "--config", str(path), "--iters", "3"]) == 0
+        for trace in out.glob("quantile_sigma*.csv"):
+            records, _ = load_trace(trace)
+            assert [r.seconds > 0 for r in records] == [timed] * 3
+
+    @pytest.mark.parametrize(
+        "value", ["false", "true", "2", "", " 1"], ids=["false", "true", "2", "empty", "space-1"]
+    )
+    def test_sequential_mode_other_than_0_or_1_exits_2(self, tmp_path, monkeypatch, capsys, value):
+        from ncadmm import quantile
+
+        setups = []
+        monkeypatch.setattr(quantile, "generate_dataset", lambda spec: setups.append(spec))
+        monkeypatch.setenv(cli.SEQUENTIAL_ENV, value)
+        path, out = write_config(tmp_path, QUANTILE_SMALL)
+        assert cli.main(["run", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"config error: NCADMM_SEQUENTIAL must be unset, 0 or 1, got {value!r}\n"
+        )
+        assert captured.out == "" and setups == []
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "template, section, key, kept, other",

@@ -537,7 +537,7 @@ class TestEngineEquivalence:
         for _ in range(15):
             lean = engine.admm_step(problem, lean, record_time=False)
             ref = admm_step_reference(problem, ref, record_time=False)
-        for v in ("x", "y", "u", "ax", "x_bar", "y_bar"):
+        for v in ("x", "y", "u", "ax", "x_bar"):
             assert np.array_equal(getattr(lean, v), getattr(ref, v)), v
         assert [(r.objective, r.primal_residual) for r in lean.trace] == [
             (r.objective, r.primal_residual) for r in ref.trace
@@ -558,7 +558,7 @@ class TestEngineEquivalence:
         n_m = model.n_materials
         pairs = [
             (getattr(result.state, v), getattr(flat.state, v)) for v in ("x", "y", "u", "ax")
-        ] + [(result.x_bar, flat.x_bar), (result.y_bar, flat.y_bar)]
+        ] + [(result.x_bar, flat.x_bar)]
         for got, ref in pairs:
             assert got.shape[1:] == (n_m,)
             assert got.tobytes() == ref.reshape(got.shape).tobytes()
@@ -591,15 +591,14 @@ class TestDiagnostics:
         assert min(alphas) > 0
 
     def test_alpha_hook_gradient_reuse_keeps_run_bitwise(self, small_ct):
-        # With y_star the next step reuses the hook's gradient at y_{t+1}.
+        # With the alpha hook the next step reuses its gradient at y_{t+1}.
         _, model, phantom, active, counts = small_ct
-        runs = [
-            R.run_ct_reconstruction(
-                model, active, counts, sigma=5.0, iters=15, y_star=y_star, record_time=False
-            )[0]
-            for y_star in (None, active.matmat(phantom))
-        ]
-        plain, with_alpha = runs
+        problem, _ = R.build_ct_problem(model, active, counts, sigma=5.0)
+        plain = engine.run(problem, iters=15, record_time=False)
+        with_alpha, _ = R.run_ct_reconstruction(
+            model, active, counts, sigma=5.0, iters=15, y_star=active.matmat(phantom),
+            record_time=False,
+        )
         for v in ("x", "y", "u"):
             assert np.array_equal(getattr(plain.state, v), getattr(with_alpha.state, v))
         assert [r.objective for r in plain.trace] == [r.objective for r in with_alpha.trace]
@@ -709,9 +708,10 @@ class TestExperimentRunner:
         R.newton_ray_solve(loss, lin, y, sigma_diag, iters=1)
         assert loss.newton_ray_steps == y.shape[0]
         assert loss.newton_capped > 0
-        _, model, _, active, counts = small_ct
+        _, model, phantom, active, counts = small_ct
         _, newton = R.run_ct_reconstruction(
-            model, active, counts, sigma=10.0, iters=6, record_time=False
+            model, active, counts, sigma=10.0, iters=6, y_star=active.matmat(phantom),
+            record_time=False,
         )
         assert newton["newton_ray_steps"] > 6 * active.rows
         assert newton["newton_capped"] == 0

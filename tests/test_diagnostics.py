@@ -9,7 +9,7 @@ from ncadmm import quantile as Q
 from ncadmm.engine import AdmmProblem, CompositeObjective, DenseMap, quadratic_prox
 from ncadmm.numerics import DiagonalMatrix
 
-from _oracles import probe_trajectory_loop
+from _oracles import probe_trajectory_loop, zero_objective
 
 
 def toy_problem(a):
@@ -22,6 +22,7 @@ def toy_problem(a):
         # the probes read only A and Sigma; no step is taken
         D_f=DiagonalMatrix(np.ones(a.shape[1])),
         D_g=DiagonalMatrix(np.ones(n)),
+        objective=zero_objective,
     )
 
 

@@ -31,17 +31,19 @@ GONE = [
         "ScaledIdentity",
     ]),
     (engine.AdmmProblem, ["_build_quadratic"]),
-    (engine.AdmmState, ["by"]),
+    (engine.AdmmState, ["by", "sum_y", "y_bar"]),
+    (engine.RunResult, ["y_bar"]),
     (engine.DenseMap, ["dense"]),
     (ScaledIdentity, ["dense"]),
     (engine.KronEye, ["dense"]),
     (numerics, ["check_psd", "spmv"]),
     (prox, ["qexp_value"]),
-    (numerics.DiagonalMatrix, ["dense", "shape"]),
+    (numerics.DiagonalMatrix, ["dense", "shape", "rmatvec"]),
     (numerics.SparseMatrix, [
         "save", "load", "to_triples", "dense", "from_dense", "identity", "nnz",
     ]),
     (quantile, ["quantile_x_update", "quantile_y_update", "stepsize_margin"]),
+    (quantile.QuantileProblemSpec, ["noise_df"]),
     (forward, ["expected_counts", "ct_loss", "save_phantom", "_ray_pixel_lengths"]),
     (forward.SpectralModel, ["scales"]),
     (recon, [
@@ -49,7 +51,7 @@ GONE = [
         "ray_subproblem_objective", "stepsize_matrix_factor", "check_newton_iters",
         "CtPreconditioners",
     ]),
-    (config, ["CustomConfig", "QuantileConfig", "CtConfig"]),
+    (config, ["CustomConfig", "QuantileConfig", "CtConfig", "parse_config", "default_config"]),
     (cli, ["_run_custom", "_run_custom_sigma", "_quantile_spec", "_ct_pieces"]),
 ]
 
@@ -63,15 +65,18 @@ def test_every_export_resolves(name):
 
 @pytest.mark.parametrize("owner, names", GONE, ids=[owner.__name__ for owner, _ in GONE])
 def test_trimmed_names_are_gone(owner, names):
-    assert [n for n in names if hasattr(owner, n)] == []
+    # A dataclass field without a default is no class attribute.
+    fields = {f.name for f in dataclasses.fields(owner)} if dataclasses.is_dataclass(owner) else ()
+    assert [n for n in names if hasattr(owner, n) or n in fields] == []
 
 
 def test_engine_problem_fields():
     fields = [f.name for f in dataclasses.fields(engine.AdmmProblem)]
     assert fields == ["A", "sigma", "f", "g", "D_f", "D_g", "objective"]
     assert [f.name for f in dataclasses.fields(engine.AdmmState)] == [
-        "t", "x", "y", "u", "sum_x", "sum_y", "trace", "ax", "sr",
+        "t", "x", "y", "u", "sum_x", "trace", "ax", "sr",
     ]
+    assert [f.name for f in dataclasses.fields(engine.RunResult)] == ["state", "x_bar", "trace"]
     assert [f.name for f in dataclasses.fields(engine.CompositeObjective)] == ["prox_step", "grad_d"]
     assert [f.name for f in dataclasses.fields(forward.SpectralModel)] == [
         "energies", "mu", "window_weights", "beam", "materials",
@@ -96,6 +101,17 @@ def test_trimmed_parameters_are_gone():
     alpha = inspect.signature(recon.alpha_t_diagnostic).parameters
     assert "model" not in alpha and "counts" not in alpha
     assert [alpha[name].default for name in ("grad_star", "grad_y")] == [inspect.Parameter.empty] * 2
+
+
+def test_single_value_settings_and_required_arguments():
+    # gamma's power iteration has one tolerance, every problem an objective
+    # and every CT reconstruction the alpha_t diagnostic against y*.
+    for norm in (numerics.spectral_norm, quantile.spectral_norm):
+        assert list(inspect.signature(norm).parameters) == ["m"]
+    objective = {f.name: f for f in dataclasses.fields(engine.AdmmProblem)}["objective"]
+    assert objective.default is objective.default_factory is dataclasses.MISSING
+    y_star = inspect.signature(recon.run_ct_reconstruction).parameters["y_star"]
+    assert y_star.default is inspect.Parameter.empty
 
 
 # Run in a fresh interpreter: this process has already imported scipy (the oracles use it).
