@@ -302,6 +302,9 @@ def report(summary, prefix="") -> None:
 
 
 def machine() -> dict:
+    """The host: CPU model, core count, per-core L2 size as the kernel gives
+    it (None where it gives none; the CT ray blocks are sized against it),
+    and the Python and numpy versions."""
     import numpy as np
 
     try:
@@ -309,19 +312,27 @@ def machine() -> dict:
             cpu = next(line.split(":", 1)[1].strip() for line in fh if line.startswith("model name"))
     except (OSError, StopIteration):
         cpu = platform.processor()
+    try:
+        with open("/sys/devices/system/cpu/cpu0/cache/index2/size") as fh:
+            l2 = fh.read().strip()
+    except OSError:
+        l2 = None
     python = platform.python_version()
-    return {"cpu": cpu, "nproc": os.cpu_count(), "python": python, "numpy": np.__version__}
+    return {
+        "cpu": cpu, "nproc": os.cpu_count(), "l2_per_core": l2, "python": python,
+        "numpy": np.__version__,
+    }
 
 
 def write(path, label, settings, summary) -> None:
     """Merge `summary` under `label` into the JSON file at `path`, with this
-    run's settings and, unless the file already records one, the machine."""
+    run's settings and machine."""
     record = {}
     if os.path.exists(path):
         with open(path) as fh:
             record = json.load(fh)
     record["settings"] = settings
-    record.setdefault("machine", machine())
+    record["machine"] = machine()
     record[label] = summary
     with open(path, "w") as fh:
         json.dump(record, fh, indent=2)

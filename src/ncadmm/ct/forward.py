@@ -29,6 +29,7 @@ __all__ = [
     "SpectralModel",
     "LossParts",
     "CtLoss",
+    "ray_blocks",
     "build_projector",
     "build_spectral_model",
     "bundled_data_path",
@@ -501,21 +502,43 @@ class LossParts:
         return self.grad_c + self.grad_d
 
 
+# The loss and the Newton steps run their per-ray chain of passes one block
+# of rays at a time, so that each pass finds the block's (rays x energies)
+# arrays in the per-core L2 cache, where the last pass left them. Whole
+# arrays at the paper geometry (2264 rays x 100 energies) are 1.8 MB each,
+# with three live at once: more than a 2 MB L2, so every pass streamed them
+# from L3. A block is 25 600 doubles, 200 KB, and its three arrays take 600
+# KB. On a 2-core Xeon with 2 MB of L2 per core, the paper CT step took 5.75,
+# 5.54, 5.96, 6.72 and 6.92 ms in blocks of 128, 256, 512, 1024 and all 2264
+# rays at 100 energies.
+BLOCK_ELEMENTS = 25_600
+
+
+def ray_blocks(n_rays: int, n_energies: int) -> list[slice]:
+    """Consecutive slices of `n_rays` rays, each of at most BLOCK_ELEMENTS
+    (rays x energies) elements and at least one ray."""
+    step = max(1, BLOCK_ELEMENTS // n_energies)
+    return [slice(s, min(s + step, n_rays)) for s in range(0, n_rays, step)]
+
+
 class CtLoss:
     """The split loss of one CT problem, evaluated in work arrays allocated once.
 
-    Owns three (n_rays, n_energies) arrays: t, which ends up holding the
-    slope d2, the slope d1, and w, which holds qexp's value and then the
-    gradient's weights. One object serves every loss evaluation of a run
-    (the gradient of g_d at y_t, the value at P x_{t+1}, the gradient the
-    alpha diagnostic takes at y_{t+1}) and lends t and d1 to the per-ray
-    Newton solve, so a reconstruction step forms no (rays x energies) array
-    of its own. It holds on to its last point: the slopes d1, d2 of `qexp`
-    there, and the parts formed there with their gradient, are handed out
-    again for a y equal to that point, and for no other y.
-    `newton_ray_steps` and `newton_capped` count the work of the Newton
-    solves that used its arrays: rays updated, summed over steps, and rays
-    still moving when the step cap ended a solve.
+    Owns two (n_rays, n_energies) arrays, t, which ends up holding the slope
+    d2, and the slope d1, and a scratch array w of one block of rays
+    (`ray_blocks`), which holds qexp's value and then the gradient's weights.
+    Each evaluation runs its whole chain, from t = -mu.y to the gradient
+    rows, one block of rays at a time. One object serves every loss
+    evaluation of a run (the gradient of g_d at y_t, the value at P x_{t+1},
+    the gradient the alpha diagnostic takes at y_{t+1}) and lends t and d1 to
+    the per-ray Newton solve, so a reconstruction step forms no (rays x
+    energies) array of its own. It holds on to its last point: the slopes
+    d1, d2 of `qexp` there, and the parts formed there with their gradient,
+    are handed out again for a y equal to that point, and for no other y. An
+    evaluation that fails holds no point. `newton_ray_steps` and
+    `newton_capped` count the work of the Newton solves that used its arrays:
+    rays updated, summed over steps, and rays still moving when the step cap
+    ended a solve.
     """
 
     def __init__(self, model: SpectralModel, counts: np.ndarray):
@@ -533,7 +556,9 @@ class CtLoss:
         self.neg_mu_b = -mu_b
         n_m = model.n_materials
         self.mu_pairs = np.stack([model.mu[i] * mu_b[j] for i in range(n_m) for j in range(i + 1)])
-        self.t, self.d1, self.w = np.empty((3, n_rays, model.n_energies))
+        self.t, self.d1 = np.empty((2, n_rays, model.n_energies))
+        first = ray_blocks(n_rays, model.n_energies)[:1]  # the largest block
+        self.w = np.empty((first[0].stop if first else 0, model.n_energies))
         self._at = np.empty((n_rays, model.n_materials))
         self._held = False  # d1 and t hold the slopes d1, d2 at _at
         self._parts = None  # the parts at _at, when formed with the gradient
@@ -561,7 +586,8 @@ class CtLoss:
         g_c(y) sums response * qexp(-mu.y) over windows, rays, energies;
         g_d(y) is -sum counts * log(window mean). Gradients chain through the
         first derivative of the spliced exponential; with want_grad=False they
-        are not formed, and the values have the same bits.
+        are not formed, and the values have the same bits. A nonpositive
+        window mean raises ValueError.
         """
         y = np.asarray(y, dtype=float)
         if y.shape != self._at.shape:
@@ -569,35 +595,46 @@ class CtLoss:
         if want_grad and self._parts is not None and self._holds(y):
             return self._parts
         model = self.model
-        t = np.matmul(y, self.neg_mu, out=self.t)
-        # qexp_slopes, with d2 written over t, and then qexp's value
-        # d1 + (tp tp) 0.5 from tp = max(t, 0) formed once. The bits are
-        # qexp's d1 + tp (0.5 tp) wherever tp tp is finite: the factor 0.5
-        # is exact, and d1 >= 1 absorbs any subnormal tail of tp tp.
-        val = np.maximum(t, 0.0, out=self.w)
-        d2 = np.exp(np.minimum(t, 0.0, out=t), out=t)
-        d1 = np.add(val, d2, out=self.d1)
-        np.copyto(self._at, y)
-        self._held, self._parts = True, None
-        val *= val
-        val *= 0.5
-        val += d1
         sb = model.response                              # (n_w, n_i)
-        means = sb @ val.T                               # (n_w, n_rays)
-        if means.min() <= 0:
-            raise ValueError("nonpositive window mean; cannot take its log")
-
-        # The beam enters through the energy contraction, so no
-        # (rays x energies) weight array is formed.
-        g_c = float((val @ model.beam).sum())
+        n_rays = y.shape[0]
+        # Slopes are written block by block, so no point is held until the
+        # last block has passed the mean check.
+        self._held, self._parts = False, None
+        means = np.empty((model.n_windows, n_rays))
+        ray_c = np.empty(n_rays)  # each ray's term of g_c
+        if want_grad:
+            grad_c, grad_d = np.empty(y.shape), np.empty(y.shape)
+        for rays in ray_blocks(n_rays, model.n_energies):
+            t = np.matmul(y[rays], self.neg_mu, out=self.t[rays])
+            # qexp_slopes, with d2 written over t, and then qexp's value
+            # d1 + (tp tp) 0.5 from tp = max(t, 0) formed once. The bits are
+            # qexp's d1 + tp (0.5 tp) wherever tp tp is finite: the factor 0.5
+            # is exact, and d1 >= 1 absorbs any subnormal tail of tp tp.
+            val = np.maximum(t, 0.0, out=self.w[: len(t)])
+            d2 = np.exp(np.minimum(t, 0.0, out=t), out=t)
+            d1 = np.add(val, d2, out=self.d1[rays])
+            val *= val
+            val *= 0.5
+            val += d1
+            block_means = np.matmul(sb, val.T, out=means[:, rays])
+            if block_means.min() <= 0:
+                raise ValueError("nonpositive window mean; cannot take its log")
+            # The beam enters through the energy contraction, so no
+            # (rays x energies) weight array is formed.
+            np.matmul(val, model.beam, out=ray_c[rays])
+            if want_grad:
+                np.matmul(d1, self.neg_mu_b.T, out=grad_c[rays])
+                ratio = self.counts[:, rays] / block_means
+                weighted = np.matmul(ratio.T, sb, out=val)
+                weighted *= d1
+                np.matmul(weighted, model.mu.T, out=grad_d[rays])
+        np.copyto(self._at, y)
+        self._held = True
+        g_c = float(ray_c.sum())
         g_d = float(-(self.counts * np.log(means)).sum())
         if not want_grad:
             return LossParts(g_c=g_c, g_d=g_d)
-        grad_c = d1 @ self.neg_mu_b.T
-        ratio = self.counts / means                      # (n_w, n_rays)
-        weighted = np.matmul(ratio.T, sb, out=val)       # (n_rays, n_i)
-        weighted *= d1
-        self._parts = LossParts(g_c=g_c, g_d=g_d, grad_c=grad_c, grad_d=weighted @ model.mu.T)
+        self._parts = LossParts(g_c=g_c, g_d=g_d, grad_c=grad_c, grad_d=grad_d)
         return self._parts
 
 

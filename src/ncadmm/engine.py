@@ -469,13 +469,18 @@ def check_sigma_names(sigma_list) -> None:
 
 
 def check_output_paths(out_dir, names) -> None:
-    """Raise the IsADirectoryError that writing would raise for an output
-    file under `out_dir` that is an existing directory, so that a run fails
-    before its set-up and not after its solve. Creates no file."""
+    """Raise the error that writing would raise for an output file under
+    `out_dir`, so that a run fails before its set-up and not after its solve:
+    IsADirectoryError for a path that is an existing directory, and
+    PermissionError for an existing file, or a new file in an existing
+    directory, that this process may not write (`os.access`). Creates no file."""
+    dir_ok = not os.path.isdir(out_dir) or os.access(out_dir, os.W_OK | os.X_OK)
     for name in names:
         path = os.path.join(out_dir, name)
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not (os.access(path, os.W_OK) if os.path.exists(path) else dir_ok):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
 def save_trace(path, trace: Sequence[TraceRecord], extra_columns: Optional[dict] = None) -> None:

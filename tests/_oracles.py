@@ -9,14 +9,15 @@ The rest holds what the tests check the library against but no run executes:
 the dense step-size checker, the closed-form quantile and CT updates written
 out as matrix formulas (the engine runs them as prox callbacks), the CT
 model's noise-free means, convex-part Hessian blocks and split loss in
-fresh arrays (which the loss evaluator must match bit for bit), the fixed-budget
-per-ray Newton loop and the adaptive one with the step-size stop alone, the
-plain ADMM step on the general constraint Ax + By = c that the lean engine
-step must match bit for bit, the CT problem wired on flattened variables
-that the matrix-shaped one must match bit for bit, the per-point RSC probe
-the block probe must match, small linear-map, sparse-matrix and
-phantom-file helpers, the objective of problems whose trace the test does
-not read, and the config readers the config tests use.
+fresh arrays (which the loss evaluator must match bit for bit), the ray
+counts at the edges of its blocks, the fixed-budget per-ray Newton loop and
+the adaptive one with the step-size stop alone, the plain ADMM step on the
+general constraint Ax + By = c that the lean engine step must match bit for
+bit, the CT problem wired on flattened variables that the matrix-shaped one
+must match bit for bit, the per-point RSC probe the block probe must match,
+small linear-map, sparse-matrix and phantom-file helpers, the objective of
+problems whose trace the test does not read, and the config readers the
+config tests use.
 """
 
 import math
@@ -37,7 +38,14 @@ from ncadmm.engine import (
     quadratic_prox,
     run,
 )
-from ncadmm.ct.forward import DEFAULT_MATERIALS, CtLoss, LossParts, ct_loss_parts
+from ncadmm.ct.forward import (
+    BLOCK_ELEMENTS,
+    DEFAULT_MATERIALS,
+    CtLoss,
+    LossParts,
+    ct_loss_parts,
+    ray_blocks,
+)
 from ncadmm.diagnostics import RscProbeResult
 from ncadmm.numerics import DiagonalMatrix, SparseMatrix
 from ncadmm.prox import ball_project, qexp, qexp_slopes, quantile_prox_update, soft_threshold
@@ -459,21 +467,48 @@ def stepsize_matrix_factor(projector, pre):
     return np.diag(q_f) - gram
 
 
-def ct_loss_parts_fresh(model, y, counts):
+def ct_loss_parts_fresh(model, y, counts, blocks=None):
     """The split loss at y with its gradient, and the slopes d1, d2 there, in
     fresh arrays: the value, d1 and d2 from `qexp`, as the four-array
-    evaluator formed them. Returns (LossParts, d1, d2)."""
-    value, d1, d2 = qexp(y @ -model.mu)
-    sb = model.response
-    means = sb @ value.T
+    evaluator formed them, one block of rays at a time. `blocks` are the
+    slices of rays, by default the evaluator's (`ray_blocks`); pass
+    [slice(None)] for whole arrays. The sums of g_c and g_d run over all rays
+    at once. Returns (LossParts, d1, d2)."""
+    y = np.asarray(y, dtype=float)
     counts = np.asarray(counts, dtype=float)
+    sb = model.response
+    if blocks is None:
+        blocks = ray_blocks(y.shape[0], model.n_energies)
+    pieces = []
+    for rays in blocks:
+        value, d1, d2 = qexp(y[rays] @ -model.mu)
+        means = sb @ value.T
+        grad_d = (((counts[:, rays] / means).T @ sb) * d1) @ model.mu.T
+        pieces.append((value @ model.beam, means, d1 @ -(model.mu * model.beam).T, grad_d, d1, d2))
+    ray_c, means, grad_c, grad_d, d1, d2 = zip(*pieces)
+    means = np.concatenate(means, axis=1)
+    ray_c, grad_c, grad_d, d1, d2 = map(np.concatenate, (ray_c, grad_c, grad_d, d1, d2))
     parts = LossParts(
-        g_c=float((value @ model.beam).sum()),
+        g_c=float(ray_c.sum()),
         g_d=float(-(counts * np.log(means)).sum()),
-        grad_c=d1 @ -(model.mu * model.beam).T,
-        grad_d=(((counts / means).T @ sb) * d1) @ model.mu.T,
+        grad_c=grad_c,
+        grad_d=grad_d,
     )
     return parts, d1, d2
+
+
+def block_edge_ray_counts(n_energies):
+    """1, B - 1, B, B + 1 and 2B + 3, where B is the number of rays in one
+    block of `ray_blocks` at `n_energies`."""
+    b = max(1, BLOCK_ELEMENTS // n_energies)
+    return sorted({1, b - 1, b, b + 1, 2 * b + 3} - {0})
+
+
+def poisson_counts(model, n_rays, rng):
+    """(n_windows, n_rays) Poisson counts of rays through random material
+    projections in [0, 2]."""
+    y = rng.uniform(0.0, 2.0, (n_rays, model.n_materials))
+    return rng.poisson(model.response @ np.exp(-(y @ model.mu)).T).astype(float)
 
 
 def ray_loss(model, n_rays):

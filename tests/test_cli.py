@@ -1,5 +1,6 @@
 import inspect
 import json
+import os
 import re
 from pathlib import Path
 
@@ -416,6 +417,37 @@ class TestRunCommand:
         assert captured.out == ""
         assert solves == []  # the check came before the first step
         assert [p.name for p in out.iterdir()] == [blocked]
+
+    @pytest.mark.parametrize("kind", ["quantile", "ct"])
+    @pytest.mark.parametrize("denied", ["directory", "manifest.json"])
+    def test_output_the_process_may_not_write_exits_2(
+        self, tmp_path, monkeypatch, capsys, kind, denied
+    ):
+        # Mode bits do not bind root, so os.access stands in for them: it
+        # denies writing the out directory, or an existing manifest in it.
+        from ncadmm import quantile
+
+        solves = []
+        for owner, name in ((quantile, "quantile_prox_update"), (R, "newton_ray_solve")):
+            monkeypatch.setattr(owner, name, lambda *args, **kwargs: solves.append(name))
+        path, out = write_config(tmp_path, {"quantile": QUANTILE_SMALL, "ct": CT_SMALL}[kind])
+        out.mkdir()
+        target = out if denied == "directory" else out / denied
+        if denied != "directory":
+            target.write_text("{}\n")
+        real_access = os.access
+        monkeypatch.setattr(
+            os, "access", lambda p, mode: os.fspath(p) != str(target) and real_access(p, mode)
+        )
+        assert cli.main(["run", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"config error: cannot write {out / 'manifest.json'}: Permission denied\n"
+        )
+        assert captured.out == ""
+        assert solves == []
+        assert [p.name for p in out.iterdir()] == ([] if denied == "directory" else [denied])
+        assert target.is_dir() or target.read_text() == "{}\n"
 
     def test_failed_step_leaves_partial_trace_exits_3(self, tmp_path, monkeypatch, capsys):
         from ncadmm import quantile

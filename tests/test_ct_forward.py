@@ -6,11 +6,13 @@ import pytest
 from ncadmm.ct import forward as F
 
 from _oracles import (
+    block_edge_ray_counts,
     build_projector_loop,
     ct_hessian_blocks,
     dense,
     expected_counts,
     fd_gradient,
+    poisson_counts,
     ray_sample_lengths,
     save_phantom,
 )
@@ -44,24 +46,23 @@ def straight_line_loss(model, y, counts):
     return total
 
 
-def check_gradients_by_finite_differences(model, counts, seed):
-    """grad_c and grad_d of the loss on the first 4 rays against central differences."""
+def check_gradients_by_finite_differences(model, counts, seed, rays=range(4), draws=20):
+    """grad_c and grad_d of the loss on `rays` against central differences."""
     rng = np.random.default_rng(seed)
-    sub_counts = counts[:, :4]
-    for _ in range(20):
-        y = rng.standard_normal((4, 3)) * 0.5
-        parts = F.ct_loss_parts(model, y, sub_counts)
+    rays = list(rays)
+    for _ in range(draws):
+        y = rng.standard_normal((counts.shape[1], 3)) * 0.5
 
-        def value_c(flat):
-            return F.ct_loss_parts(model, flat.reshape(4, 3), sub_counts, want_grad=False).g_c
+        def at(flat):
+            moved = y.copy()
+            moved[rays] = flat.reshape(len(rays), 3)
+            return F.ct_loss_parts(model, moved, counts, want_grad=False)
 
-        def value_d(flat):
-            return F.ct_loss_parts(model, flat.reshape(4, 3), sub_counts, want_grad=False).g_d
-
-        ref_c = fd_gradient(value_c, y.ravel(), h=1e-6).reshape(4, 3)
-        ref_d = fd_gradient(value_d, y.ravel(), h=1e-6).reshape(4, 3)
-        assert np.linalg.norm(parts.grad_c - ref_c) <= 1e-5 * max(1.0, np.linalg.norm(ref_c))
-        assert np.linalg.norm(parts.grad_d - ref_d) <= 1e-5 * max(1.0, np.linalg.norm(ref_d))
+        parts = F.ct_loss_parts(model, y, counts)
+        ref_c = fd_gradient(lambda flat: at(flat).g_c, y[rays].ravel(), h=1e-6).reshape(-1, 3)
+        ref_d = fd_gradient(lambda flat: at(flat).g_d, y[rays].ravel(), h=1e-6).reshape(-1, 3)
+        assert np.linalg.norm(parts.grad_c[rays] - ref_c) <= 1e-5 * max(1.0, np.linalg.norm(ref_c))
+        assert np.linalg.norm(parts.grad_d[rays] - ref_d) <= 1e-5 * max(1.0, np.linalg.norm(ref_d))
 
 
 # Geometries on which the vectorized projector must equal the per-ray loop.
@@ -300,7 +301,16 @@ class TestLossParts:
         assert parts.g_d == pytest.approx(expected_gd, rel=1e-12)
 
     def test_gradients_match_finite_differences(self, small_model, tiny_setup):
-        check_gradients_by_finite_differences(small_model, tiny_setup[3], seed=12)
+        check_gradients_by_finite_differences(small_model, tiny_setup[3][:, :4], seed=12)
+        # Ray counts at the edges of the blocks, at the paper's 100 energies:
+        # the first and last ray and the rays either side of a block boundary.
+        paper = F.build_spectral_model()
+        rng = np.random.default_rng(17)
+        n_block = F.BLOCK_ELEMENTS // paper.n_energies
+        for n_rays in block_edge_ray_counts(paper.n_energies):
+            rays = {0, n_block - 1, n_block, n_block + 1, n_rays - 1} & set(range(n_rays))
+            counts = poisson_counts(paper, n_rays, rng)
+            check_gradients_by_finite_differences(paper, counts, 18, sorted(rays), draws=3)
 
     def test_per_ray_hessians_psd(self, small_model, tiny_setup):
         _, projector, _, _ = tiny_setup

@@ -14,6 +14,7 @@ import _oracles
 from _oracles import (
     admm_step_reference,
     bisect_min,
+    block_edge_ray_counts,
     ct_loss_parts_fresh,
     ct_u_update,
     ct_x_update,
@@ -21,6 +22,7 @@ from _oracles import (
     dense,
     newton_ray_solve_fixed,
     newton_ray_solve_plain,
+    poisson_counts,
     ray_loss,
     ray_subproblem_objective,
     run_ct_reconstruction_flat,
@@ -175,7 +177,7 @@ class TestNewtonSolve:
                 assert np.all(vals <= prev + 1e-12 * np.maximum(1.0, np.abs(prev)))
                 prev = vals
 
-    def test_single_material_matches_bisection_oracle(self):
+    def test_single_material_matches_bisection_oracle(self, monkeypatch):
         rng = np.random.default_rng(5)
         for _ in range(200):
             n_i = int(rng.integers(1, 6))
@@ -198,6 +200,32 @@ class TestNewtonSolve:
 
             ref = bisect_min(deriv, center - 5.0, center + 5.0)
             assert abs(got - ref) <= 1e-8
+
+        # Ray counts at the edges of the blocks, at 100 energies, against the
+        # same bisection run on every ray at once. Every seventh ray starts
+        # away from its minimizer; the rest settle in the first step, so from
+        # the second step on fewer rays than one block are moving.
+        counting = CountingSlopes(monkeypatch)
+        model = random_ray_model(rng, 100, 1)
+        n_block = F.BLOCK_ELEMENTS // model.n_energies
+        for n_rays in block_edge_ray_counts(model.n_energies):
+            sigma = rng.uniform(0.2, 4.0, n_rays)
+            center = rng.uniform(-1.0, 2.0, (n_rays, 1))
+            v_star = center + rng.uniform(-0.3, 0.3, (n_rays, 1))
+            lin = -subproblem_gradient(model, 0.0, center, sigma, v_star)
+            start = np.where(np.arange(n_rays)[:, None] % 7 == 0, center, v_star)
+            counting.rows.clear()
+            got = R.newton_ray_solve(ray_loss(model, n_rays), lin, center, sigma, 10, start)
+            lo, hi = center[:, 0] - 5.0, center[:, 0] + 5.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                up = subproblem_gradient(model, lin, center, sigma, mid[:, None])[:, 0] >= 0
+                lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+            assert np.abs(got[:, 0] - 0.5 * (lo + hi)).max() <= 1e-8
+            blocks = F.ray_blocks(n_rays, model.n_energies)
+            assert counting.rows[: len(blocks)] == [b.stop - b.start for b in blocks]
+            if n_rays > n_block:
+                assert 0 < max(counting.rows[len(blocks):]) < n_block
 
 
 class TestSpdSolve:
@@ -395,34 +423,85 @@ class TestLossEvaluator:
         assert peak - base < active.rows * model.n_energies * 8
 
     def test_evaluator_holds_three_rays_by_energies_arrays(self, small_ct):
-        _, _, _, active, counts = small_ct
+        # Two of them span every ray and the scratch one block of rays: all
+        # small_ct's rays, or 256 of 2B + 3 at the paper's 100 energies.
         model = F.build_spectral_model(n_energies=100)
-        tracemalloc.start()
-        try:
-            base, _ = tracemalloc.get_traced_memory()
-            loss = F.CtLoss(model, counts)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        work = active.rows * model.n_energies * 8
-        # The slack covers counts, the attenuation rows and the held point,
-        # about 17 KB here, but not a fourth 48 KB work array.
-        assert peak - base <= 3 * work + 24_000
-        assert loss.t.nbytes == work
+        n_block = F.BLOCK_ELEMENTS // model.n_energies
+        for counts in (small_ct[4], np.ones((model.n_windows, 2 * n_block + 3))):
+            n_rays = counts.shape[1]
+            tracemalloc.start()
+            try:
+                base, _ = tracemalloc.get_traced_memory()
+                loss = F.CtLoss(model, counts)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            work = n_rays * model.n_energies * 8
+            scratch = min(n_rays, n_block) * model.n_energies * 8
+            # The slack covers counts, the attenuation rows and the held
+            # point, about 17 KB for small_ct, but not a fourth 48 KB work
+            # array there; at 2B + 3 rays the held point grows to 12 KB, and a
+            # full-size scratch would add 210 KB.
+            assert peak - base <= 2 * work + scratch + 24_000 + loss._at.nbytes
+            assert loss.t.nbytes == work and loss.w.nbytes == scratch
 
     def test_parts_match_the_fresh_array_oracle(self, small_ct):
         model, loss, y, _, _ = loss_and_newton_inputs(small_ct)
-        counts = small_ct[4]
-        # Both signs of t = -mu.y, and a point where t > 0 on most entries.
-        for point in (y, np.zeros_like(y), -5.0 * np.abs(y), 3.0 * y):
-            got = loss.parts(point)
-            held = loss.held_slopes(point)
-            ref, d1, d2 = ct_loss_parts_fresh(model, point, counts)
-            assert (got.g_c, got.g_d) == (ref.g_c, ref.g_d)
-            assert got.grad_c.tobytes() == ref.grad_c.tobytes()
-            assert got.grad_d.tobytes() == ref.grad_d.tobytes()
-            assert held[0].tobytes() == d1.tobytes()
-            assert held[1].tobytes() == d2.tobytes()
+        cases = [(model, loss, small_ct[4], y)]
+        # Ray counts at the edges of the blocks, at the paper's 100 energies.
+        paper = F.build_spectral_model()
+        rng = np.random.default_rng(21)
+        for n_rays in block_edge_ray_counts(paper.n_energies):
+            counts = poisson_counts(paper, n_rays, rng)
+            y = 0.2 * rng.standard_normal((n_rays, paper.n_materials))
+            cases.append((paper, F.CtLoss(paper, counts), counts, y))
+        # Blocks sum their energy contractions in another order than whole
+        # arrays: each sums n_i nonnegative terms, so within n_i ulps.
+        rtol = 2 * paper.n_energies * np.finfo(float).eps
+        for model, loss, counts, y in cases:
+            # Both signs of t = -mu.y, and a point where t > 0 on most entries.
+            for point in (y, np.zeros_like(y), -5.0 * np.abs(y), 3.0 * y):
+                got = loss.parts(point)
+                held = loss.held_slopes(point)
+                ref, d1, d2 = ct_loss_parts_fresh(model, point, counts)
+                assert (got.g_c, got.g_d) == (ref.g_c, ref.g_d)
+                assert got.grad_c.tobytes() == ref.grad_c.tobytes()
+                assert got.grad_d.tobytes() == ref.grad_d.tobytes()
+                assert held[0].tobytes() == d1.tobytes()
+                assert held[1].tobytes() == d2.tobytes()
+                whole, _, _ = ct_loss_parts_fresh(model, point, counts, [slice(None)])
+                assert got.g_c == whole.g_c
+                assert got.g_d == pytest.approx(whole.g_d, rel=rtol)
+                np.testing.assert_allclose(got.grad_c, whole.grad_c, rtol=rtol, atol=0)
+                np.testing.assert_allclose(got.grad_d, whole.grad_d, rtol=rtol, atol=0)
+
+    def test_failed_evaluation_holds_no_point(self):
+        # One ray of the last block so far along that exp(-mu.y) underflows
+        # to 0 at every energy: its window means are exactly 0.
+        paper = F.build_spectral_model()
+        n_rays = block_edge_ray_counts(paper.n_energies)[-1]
+        rng = np.random.default_rng(22)
+        counts = poisson_counts(paper, n_rays, rng)
+        loss = F.CtLoss(paper, counts)
+        y = 0.2 * rng.standard_normal((n_rays, paper.n_materials))
+        bad = y.copy()
+        bad[-1] = 1e4
+        loss.parts(y)
+        assert loss.held_slopes(y) is not None
+        for want_grad in (True, False):
+            with pytest.raises(ValueError, match="nonpositive window mean"):
+                loss.parts(bad, want_grad)
+            assert loss.held_slopes(bad) is None
+            assert loss.held_slopes(y) is None  # its slopes were overwritten
+        lin = rng.standard_normal(y.shape)
+        sigma_diag = rng.uniform(0.5, 5.0, n_rays)
+        got = R.newton_ray_solve(loss, lin, bad, sigma_diag)
+        fresh = R.newton_ray_solve(ray_loss(paper, n_rays), lin, bad, sigma_diag)
+        assert got.tobytes() == fresh.tobytes()
+        ref = F.ct_loss_parts(paper, y, counts)
+        again = loss.parts(y)
+        assert (again.g_c, again.g_d) == (ref.g_c, ref.g_d)
+        assert again.grad_d.tobytes() == ref.grad_d.tobytes()
 
     def test_parts_match_a_fresh_evaluator_at_every_point(self, small_ct):
         model, loss, y, _, _ = loss_and_newton_inputs(small_ct)
@@ -437,17 +516,27 @@ class TestLossEvaluator:
                     assert got.grad_d.tobytes() == ref.grad_d.tobytes()
 
     def test_newton_reusing_held_slopes_matches_fresh_slopes(self, small_ct, monkeypatch):
-        model, loss, y, lin, sigma_diag = loss_and_newton_inputs(small_ct)
         counting = CountingSlopes(monkeypatch)
-        fresh = R.newton_ray_solve(ray_loss(model, len(y)), lin, y, sigma_diag)
-        fresh_calls = len(counting.rows)
-        loss.parts(y)
-        assert loss.held_slopes(y) is not None
-        counting.rows.clear()
-        reused = R.newton_ray_solve(loss, lin, y.copy(), sigma_diag)
-        assert reused.tobytes() == fresh.tobytes()
-        assert len(counting.rows) == fresh_calls - 1  # the first step took the held slopes
-        assert loss.held_slopes(y) is None  # Newton overwrote the work arrays
+        cases = [loss_and_newton_inputs(small_ct)]
+        # 2B + 3 rays at the paper's 100 energies: the held slopes of three blocks.
+        paper = F.build_spectral_model()
+        n_rays = block_edge_ray_counts(paper.n_energies)[-1]
+        rng = np.random.default_rng(23)
+        loss = F.CtLoss(paper, poisson_counts(paper, n_rays, rng))
+        y = 0.2 * rng.standard_normal((n_rays, paper.n_materials))
+        cases.append((paper, loss, y, rng.standard_normal(y.shape), rng.uniform(0.5, 5.0, n_rays)))
+        for model, loss, y, lin, sigma_diag in cases:
+            counting.rows.clear()
+            fresh = R.newton_ray_solve(ray_loss(model, len(y)), lin, y, sigma_diag)
+            fresh_calls = len(counting.rows)
+            loss.parts(y)
+            assert loss.held_slopes(y) is not None
+            counting.rows.clear()
+            reused = R.newton_ray_solve(loss, lin, y.copy(), sigma_diag)
+            assert reused.tobytes() == fresh.tobytes()
+            # the first step took the held slopes, one call per block
+            assert len(counting.rows) == fresh_calls - len(F.ray_blocks(len(y), model.n_energies))
+            assert loss.held_slopes(y) is None  # Newton overwrote the work arrays
 
     def test_changed_y_never_gets_stale_slopes(self, small_ct):
         model, loss, y, lin, sigma_diag = loss_and_newton_inputs(small_ct)
