@@ -14,7 +14,9 @@
   of nonzeros of x_t, read from the matvec argument.
 - `peak-rss` (BENCH_peak_rss.json): `ru_maxrss` in MB after one call of each
   entry point in PEAK_ENTRIES, as `perfbench/run.py` reports `peak_rss_mb`,
-  in `--processes` fresh interpreters per entry point, taken in turn.
+  in `--processes` fresh interpreters per entry point, taken in turn. The
+  `ct-sweep` entry also reports it after the import and after each stage of
+  the sweep, and `ct-repeat` after each of its sweeps.
 
 The step modes run `--rounds` rounds after one warm-up round and time calls
 with time.perf_counter, inside engine runs only. Each summary is the median
@@ -29,6 +31,7 @@ a `peak-rss` child loads nothing but its entry point.
 """
 
 import argparse
+import functools
 import inspect
 import json
 import os
@@ -64,13 +67,28 @@ class Counts:
 
 
 @contextmanager
+def swapped(wrappers):
+    """For the block, replace each (owner, attribute) of `wrappers` by
+    wrap(original), its value there; every swapped attribute is restored on
+    the way out, also when the block raises."""
+    saved = []
+    try:
+        for (owner, attr), wrap in wrappers.items():
+            saved.append((owner, attr, getattr(owner, attr)))
+            setattr(owner, attr, wrap(saved[-1][2]))
+        yield
+    finally:
+        for owner, attr, original in reversed(saved):
+            setattr(owner, attr, original)
+
+
+@contextmanager
 def timing(names, run_at, timed):
     """Swap in the timing wrappers for the block and yield their Counts.
 
     `run_at` is the (owner, attribute) of the engine run, whose calls are
     charged to "step"; `timed` maps an (owner, attribute) to name_of(args,
-    kwargs), the name in `names` that a call is charged to. Every swapped
-    attribute is restored on the way out, also when the block raises.
+    kwargs), the name in `names` that a call is charged to.
     """
     counts = Counts(names)
 
@@ -101,17 +119,9 @@ def timing(names, run_at, timed):
 
         return timed_run
 
-    saved = []
-    try:
-        for (owner, attr), name_of in [*timed.items(), (run_at, None)]:
-            original = getattr(owner, attr)
-            saved.append((owner, attr, original))
-            wrapper = wrap_run(original) if name_of is None else wrap_call(original, name_of)
-            setattr(owner, attr, wrapper)
+    wrappers = {key: functools.partial(wrap_call, name_of=fn) for key, fn in timed.items()}
+    with swapped({**wrappers, run_at: wrap_run}):
         yield counts
-    finally:
-        for owner, attr, original in reversed(saved):
-            setattr(owner, attr, original)
 
 
 def step_rounds(args, one_round, warmup_iters, settings):
@@ -218,14 +228,38 @@ def quantile_probe(iters):
 
 
 def ct_sweep(iters):
+    """The CT sweep, and the peak RSS after the import and after each stage
+    of `run_ct_experiment`: the projector, the counts, the restriction to
+    active rays, `fosp_ratio` and the solves (after the last one)."""
     from ncadmm.ct import forward as F
     from ncadmm.ct import recon as R
+    from ncadmm.numerics import SparseMatrix
 
-    geom = F.CtGeometry()
-    R.run_ct_experiment(
-        geom, F.build_spectral_model(), F.default_phantom(geom), CT_SIGMAS, iters, SEED,
-        record_time=False,
-    )
+    after = {"peak_rss_mb_after_import": peak_rss_mb()}
+    stages = {
+        (F, "build_projector"): "projector",
+        (F, "forward_counts"): "counts",
+        (SparseMatrix, "select_rows"): "active_rays",
+        (R, "fosp_ratio"): "fosp_ratio",
+        (R, "run_ct_reconstruction"): "solves",
+    }
+
+    def recorded(fn, name):
+        def call(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                after[f"peak_rss_mb_after_{name}"] = peak_rss_mb()
+
+        return call
+
+    with swapped({key: functools.partial(recorded, name=name) for key, name in stages.items()}):
+        geom = F.CtGeometry()
+        R.run_ct_experiment(
+            geom, F.build_spectral_model(), F.default_phantom(geom), CT_SIGMAS, iters, SEED,
+            record_time=False,
+        )
+    return after
 
 
 def peak_rss_mb() -> float:

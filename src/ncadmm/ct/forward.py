@@ -160,12 +160,13 @@ def build_projector(geom: CtGeometry) -> SparseMatrix:
     gives a zero-length segment, which is dropped, as are the segments of
     rays that miss the grid (rows set to zero). Corner-grazing roundoff
     can split one crossing into adjacent segments in the same pixel; those
-    are summed in walk order.
+    are summed in walk order. Each view's entries are summed and ordered on
+    their own, and the CSR arrays are joined once at the end.
     """
     nx, ny, p = geom.grid_nx, geom.grid_ny, geom.pixel_size
     half_w, half_h = geom.width / 2, geom.height / 2
     n_det = geom.n_detectors
-    keys, lengths = [], []
+    counts, cols, lengths = [], [], []
     for a in range(geom.n_angles):
         direction, origin, t_lo, t_hi, lines, hit = _view_chords(geom, a)
         ts = np.concatenate([t_lo[:, None], t_hi[:, None], *lines], axis=1)
@@ -183,13 +184,17 @@ def build_projector(geom: CtGeometry) -> SparseMatrix:
         iy = np.floor((origin[1][ray] + tm * direction[1] + half_h) / p)
         inside = (0 <= ix) & (ix < nx) & (0 <= iy) & (iy < ny)
         pixel = ix[inside].astype(np.int64) * ny + iy[inside].astype(np.int64)
-        keys.append((a * n_det + ray[inside]) * geom.n_pixels + pixel)
-        lengths.append(seg[inside])
+        # The view's (ray, pixel) keys, each once and in order; bincount sums
+        # a key's segments in walk order.
+        keys, where = np.unique(ray[inside] * geom.n_pixels + pixel, return_inverse=True)
+        lengths.append(np.bincount(where, weights=seg[inside]))
+        counts.append(np.bincount(keys // geom.n_pixels, minlength=n_det))
+        cols.append(keys % geom.n_pixels)
 
-    keys, where = np.unique(np.concatenate(keys), return_inverse=True)
-    lengths = np.bincount(where, weights=np.concatenate(lengths))
-    rows, cols = np.divmod(keys, geom.n_pixels)
-    return SparseMatrix(geom.n_rays, geom.n_pixels, rows, cols, lengths)
+    indptr = np.append(0, np.cumsum(np.concatenate(counts)))
+    return SparseMatrix.from_csr(
+        geom.n_rays, geom.n_pixels, indptr, np.concatenate(cols), np.concatenate(lengths)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +482,11 @@ def forward_counts(
     if image.shape != (projector.cols, model.n_materials):
         raise ValueError("image shape does not match projector/model")
     proj = projector.matmat(image)                      # (n_rays, n_m)
-    trans = proj @ model.mu                             # (n_rays, n_i)
-    np.exp(np.negative(trans, out=trans), out=trans)
-    means = model.response @ trans.T                    # (n_w, n_rays)
+    response, means = model.response, np.empty((model.n_windows, proj.shape[0]))
+    for rays in ray_blocks(proj.shape[0], model.n_energies):
+        trans = proj[rays] @ model.mu                   # (rays, n_i), one block
+        np.exp(np.negative(trans, out=trans), out=trans)
+        np.matmul(response, trans.T, out=means[:, rays])
     if means.min() < 0:
         raise ValueError("negative Poisson mean")
     rng = np.random.default_rng(seed)
@@ -502,13 +509,14 @@ class LossParts:
         return self.grad_c + self.grad_d
 
 
-# The loss and the Newton steps run their per-ray chain of passes one block
-# of rays at a time, so that each pass finds the block's (rays x energies)
-# arrays in the per-core L2 cache, where the last pass left them. Whole
-# arrays at the paper geometry (2264 rays x 100 energies) are 1.8 MB each,
-# with three live at once: more than a 2 MB L2, so every pass streamed them
-# from L3. A block is 25 600 doubles, 200 KB, and its three arrays take 600
-# KB. On a 2-core Xeon with 2 MB of L2 per core, the paper CT step took 5.75,
+# The loss, the Newton steps and the forward counts run their per-ray chain
+# of passes one block of rays at a time, so that each pass finds the block's
+# (rays x energies) arrays in the per-core L2 cache, where the last pass left
+# them. Whole arrays at the paper geometry (2264 rays x 100 energies) are 1.8
+# MB each: three live at once are more than a 2 MB L2, so every pass streamed
+# them from L3. A block is 25 600 doubles, 200 KB, and the loss's three
+# scratch arrays, the only (rays x energies) arrays of a step, take 600 KB.
+# On a 2-core Xeon with 2 MB of L2 per core, the paper CT step took 5.75,
 # 5.54, 5.96, 6.72 and 6.92 ms in blocks of 128, 256, 512, 1024 and all 2264
 # rays at 100 energies.
 BLOCK_ELEMENTS = 25_600
@@ -524,21 +532,21 @@ def ray_blocks(n_rays: int, n_energies: int) -> list[slice]:
 class CtLoss:
     """The split loss of one CT problem, evaluated in work arrays allocated once.
 
-    Owns two (n_rays, n_energies) arrays, t, which ends up holding the slope
-    d2, and the slope d1, and a scratch array w of one block of rays
-    (`ray_blocks`), which holds qexp's value and then the gradient's weights.
-    Each evaluation runs its whole chain, from t = -mu.y to the gradient
-    rows, one block of rays at a time. One object serves every loss
-    evaluation of a run (the gradient of g_d at y_t, the value at P x_{t+1},
-    the gradient the alpha diagnostic takes at y_{t+1}) and lends t and d1 to
-    the per-ray Newton solve, so a reconstruction step forms no (rays x
-    energies) array of its own. It holds on to its last point: the slopes
-    d1, d2 of `qexp` there, and the parts formed there with their gradient,
-    are handed out again for a y equal to that point, and for no other y. An
-    evaluation that fails holds no point. `newton_ray_steps` and
-    `newton_capped` count the work of the Newton solves that used its arrays:
-    rays updated, summed over steps, and rays still moving when the step cap
-    ended a solve.
+    Owns three scratch arrays of one block of rays (`ray_blocks`) by the
+    energies, and no larger (rays x energies) array: t, which ends up
+    holding the slope d2, the slope d1, and w, which holds qexp's value and
+    then the gradient's weights. Each evaluation runs its whole chain, from
+    t = -mu.y to the per-ray rows, one block at a time. One object serves
+    every loss evaluation of a run (the gradient of g_d at y_t, the value at
+    P x_{t+1}, the gradient the alpha diagnostic takes at y_{t+1}) and lends
+    t and d1 to the per-ray Newton solve. An evaluation with the gradient
+    also contracts d2 into the (ray, entry) rows of the Hessian of g_c and
+    holds on to its point: its parts and Hessian rows are handed out again
+    for a y equal to that point, and for no other y. Any other evaluation,
+    and one that fails, holds no point. `newton_ray_steps` and
+    `newton_capped` count the work of the Newton solves that used its
+    arrays: rays updated, summed over steps, and rays still moving when the
+    step cap ended a solve.
     """
 
     def __init__(self, model: SpectralModel, counts: np.ndarray):
@@ -556,29 +564,20 @@ class CtLoss:
         self.neg_mu_b = -mu_b
         n_m = model.n_materials
         self.mu_pairs = np.stack([model.mu[i] * mu_b[j] for i in range(n_m) for j in range(i + 1)])
-        self.t, self.d1 = np.empty((2, n_rays, model.n_energies))
         first = ray_blocks(n_rays, model.n_energies)[:1]  # the largest block
-        self.w = np.empty((first[0].stop if first else 0, model.n_energies))
+        self.t, self.d1, self.w = np.empty((3, first[0].stop if first else 0, model.n_energies))
         self._at = np.empty((n_rays, model.n_materials))
-        self._held = False  # d1 and t hold the slopes d1, d2 at _at
-        self._parts = None  # the parts at _at, when formed with the gradient
+        self._parts = None  # the parts at _at, formed with the gradient
+        self._hess = None  # the Hessian rows of g_c at _at
         self.newton_ray_steps = 0
         self.newton_capped = 0
 
-    def _holds(self, y) -> bool:
-        return self._held and np.array_equal(y, self._at)
-
-    def held_slopes(self, y):
-        """(d1, d2) at y if the last evaluation was at this y, else None;
-        d2 lives in the array `work_arrays` lends as t."""
-        return (self.d1, self.t) if self._holds(y) else None
-
-    def work_arrays(self):
-        """(t, d1) for the caller to overwrite; the held point is dropped.
-        Newton forms t in the first and then writes d2 over it."""
-        self._held = False
-        self._parts = None
-        return self.t, self.d1
+    def held_rows(self, y):
+        """(grad_c, Hessian rows of g_c) at y if the last evaluation took the
+        gradient at this y, else None. The caller must not write to them."""
+        if self._parts is None or not np.array_equal(y, self._at):
+            return None
+        return self._parts.grad_c, self._hess
 
     def parts(self, y: np.ndarray, want_grad: bool = True) -> LossParts:
         """Split loss at projections y (n_rays x n_m): convex part, concave part.
@@ -592,27 +591,26 @@ class CtLoss:
         y = np.asarray(y, dtype=float)
         if y.shape != self._at.shape:
             raise ValueError("y must be (n_rays, n_materials)")
-        if want_grad and self._parts is not None and self._holds(y):
+        if want_grad and self.held_rows(y) is not None:
             return self._parts
         model = self.model
         sb = model.response                              # (n_w, n_i)
         n_rays = y.shape[0]
-        # Slopes are written block by block, so no point is held until the
-        # last block has passed the mean check.
-        self._held, self._parts = False, None
+        self._parts = self._hess = None
         means = np.empty((model.n_windows, n_rays))
         ray_c = np.empty(n_rays)  # each ray's term of g_c
         if want_grad:
             grad_c, grad_d = np.empty(y.shape), np.empty(y.shape)
+            hess = np.empty((n_rays, len(self.mu_pairs)))
         for rays in ray_blocks(n_rays, model.n_energies):
-            t = np.matmul(y[rays], self.neg_mu, out=self.t[rays])
+            t = np.matmul(y[rays], self.neg_mu, out=self.t[: rays.stop - rays.start])
             # qexp_slopes, with d2 written over t, and then qexp's value
             # d1 + (tp tp) 0.5 from tp = max(t, 0) formed once. The bits are
             # qexp's d1 + tp (0.5 tp) wherever tp tp is finite: the factor 0.5
             # is exact, and d1 >= 1 absorbs any subnormal tail of tp tp.
             val = np.maximum(t, 0.0, out=self.w[: len(t)])
             d2 = np.exp(np.minimum(t, 0.0, out=t), out=t)
-            d1 = np.add(val, d2, out=self.d1[rays])
+            d1 = np.add(val, d2, out=self.d1[: len(t)])
             val *= val
             val *= 0.5
             val += d1
@@ -624,17 +622,18 @@ class CtLoss:
             np.matmul(val, model.beam, out=ray_c[rays])
             if want_grad:
                 np.matmul(d1, self.neg_mu_b.T, out=grad_c[rays])
+                np.matmul(d2, self.mu_pairs.T, out=hess[rays])
                 ratio = self.counts[:, rays] / block_means
                 weighted = np.matmul(ratio.T, sb, out=val)
                 weighted *= d1
                 np.matmul(weighted, model.mu.T, out=grad_d[rays])
-        np.copyto(self._at, y)
-        self._held = True
         g_c = float(ray_c.sum())
         g_d = float(-(self.counts * np.log(means)).sum())
         if not want_grad:
             return LossParts(g_c=g_c, g_d=g_d)
+        np.copyto(self._at, y)
         self._parts = LossParts(g_c=g_c, g_d=g_d, grad_c=grad_c, grad_d=grad_d)
+        self._hess = hess
         return self._parts
 
 

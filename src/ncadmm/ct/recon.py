@@ -6,13 +6,14 @@ diagonal-preconditioner construction: Q_f over pixels from projector column
 sums, and a per-ray penalty sigma / row sum. The y step solves one small
 strictly-convex problem per ray by Newton's method, at most
 `DEFAULT_NEWTON_ITERS` (20) steps per ray, and stops each ray once its step
-has converged or its next step is predicted below an ulp. Its two (rays x
-energies) work arrays, t and d1, belong to the problem's loss evaluator
-(`forward.CtLoss`), whose slopes at y_t serve the first step; each step
-writes the slope d2 over t. A Newton step folds the beam into the
-attenuation rows, keeps the per-ray gradient and Hessian entries as vectors
-over rays, and solves the shifted 3x3 (in general n_m x n_m) systems by a
-Cholesky factorization vectorized over rays (`spd_solve`).
+has converged or its next step is predicted below an ulp. Its work arrays
+t and d1 are one-block scratch of the problem's loss evaluator
+(`forward.CtLoss`), whose gradient pass at y_t also forms the Hessian rows
+that the first step takes; each later step writes the slope d2 over t. A
+Newton step folds the beam into the attenuation rows, lays the per-ray
+gradient and Hessian entries out (ray, entry), and solves the shifted 3x3
+(in general n_m x n_m) systems by a Cholesky factorization vectorized over
+rays (`spd_solve`, on the transposed rows).
 
 The loss and each Newton step run their (rays x energies) passes one block
 of rays at a time (`forward.ray_blocks`, `forward.BLOCK_ELEMENTS`): t, the
@@ -164,39 +165,37 @@ def newton_ray_solve(
     step, which would then move v_l by less than an ulp; the floor on e_k
     keeps a step that is not yet in that phase from being trusted.
 
-    `loss`, the problem's `CtLoss`, lends its two (rays x energies) work
-    arrays and counts the ray-steps and capped rays. A step forms the
-    gradient and Hessian rows one block of the moving rays at a time
-    (`forward.ray_blocks`), in the leading rows of the work arrays: t in the
-    first, d1 in the second and d2 over t (`qexp_slopes` with out=(d1, t)).
-    When the loss's last evaluation was at the start point, the first step
-    reads the slopes held there, block by block, instead of forming them.
+    `loss`, the problem's `CtLoss`, lends its one-block scratch arrays t and
+    d1 and counts the ray-steps and capped rays. A step forms the gradient
+    and Hessian rows, laid out (ray, entry), one block of the moving rays at
+    a time (`forward.ray_blocks`): t, then d1 and d2 over t (`qexp_slopes`
+    with out=(d1, t)). When the loss's last evaluation took the gradient at
+    the start point, the first step takes the rows held there (a copy of
+    grad_c, and the Hessian rows as they are) and forms none.
     """
     n_rays = center.shape[0]
     neg_mu, neg_mu_b, mu_pairs = loss.neg_mu, loss.neg_mu_b, loss.mu_pairs
     v = center.copy() if start is None else np.array(start, dtype=float)
     rows = np.arange(n_rays)
     lin_a, center_a, sigma_a, v_a = lin, center, sigma_diag, v
-    held = loss.held_slopes(v)
+    held = loss.held_rows(v)
     e_prev = None  # max|dv| of each moving ray's last step
-    t_buf, d1_buf = loss.work_arrays()
     for _ in range(iters):
         n_a = rows.size
         loss.newton_ray_steps += n_a
-        # Gradient and Hessian entries laid out (entry, ray).
-        grad = np.empty((neg_mu_b.shape[0], n_a))
-        hess = np.empty((mu_pairs.shape[0], n_a))
-        for rays in ray_blocks(n_a, neg_mu.shape[1]):
-            if held is None:
-                t = np.matmul(v_a[rays], neg_mu, out=t_buf[: rays.stop - rays.start])
-                d1, d2 = qexp_slopes(t, out=(d1_buf[: len(t)], t))
-            else:
-                d1, d2 = held[0][rays], held[1][rays]
-            np.matmul(neg_mu_b, d1.T, out=grad[:, rays])
-            np.matmul(mu_pairs, d2.T, out=hess[:, rays])
-        held = None
-        grad += (lin_a + sigma_a[:, None] * (v_a - center_a)).T
-        step = spd_solve(hess, sigma_a, grad)
+        if held is None:
+            grad = np.empty((n_a, neg_mu_b.shape[0]))
+            hess = np.empty((n_a, mu_pairs.shape[0]))
+            for rays in ray_blocks(n_a, neg_mu.shape[1]):
+                t = np.matmul(v_a[rays], neg_mu, out=loss.t[: rays.stop - rays.start])
+                d1, d2 = qexp_slopes(t, out=(loss.d1[: len(t)], t))
+                np.matmul(d1, neg_mu_b.T, out=grad[rays])
+                np.matmul(d2, mu_pairs.T, out=hess[rays])
+        else:
+            grad, hess = held[0].copy(), held[1]
+            held = None
+        grad += lin_a + sigma_a[:, None] * (v_a - center_a)
+        step = spd_solve(hess.T, sigma_a, grad.T)
         v_a = v_a - step.T
         v[rows] = v_a
         e = _max_abs(step)
@@ -324,10 +323,11 @@ def run_ct_reconstruction(
 
     The alpha hook evaluates the loss gradient at y_{t+1} with the problem's
     `CtLoss`, which hands the parts found there to the next step's grad_d
-    and the slopes to its Newton solve, both at that same y_{t+1}. Returns
-    the run and its Newton work: `newton_ray_steps` (rays updated, summed
-    over Newton steps and iterations) and `newton_capped` (rays still
-    moving when the cap ended a solve).
+    and the gradient and Hessian rows of g_c to its Newton solve, both at
+    that same y_{t+1}. Returns the run and its Newton work:
+    `newton_ray_steps` (rays updated, summed over Newton steps and
+    iterations) and `newton_capped` (rays still moving when the cap ended a
+    solve).
     """
     problem, loss = build_ct_problem(model, projector, counts, sigma)
     grad_star = loss.parts(y_star).grad

@@ -54,7 +54,8 @@ def _as_float_array(v, name: str) -> np.ndarray:
 
 
 class SparseMatrix:
-    """Immutable sparse matrix stored as CSR, built from (row, col, value) triples.
+    """Immutable sparse matrix stored as CSR, built from (row, col, value) triples
+    or, by `from_csr`, from its CSR arrays.
 
     Duplicate (row, col) pairs are rejected rather than summed, so the triple
     representation is canonical. Its read-only CSR arrays are `indptr`, `indices`
@@ -85,13 +86,29 @@ class SparseMatrix:
                     raise ValueError("duplicate (row, col) entries")
             row_idx, col_idx = np.divmod(keys, cols)
             np.cumsum(np.bincount(row_idx, minlength=rows), out=indptr[1:])
-        idx = np.int32 if max(rows, cols, values.size) <= np.iinfo(np.int32).max else np.int64
-        self._set_csr(rows, cols, indptr.astype(idx), col_idx.astype(idx), values)
+        self._set_csr(rows, cols, indptr, col_idx, values)
+
+    @classmethod
+    def from_csr(cls, rows: int, cols: int, indptr, indices, data) -> "SparseMatrix":
+        """The matrix with these CSR arrays, kept (not copied) and made read-only,
+        after O(nnz) checks of their lengths, of indptr and of the column range."""
+        indptr, indices = np.asarray(indptr), np.asarray(indices)
+        data = _as_float_array(data, "values")
+        if rows < 0 or cols < 0 or indptr.shape != (rows + 1,) or indices.shape != data.shape:
+            raise ValueError("CSR arrays must hold rows + 1 and nnz entries")
+        if indptr[0] != 0 or indptr[-1] != data.size or (indptr[1:] < indptr[:-1]).any():
+            raise ValueError("indptr must rise from 0 to nnz")
+        if indices.size and (indices.min() < 0 or indices.max() >= cols):
+            raise ValueError("col index out of range")
+        matrix = cls.__new__(cls)
+        matrix._set_csr(rows, cols, indptr, indices, data)
+        return matrix
 
     def _set_csr(self, rows: int, cols: int, indptr, indices, data) -> None:
-        self.rows, self.cols = rows, cols
-        self.indptr, self.indices, self.data = indptr, indices, data
-        for a in (indptr, indices, data):
+        idx = np.int32 if max(rows, cols, data.size) <= np.iinfo(np.int32).max else np.int64
+        self.rows, self.cols, self.data = rows, cols, data
+        self.indptr, self.indices = indptr.astype(idx, copy=False), indices.astype(idx, copy=False)
+        for a in (self.indptr, self.indices, data):
             a.flags.writeable = False
 
     @property
@@ -139,10 +156,9 @@ class SparseMatrix:
                              f" of shape {mask.shape}")
         lengths = np.diff(self.indptr)
         keep = np.repeat(mask, lengths)
-        indptr = np.append(0, np.cumsum(lengths[mask])).astype(self.indptr.dtype)
-        sub = SparseMatrix.__new__(SparseMatrix)
-        sub._set_csr(indptr.size - 1, self.cols, indptr, self.indices[keep], self.data[keep])
-        return sub
+        indptr = np.append(0, np.cumsum(lengths[mask]))
+        return SparseMatrix.from_csr(indptr.size - 1, self.cols, indptr, self.indices[keep],
+                                     self.data[keep])
 
     def __repr__(self) -> str:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.data.size})"

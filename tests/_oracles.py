@@ -2,22 +2,23 @@
 
 The first part deliberately avoids the library's own code paths: brute-force
 1-D searches, dense linear algebra, finite differences, an LP solver, a
-point-sampling ray tracer, and the projector built one ray at a time. Oracles
-are slow and simple on purpose.
+point-sampling ray tracer, the projector built one ray at a time and built
+from the keys of all views at once, and the Poisson counts drawn from means
+formed over all rays at once. Oracles are slow and simple on purpose.
 
 The rest holds what the tests check the library against but no run executes:
 the dense step-size checker, the closed-form quantile and CT updates written
 out as matrix formulas (the engine runs them as prox callbacks), the CT
-model's noise-free means, convex-part Hessian blocks and split loss in
-fresh arrays (which the loss evaluator must match bit for bit), the ray
-counts at the edges of its blocks, the fixed-budget per-ray Newton loop and
-the adaptive one with the step-size stop alone, the plain ADMM step on the
-general constraint Ax + By = c that the lean engine step must match bit for
-bit, the CT problem wired on flattened variables that the matrix-shaped one
-must match bit for bit, the per-point RSC probe the block probe must match,
-small linear-map, sparse-matrix and phantom-file helpers, the objective of
-problems whose trace the test does not read, and the config readers the
-config tests use.
+model's noise-free means, convex-part Hessian blocks, and split loss and
+Hessian rows in fresh arrays (which the loss evaluator must match bit for
+bit), the ray counts at the edges of its blocks, the fixed-budget per-ray
+Newton loop and the adaptive one with the step-size stop alone, the plain
+ADMM step on the general constraint Ax + By = c that the lean engine step
+must match bit for bit, the CT problem wired on flattened variables that the
+matrix-shaped one must match bit for bit, the per-point RSC probe the block
+probe must match, small linear-map, sparse-matrix and phantom-file helpers,
+the objective of problems whose trace the test does not read, and the config
+readers the config tests use.
 """
 
 import math
@@ -43,6 +44,7 @@ from ncadmm.ct.forward import (
     DEFAULT_MATERIALS,
     CtLoss,
     LossParts,
+    _view_chords,
     ct_loss_parts,
     ray_blocks,
 )
@@ -249,6 +251,44 @@ def build_projector_loop(geom):
             cols.extend(pix)
             vals.extend(lens)
     return SparseMatrix(geom.n_rays, geom.n_pixels, rows, cols, vals)
+
+
+def build_projector_triples(geom):
+    """The projector of `forward.build_projector` built as it once was: the
+    same walk per view, then one `np.unique` over the keys of every view,
+    one `bincount` of the segment lengths and the triple constructor."""
+    nx, ny, p = geom.grid_nx, geom.grid_ny, geom.pixel_size
+    half_w, half_h = geom.width / 2, geom.height / 2
+    keys, lengths = [], []
+    for a in range(geom.n_angles):
+        direction, origin, t_lo, t_hi, lines, hit = _view_chords(geom, a)
+        ts = np.concatenate([t_lo[:, None], t_hi[:, None], *lines], axis=1)
+        inner = ts[:, 2:]
+        outside = ~((inner > t_lo[:, None]) & (inner < t_hi[:, None]))
+        np.copyto(inner, t_hi[:, None], where=outside)
+        ts[~hit] = 0.0
+        ts.sort(axis=1)
+        seg = ts[:, 1:] - ts[:, :-1]
+        ray, k = np.nonzero(seg > 0.0)
+        seg = seg[ray, k]
+        tm = 0.5 * (ts[ray, k] + ts[ray, k + 1])
+        ix = np.floor((origin[0][ray] + tm * direction[0] + half_w) / p)
+        iy = np.floor((origin[1][ray] + tm * direction[1] + half_h) / p)
+        inside = (0 <= ix) & (ix < nx) & (0 <= iy) & (iy < ny)
+        pixel = ix[inside].astype(np.int64) * ny + iy[inside].astype(np.int64)
+        keys.append((a * geom.n_detectors + ray[inside]) * geom.n_pixels + pixel)
+        lengths.append(seg[inside])
+    keys, where = np.unique(np.concatenate(keys), return_inverse=True)
+    lengths = np.bincount(where, weights=np.concatenate(lengths))
+    rows, cols = np.divmod(keys, geom.n_pixels)
+    return SparseMatrix(geom.n_rays, geom.n_pixels, rows, cols, lengths)
+
+
+def forward_counts_whole(model, projector, image, seed):
+    """`forward.forward_counts` with the means formed over all rays at once."""
+    return np.random.default_rng(seed).poisson(expected_counts(model, projector, image)).astype(
+        np.int64
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -468,15 +508,19 @@ def stepsize_matrix_factor(projector, pre):
 
 
 def ct_loss_parts_fresh(model, y, counts, blocks=None):
-    """The split loss at y with its gradient, and the slopes d1, d2 there, in
-    fresh arrays: the value, d1 and d2 from `qexp`, as the four-array
-    evaluator formed them, one block of rays at a time. `blocks` are the
-    slices of rays, by default the evaluator's (`ray_blocks`); pass
-    [slice(None)] for whole arrays. The sums of g_c and g_d run over all rays
-    at once. Returns (LossParts, d1, d2)."""
+    """The split loss at y with its gradient, and the Hessian rows of g_c
+    there, in fresh arrays: the value, d1 and d2 from `qexp`, as the
+    four-array evaluator formed them, one block of rays at a time, and the
+    rows d2 . (mu_i * beam * mu_j) over the lower triangle, laid out (ray,
+    entry). `blocks` are the slices of rays, by default the evaluator's
+    (`ray_blocks`); pass [slice(None)] for whole arrays. The sums of g_c and
+    g_d run over all rays at once. Returns (LossParts, Hessian rows)."""
     y = np.asarray(y, dtype=float)
     counts = np.asarray(counts, dtype=float)
     sb = model.response
+    mu_b = model.mu * model.beam
+    n_m = model.n_materials
+    mu_pairs = np.stack([model.mu[i] * mu_b[j] for i in range(n_m) for j in range(i + 1)])
     if blocks is None:
         blocks = ray_blocks(y.shape[0], model.n_energies)
     pieces = []
@@ -484,17 +528,17 @@ def ct_loss_parts_fresh(model, y, counts, blocks=None):
         value, d1, d2 = qexp(y[rays] @ -model.mu)
         means = sb @ value.T
         grad_d = (((counts[:, rays] / means).T @ sb) * d1) @ model.mu.T
-        pieces.append((value @ model.beam, means, d1 @ -(model.mu * model.beam).T, grad_d, d1, d2))
-    ray_c, means, grad_c, grad_d, d1, d2 = zip(*pieces)
+        pieces.append((value @ model.beam, means, d1 @ -mu_b.T, grad_d, d2 @ mu_pairs.T))
+    ray_c, means, grad_c, grad_d, hess = zip(*pieces)
     means = np.concatenate(means, axis=1)
-    ray_c, grad_c, grad_d, d1, d2 = map(np.concatenate, (ray_c, grad_c, grad_d, d1, d2))
+    ray_c, grad_c, grad_d, hess = map(np.concatenate, (ray_c, grad_c, grad_d, hess))
     parts = LossParts(
         g_c=float(ray_c.sum()),
         g_d=float(-(counts * np.log(means)).sum()),
         grad_c=grad_c,
         grad_d=grad_d,
     )
-    return parts, d1, d2
+    return parts, hess
 
 
 def block_edge_ray_counts(n_energies):

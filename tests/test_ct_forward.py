@@ -8,10 +8,12 @@ from ncadmm.ct import forward as F
 from _oracles import (
     block_edge_ray_counts,
     build_projector_loop,
+    build_projector_triples,
     ct_hessian_blocks,
     dense,
     expected_counts,
     fd_gradient,
+    forward_counts_whole,
     poisson_counts,
     ray_sample_lengths,
     save_phantom,
@@ -140,6 +142,17 @@ class TestProjector:
         for m in (got, ref):  # canonical: column indices strictly increase within each row
             rows = np.repeat(np.arange(m.rows), np.diff(m.indptr))
             assert (np.diff(rows * m.cols + m.indices) > 0).all()
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(got, attr), getattr(ref, attr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+
+    @pytest.mark.parametrize("name", ORACLE_GEOMETRIES)
+    def test_matches_the_all_views_build_bitwise(self, name):
+        # Summing each view's duplicate segments on its own keeps the bits of
+        # one np.unique and bincount over all views, and the index dtypes.
+        geom = ORACLE_GEOMETRIES[name]
+        got, ref = F.build_projector(geom), build_projector_triples(geom)
+        assert got.shape == ref.shape
         for attr in ("indptr", "indices", "data"):
             a, b = getattr(got, attr), getattr(ref, attr)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
@@ -282,6 +295,19 @@ class TestForwardCounts:
         assert np.array_equal(counts, again)
         assert counts.dtype.kind == "i"
         assert counts.min() >= 0
+
+    def test_blocked_counts_match_the_whole_array_oracle(self):
+        # One ray per view through the center of the grid: as many rays as
+        # views, at the ray counts where the blocks of 100 energies split.
+        model = F.build_spectral_model()
+        for n_rays in block_edge_ray_counts(model.n_energies):
+            geom = F.CtGeometry(grid_nx=6, grid_ny=6, pixel_size=0.5, n_angles=n_rays,
+                                n_detectors=1)
+            projector = F.build_projector(geom)
+            image = F.default_phantom(geom)
+            got = F.forward_counts(model, projector, image, seed=n_rays)
+            ref = forward_counts_whole(model, projector, image, seed=n_rays)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), n_rays
 
     def test_shape_mismatch_rejected(self, small_model, tiny_setup):
         _, projector, _, _ = tiny_setup

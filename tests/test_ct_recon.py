@@ -423,8 +423,8 @@ class TestLossEvaluator:
         assert peak - base < active.rows * model.n_energies * 8
 
     def test_evaluator_holds_three_rays_by_energies_arrays(self, small_ct):
-        # Two of them span every ray and the scratch one block of rays: all
-        # small_ct's rays, or 256 of 2B + 3 at the paper's 100 energies.
+        # Three scratch arrays of one block of rays each: all small_ct's rays,
+        # or 256 of 2B + 3 at the paper's 100 energies.
         model = F.build_spectral_model(n_energies=100)
         n_block = F.BLOCK_ELEMENTS // model.n_energies
         for counts in (small_ct[4], np.ones((model.n_windows, 2 * n_block + 3))):
@@ -436,14 +436,43 @@ class TestLossEvaluator:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            work = n_rays * model.n_energies * 8
             scratch = min(n_rays, n_block) * model.n_energies * 8
             # The slack covers counts, the attenuation rows and the held
-            # point, about 17 KB for small_ct, but not a fourth 48 KB work
-            # array there; at 2B + 3 rays the held point grows to 12 KB, and a
-            # full-size scratch would add 210 KB.
-            assert peak - base <= 2 * work + scratch + 24_000 + loss._at.nbytes
-            assert loss.t.nbytes == work and loss.w.nbytes == scratch
+            # point, about 17 KB for small_ct, but not a fourth 48 KB scratch
+            # array there; at 2B + 3 rays the held point grows to 12 KB, and
+            # one array over all rays would add 412 KB.
+            assert peak - base <= 3 * scratch + 24_000 + loss._at.nbytes
+            assert loss.t.nbytes == loss.d1.nbytes == loss.w.nbytes == scratch
+
+    def test_evaluations_allocate_less_than_one_block(self):
+        # 2B + 3 rays at the paper's 100 energies. A loss pass allocates its
+        # per-ray rows and sums, about 110 KB with the gradient, under the
+        # 205 KB of one block of (rays x energies); a Newton solve, whose
+        # per-ray temporaries take about 200 KB, stays under one 412 KB array
+        # over all rays by the energies.
+        paper = F.build_spectral_model()
+        n_rays = block_edge_ray_counts(paper.n_energies)[-1]
+        rng = np.random.default_rng(24)
+        loss = F.CtLoss(paper, poisson_counts(paper, n_rays, rng))
+        y = 0.2 * rng.standard_normal((n_rays, paper.n_materials))
+        lin = rng.standard_normal(y.shape)
+        sigma_diag = rng.uniform(0.5, 5.0, n_rays)
+        block, whole = F.BLOCK_ELEMENTS * 8, n_rays * paper.n_energies * 8
+        calls = [
+            (block, lambda: loss.parts(y, want_grad=False)),
+            (block, lambda: loss.parts(1.5 * y)),
+            (whole, lambda: R.newton_ray_solve(loss, lin, 1.5 * y, sigma_diag)),  # held rows
+            (whole, lambda: R.newton_ray_solve(loss, lin, y, sigma_diag)),
+        ]
+        for bound, call in calls:
+            tracemalloc.start()
+            try:
+                base, _ = tracemalloc.get_traced_memory()
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - base < bound
 
     def test_parts_match_the_fresh_array_oracle(self, small_ct):
         model, loss, y, _, _ = loss_and_newton_inputs(small_ct)
@@ -462,18 +491,22 @@ class TestLossEvaluator:
             # Both signs of t = -mu.y, and a point where t > 0 on most entries.
             for point in (y, np.zeros_like(y), -5.0 * np.abs(y), 3.0 * y):
                 got = loss.parts(point)
-                held = loss.held_slopes(point)
-                ref, d1, d2 = ct_loss_parts_fresh(model, point, counts)
+                held = loss.held_rows(point)
+                ref, hess = ct_loss_parts_fresh(model, point, counts)
                 assert (got.g_c, got.g_d) == (ref.g_c, ref.g_d)
                 assert got.grad_c.tobytes() == ref.grad_c.tobytes()
                 assert got.grad_d.tobytes() == ref.grad_d.tobytes()
-                assert held[0].tobytes() == d1.tobytes()
-                assert held[1].tobytes() == d2.tobytes()
-                whole, _, _ = ct_loss_parts_fresh(model, point, counts, [slice(None)])
+                assert held[0].tobytes() == ref.grad_c.tobytes()
+                assert held[1].tobytes() == hess.tobytes()
+                whole, whole_hess = ct_loss_parts_fresh(model, point, counts, [slice(None)])
                 assert got.g_c == whole.g_c
                 assert got.g_d == pytest.approx(whole.g_d, rel=rtol)
                 np.testing.assert_allclose(got.grad_c, whole.grad_c, rtol=rtol, atol=0)
                 np.testing.assert_allclose(got.grad_d, whole.grad_d, rtol=rtol, atol=0)
+                np.testing.assert_allclose(held[1], whole_hess, rtol=rtol, atol=0)
+                # A value-only pass holds nothing.
+                loss.parts(point, want_grad=False)
+                assert loss.held_rows(point) is None
 
     def test_failed_evaluation_holds_no_point(self):
         # One ray of the last block so far along that exp(-mu.y) underflows
@@ -486,13 +519,13 @@ class TestLossEvaluator:
         y = 0.2 * rng.standard_normal((n_rays, paper.n_materials))
         bad = y.copy()
         bad[-1] = 1e4
-        loss.parts(y)
-        assert loss.held_slopes(y) is not None
         for want_grad in (True, False):
+            loss.parts(y)
+            assert loss.held_rows(y) is not None
             with pytest.raises(ValueError, match="nonpositive window mean"):
                 loss.parts(bad, want_grad)
-            assert loss.held_slopes(bad) is None
-            assert loss.held_slopes(y) is None  # its slopes were overwritten
+            assert loss.held_rows(bad) is None
+            assert loss.held_rows(y) is None  # the failed evaluation was the last
         lin = rng.standard_normal(y.shape)
         sigma_diag = rng.uniform(0.5, 5.0, n_rays)
         got = R.newton_ray_solve(loss, lin, bad, sigma_diag)
@@ -515,10 +548,10 @@ class TestLossEvaluator:
                     assert got.grad_c.tobytes() == ref.grad_c.tobytes()
                     assert got.grad_d.tobytes() == ref.grad_d.tobytes()
 
-    def test_newton_reusing_held_slopes_matches_fresh_slopes(self, small_ct, monkeypatch):
+    def test_newton_reusing_held_rows_matches_fresh_rows(self, small_ct, monkeypatch):
         counting = CountingSlopes(monkeypatch)
         cases = [loss_and_newton_inputs(small_ct)]
-        # 2B + 3 rays at the paper's 100 energies: the held slopes of three blocks.
+        # 2B + 3 rays at the paper's 100 energies: the held rows of three blocks.
         paper = F.build_spectral_model()
         n_rays = block_edge_ray_counts(paper.n_energies)[-1]
         rng = np.random.default_rng(23)
@@ -529,29 +562,31 @@ class TestLossEvaluator:
             counting.rows.clear()
             fresh = R.newton_ray_solve(ray_loss(model, len(y)), lin, y, sigma_diag)
             fresh_calls = len(counting.rows)
-            loss.parts(y)
-            assert loss.held_slopes(y) is not None
+            parts = loss.parts(y)
+            held = [a.tobytes() for a in loss.held_rows(y)]
             counting.rows.clear()
             reused = R.newton_ray_solve(loss, lin, y.copy(), sigma_diag)
             assert reused.tobytes() == fresh.tobytes()
-            # the first step took the held slopes, one call per block
+            # the first step took the held rows and formed no slopes
             assert len(counting.rows) == fresh_calls - len(F.ray_blocks(len(y), model.n_energies))
-            assert loss.held_slopes(y) is None  # Newton overwrote the work arrays
+            # Newton wrote to neither the held rows nor the parts
+            assert [a.tobytes() for a in loss.held_rows(y)] == held
+            assert loss.parts(y) is parts and parts.grad_c.tobytes() == held[0]
 
-    def test_changed_y_never_gets_stale_slopes(self, small_ct):
+    def test_changed_y_never_gets_stale_rows(self, small_ct):
         model, loss, y, lin, sigma_diag = loss_and_newton_inputs(small_ct)
         counts = small_ct[4]
         moved = y.copy()
         moved[5, 1] += 1e-12
         loss.parts(y)
-        assert loss.held_slopes(moved) is None
+        assert loss.held_rows(moved) is None
         got = R.newton_ray_solve(loss, lin, moved, sigma_diag)
         fresh = R.newton_ray_solve(ray_loss(model, len(moved)), lin, moved, sigma_diag)
         assert got.tobytes() == fresh.tobytes()
         # A y changed in place after its evaluation is a new point too.
         loss.parts(y)
         y[0, 0] += 0.25
-        assert loss.held_slopes(y) is None
+        assert loss.held_rows(y) is None
         assert loss.parts(y).grad_d.tobytes() == F.ct_loss_parts(model, y, counts).grad_d.tobytes()
 
     def test_column_max_stop_matches_row_max(self):

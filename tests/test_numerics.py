@@ -128,6 +128,40 @@ class TestCsrBuild:
         assert np.array_equal(m.matvec(np.ones(2)), np.zeros(3))
 
 
+class TestFromCsr:
+    def setup_method(self):
+        rng = np.random.default_rng(6)
+        self.m, _ = random_sparse(rng, 12, 9)
+        self.csr = (self.m.indptr.astype(np.int64), self.m.indices.astype(np.int64),
+                    self.m.data.copy())
+
+    def test_round_trip_keeps_bits_and_int32_indices(self):
+        got = SparseMatrix.from_csr(12, 9, *self.csr)
+        for name in ("indptr", "indices", "data"):
+            g, w = getattr(got, name), getattr(self.m, name)
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+            assert not g.flags.writeable
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda p, i, d: (p[:-1], i, d), "rows \\+ 1 and nnz"),
+            (lambda p, i, d: (p, i[:-1], d), "rows \\+ 1 and nnz"),
+            (lambda p, i, d: (p + 1, i, d), "rise from 0 to nnz"),
+            (lambda p, i, d: (np.r_[p[:-1], p[-1] - 1], i, d), "rise from 0 to nnz"),
+            (lambda p, i, d: (np.r_[0, p[2], p[1], p[3:]], i, d), "rise from 0 to nnz"),
+            (lambda p, i, d: (p, np.r_[i[:-1], 9], d), "col index out of range"),
+            (lambda p, i, d: (p, np.r_[-1, i[1:]], d), "col index out of range"),
+            (lambda p, i, d: (p, i, np.r_[d[:-1], np.nan]), "finite"),
+        ],
+        ids=["short-indptr", "short-indices", "indptr-from-1", "indptr-short-of-nnz",
+             "indptr-falls", "col-past-end", "col-negative", "nan-value"],
+    )
+    def test_malformed_arrays_rejected(self, edit, match):
+        with pytest.raises(ValueError, match=match):
+            SparseMatrix.from_csr(12, 9, *edit(*self.csr))
+
+
 class TestSelectRows:
     def setup_method(self):
         rng = np.random.default_rng(4)
