@@ -2,23 +2,24 @@
 
 The first part deliberately avoids the library's own code paths: brute-force
 1-D searches, dense linear algebra, finite differences, an LP solver, a
-point-sampling ray tracer, the projector built one ray at a time and built
-from the keys of all views at once, and the Poisson counts drawn from means
-formed over all rays at once. Oracles are slow and simple on purpose.
+point-sampling ray tracer, and the projector built one ray at a time. Oracles
+are slow and simple on purpose.
 
 The rest holds what the tests check the library against but no run executes:
 the dense step-size checker, the closed-form quantile and CT updates written
 out as matrix formulas (the engine runs them as prox callbacks), the CT
-model's noise-free means, convex-part Hessian blocks, and split loss and
-Hessian rows in fresh arrays (which the loss evaluator must match bit for
-bit), the ray counts at the edges of its blocks, the fixed-budget per-ray
-Newton loop and the adaptive one with the step-size stop alone, the plain
-ADMM step on the general constraint Ax + By = c that the lean engine step
-must match bit for bit, the CT problem wired on flattened variables that the
-matrix-shaped one must match bit for bit, the per-point RSC probe the block
-probe must match, small linear-map, sparse-matrix and phantom-file helpers,
-the objective of problems whose trace the test does not read, and the config
-readers the config tests use.
+model's noise-free means, the projector built from the keys of all views at
+once and the Poisson counts drawn from means over all rays at once (which
+the block-sized set-up must match bit for bit), convex-part Hessian blocks,
+and split loss and Hessian rows in fresh arrays (which the loss evaluator
+must match bit for bit), the ray counts at the edges of its blocks, the
+fixed-budget per-ray Newton loop and the adaptive one with the step-size
+stop alone, the plain ADMM step on the general constraint Ax + By = c that
+the lean engine step must match bit for bit, the CT problem wired on
+flattened variables that the matrix-shaped one must match bit for bit, the
+per-point RSC probe the block probe must match, small linear-map,
+sparse-matrix and phantom-file helpers, the objective of problems whose
+trace the test does not read, and the config readers the config tests use.
 """
 
 import math
@@ -253,44 +254,6 @@ def build_projector_loop(geom):
     return SparseMatrix(geom.n_rays, geom.n_pixels, rows, cols, vals)
 
 
-def build_projector_triples(geom):
-    """The projector of `forward.build_projector` built as it once was: the
-    same walk per view, then one `np.unique` over the keys of every view,
-    one `bincount` of the segment lengths and the triple constructor."""
-    nx, ny, p = geom.grid_nx, geom.grid_ny, geom.pixel_size
-    half_w, half_h = geom.width / 2, geom.height / 2
-    keys, lengths = [], []
-    for a in range(geom.n_angles):
-        direction, origin, t_lo, t_hi, lines, hit = _view_chords(geom, a)
-        ts = np.concatenate([t_lo[:, None], t_hi[:, None], *lines], axis=1)
-        inner = ts[:, 2:]
-        outside = ~((inner > t_lo[:, None]) & (inner < t_hi[:, None]))
-        np.copyto(inner, t_hi[:, None], where=outside)
-        ts[~hit] = 0.0
-        ts.sort(axis=1)
-        seg = ts[:, 1:] - ts[:, :-1]
-        ray, k = np.nonzero(seg > 0.0)
-        seg = seg[ray, k]
-        tm = 0.5 * (ts[ray, k] + ts[ray, k + 1])
-        ix = np.floor((origin[0][ray] + tm * direction[0] + half_w) / p)
-        iy = np.floor((origin[1][ray] + tm * direction[1] + half_h) / p)
-        inside = (0 <= ix) & (ix < nx) & (0 <= iy) & (iy < ny)
-        pixel = ix[inside].astype(np.int64) * ny + iy[inside].astype(np.int64)
-        keys.append((a * geom.n_detectors + ray[inside]) * geom.n_pixels + pixel)
-        lengths.append(seg[inside])
-    keys, where = np.unique(np.concatenate(keys), return_inverse=True)
-    lengths = np.bincount(where, weights=np.concatenate(lengths))
-    rows, cols = np.divmod(keys, geom.n_pixels)
-    return SparseMatrix(geom.n_rays, geom.n_pixels, rows, cols, lengths)
-
-
-def forward_counts_whole(model, projector, image, seed):
-    """`forward.forward_counts` with the means formed over all rays at once."""
-    return np.random.default_rng(seed).poisson(expected_counts(model, projector, image)).astype(
-        np.int64
-    )
-
-
 # ---------------------------------------------------------------------------
 # Sparse matrices and phantom files
 
@@ -481,6 +444,43 @@ def expected_counts(model, projector, image):
     proj = projector.matmat(np.asarray(image, dtype=float))
     trans = np.exp(-(proj @ model.mu))
     return model.response @ trans.T
+
+
+def build_projector_triples(geom):
+    """The projector of `forward.build_projector` built as it once was: the
+    same walk per view, then one `np.unique` over the keys of every view,
+    one `bincount` of the segment lengths and the triple constructor."""
+    nx, ny, p = geom.grid_nx, geom.grid_ny, geom.pixel_size
+    half_w, half_h = geom.width / 2, geom.height / 2
+    keys, lengths = [], []
+    for a in range(geom.n_angles):
+        direction, origin, t_lo, t_hi, lines, hit = _view_chords(geom, a)
+        ts = np.concatenate([t_lo[:, None], t_hi[:, None], *lines], axis=1)
+        inner = ts[:, 2:]
+        outside = ~((inner > t_lo[:, None]) & (inner < t_hi[:, None]))
+        np.copyto(inner, t_hi[:, None], where=outside)
+        ts[~hit] = 0.0
+        ts.sort(axis=1)
+        seg = ts[:, 1:] - ts[:, :-1]
+        ray, k = np.nonzero(seg > 0.0)
+        seg = seg[ray, k]
+        tm = 0.5 * (ts[ray, k] + ts[ray, k + 1])
+        ix = np.floor((origin[0][ray] + tm * direction[0] + half_w) / p)
+        iy = np.floor((origin[1][ray] + tm * direction[1] + half_h) / p)
+        inside = (0 <= ix) & (ix < nx) & (0 <= iy) & (iy < ny)
+        pixel = ix[inside].astype(np.int64) * ny + iy[inside].astype(np.int64)
+        keys.append((a * geom.n_detectors + ray[inside]) * geom.n_pixels + pixel)
+        lengths.append(seg[inside])
+    keys, where = np.unique(np.concatenate(keys), return_inverse=True)
+    lengths = np.bincount(where, weights=np.concatenate(lengths))
+    rows, cols = np.divmod(keys, geom.n_pixels)
+    return SparseMatrix(geom.n_rays, geom.n_pixels, rows, cols, lengths)
+
+
+def forward_counts_whole(model, projector, image, seed):
+    """`forward.forward_counts` with the means formed over all rays at once."""
+    means = expected_counts(model, projector, image)
+    return np.random.default_rng(seed).poisson(means).astype(np.int64)
 
 
 def ct_hessian_blocks(model, y):
