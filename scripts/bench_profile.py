@@ -10,8 +10,11 @@
 - `quantile-step` (BENCH_quantile_step.json): the sweep of `run_sigma_sweep`
   at the paper size (d=2000, n=1000, s*=10, sigmas 5e-5, 1e-4, 2e-4, 5e-4,
   one dataset and gamma). Per iteration: ms in `DenseMap.matvec` (Phi x),
-  in `DenseMap.rmatvec` (Phi' u) and in the whole step; the median number
-  of nonzeros of x_t, read from the matvec argument.
+  in `DenseMap.rmatvec` (Phi' u), in the elementwise kernels
+  `quantile_loss` (objective and running-average loss),
+  `quantile_prox_update` (y) and `soft_threshold` (x), and in the whole
+  step; the median number of nonzeros of x_t, read from the matvec
+  argument.
 - `peak-rss` (BENCH_peak_rss.json): `ru_maxrss` in MB after one call of each
   entry point in PEAK_ENTRIES, as `perfbench/run.py` reports `peak_rss_mb`,
   in `--processes` fresh interpreters per entry point, taken in turn. The
@@ -50,6 +53,7 @@ PAPER_QUANTILE = {"d": 2000, "n": 1000, "s_star": 10}
 PROBE_QUANTILE = {"d": 50, "n": 100, "s_star": 3, "sigma": 5e-3}
 PEAK_ITERS = {"quantile-sweep": 20, "quantile-probe": 20_000, "ct-sweep": 5, "ct-repeat": 30}
 CT_REPEAT_SWEEPS = 8
+QUANTILE_KERNELS = ("quantile_loss", "quantile_prox_update", "soft_threshold")
 
 
 class Counts:
@@ -189,7 +193,10 @@ def quantile_step(args):
             (engine.DenseMap, "matvec"): matvec_name,
             (engine.DenseMap, "rmatvec"): lambda a, kw: "rmatvec",
         }
-        with timing(("matvec", "rmatvec"), (engine, "run"), timed) as counts:
+        for kernel in QUANTILE_KERNELS:  # called by the names quantile.py imports
+            timed[(Q, kernel)] = lambda a, kw, kernel=kernel: kernel
+        names = ("matvec", "rmatvec", *QUANTILE_KERNELS)
+        with timing(names, (engine, "run"), timed) as counts:
             for sigma in PAPER_SIGMAS:
                 run_spec = replace(spec, sigma=sigma)
                 Q.run_quantile(run_spec, dataset, iters, gamma=gamma, record_time=False)

@@ -24,18 +24,20 @@ __all__ = [
 
 
 def quantile_loss(t, q: float):
-    """Pinball loss q*max(t,0) + (1-q)*max(-t,0)."""
+    """Pinball loss q*max(t,0) + (1-q)*max(-t,0) as max(q*t, (q-1)*t): for q in (0, 1),
+    the same bits but for a zero's sign, as (q-1)*t is exactly (1-q)*(-t)."""
     t = np.asarray(t, dtype=float)
-    out = q * np.maximum(t, 0.0) + (1.0 - q) * np.maximum(-t, 0.0)
+    out = np.maximum(q * t, (q - 1.0) * t)
     return float(out) if out.ndim == 0 else out
 
 
 def soft_threshold(v, thresh: float):
-    """Shrink toward zero by `thresh`; exact zero on [-thresh, thresh]."""
+    """Shrink toward zero by `thresh` as v - clip(v, -thresh, thresh): the bits of
+    sign(v)*max(|v| - thresh, 0), but +0.0 where that gives -0.0 on [-thresh, 0)."""
     if thresh < 0:
         raise ValueError("threshold must be nonnegative")
     v = np.asarray(v, dtype=float)
-    out = np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
+    out = v - np.minimum(np.maximum(v, -thresh), thresh)
     return float(out) if out.ndim == 0 else out
 
 
@@ -73,8 +75,8 @@ class LogL1Penalty:
         """Full penalty value."""
         ax = np.abs(np.asarray(x, dtype=float))
         if math.isinf(self.beta):
-            return self.lam * float(ax.sum())
-        return self.lam * self.beta * float(np.log1p(ax / self.beta).sum())
+            return self.lam * float(np.add.reduce(ax, axis=None))
+        return self.lam * self.beta * float(np.add.reduce(np.log1p(ax / self.beta), axis=None))
 
 
 def logl1_value_grad(penalty: LogL1Penalty, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -140,8 +142,9 @@ def qexp(t):
 def quantile_prox_update(w, anchor, q: float, n: int, sigma: float):
     """Coordinatewise minimizer of (1/n)*pinball(w - y) + (sigma/2)(y - anchor)^2.
 
-    Three cases: anchor + q/(n*sigma) when that still sits below w,
-    anchor - (1-q)/(n*sigma) when that sits above w, and w itself otherwise.
+    Three cases: lo = anchor + q/(n*sigma) if lo < w, hi = anchor - (1-q)/(n*sigma)
+    if hi > w, else w. For q in [0, 1] hi <= lo, so this is the clip min(lo, max(hi, w)),
+    which keeps w's bits on a tie and gives NaN for a NaN anchor.
     """
     if not sigma > 0:
         raise ValueError("sigma must be positive")
@@ -151,5 +154,5 @@ def quantile_prox_update(w, anchor, q: float, n: int, sigma: float):
     anchor = np.asarray(anchor, dtype=float)
     lo = anchor + q / (n * sigma)
     hi = anchor - (1.0 - q) / (n * sigma)
-    out = np.where(lo < w, lo, np.where(hi > w, hi, w))
+    out = np.minimum(lo, np.maximum(hi, w))
     return float(out) if out.ndim == 0 else out

@@ -114,13 +114,10 @@ def quantile_objective(spec: QuantileProblemSpec, dataset: QuantileDataset, x: n
 
 
 def _objective_at(q: float, penalty: LogL1Penalty, w: np.ndarray, phi_x, x) -> float:
-    """quantile_objective with the product Phi x already computed.
-
-    loss.sum() / loss.size is np.mean's own arithmetic, bit for bit, without
-    its Python wrapper.
-    """
+    """quantile_objective with Phi x given. np.add.reduce(loss) / loss.size is
+    np.mean's own arithmetic, bit for bit, without its Python wrappers."""
     loss = quantile_loss(w - phi_x, q)
-    return float(loss.sum() / loss.size) + penalty.value(x)
+    return float(np.add.reduce(loss, axis=None) / loss.size) + penalty.value(x)
 
 
 def quantile_gamma(phi: np.ndarray) -> float:

@@ -6,11 +6,14 @@ point-sampling ray tracer, and the projector built one ray at a time. Oracles
 are slow and simple on purpose.
 
 The rest holds what the tests check the library against but no run executes:
-the dense step-size checker, the closed-form quantile and CT updates written
-out as matrix formulas (the engine runs them as prox callbacks), the CT
-model's noise-free means, the projector built from the keys of all views at
-once and the Poisson counts drawn from means over all rays at once (which
-the block-sized set-up must match bit for bit), convex-part Hessian blocks,
+the dense step-size checker, the textbook forms of the pinball loss, the
+soft-threshold and the quantile y-prox case split (which the library's
+kernels must match, but for the sign of a zero and a NaN anchor), the
+closed-form quantile and CT updates written out as matrix formulas (the
+engine runs them as prox callbacks), the CT model's noise-free means, the
+projector built from the keys of all views at once and the Poisson counts
+drawn from means over all rays at once (which the block-sized set-up must
+match bit for bit), convex-part Hessian blocks,
 and split loss and Hessian rows in fresh arrays (which the loss evaluator
 must match bit for bit), the ray counts at the edges of its blocks, the
 fixed-budget per-ray Newton loop and the adaptive one with the step-size
@@ -405,7 +408,31 @@ def validate_stepsizes(a, b, sigma, h_f=None, h_g=None, hess_f=None, hess_g=None
 
 
 # ---------------------------------------------------------------------------
-# Quantile regression: the closed-form updates as matrix formulas
+# Quantile regression: the textbook kernels, and the closed-form updates as
+# matrix formulas
+
+
+def quantile_loss_textbook(t, q):
+    """Pinball loss as the sum q*max(t,0) + (1-q)*max(-t,0)."""
+    t = np.asarray(t, dtype=float)
+    return q * np.maximum(t, 0.0) + (1.0 - q) * np.maximum(-t, 0.0)
+
+
+def soft_threshold_textbook(v, thresh):
+    """sign(v) * max(|v| - thresh, 0): -0.0 for negative v in the dead zone."""
+    v = np.asarray(v, dtype=float)
+    return np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
+
+
+def quantile_prox_update_cases(w, anchor, q, n, sigma):
+    """The y-prox as its three cases: lo if lo < w, else hi if hi > w, else w.
+
+    A NaN anchor entry fails both tests, so that entry gets w.
+    """
+    w, anchor = np.asarray(w, dtype=float), np.asarray(anchor, dtype=float)
+    lo = anchor + q / (n * sigma)
+    hi = anchor - (1.0 - q) / (n * sigma)
+    return np.where(lo < w, lo, np.where(hi > w, hi, w))
 
 
 def quantile_x_update(spec, dataset, x, y, u, gamma):

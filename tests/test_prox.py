@@ -17,9 +17,21 @@ from ncadmm.prox import (
     soft_threshold,
 )
 
-from _oracles import bisect_min, fd_gradient, golden_section
+from _oracles import (
+    bisect_min,
+    fd_gradient,
+    golden_section,
+    quantile_loss_textbook,
+    quantile_prox_update_cases,
+    soft_threshold_textbook,
+)
 
 finite_floats = st.floats(-10.0, 10.0, allow_nan=False)
+any_finite = st.floats(allow_nan=False, allow_infinity=False)
+# Signed zeros and infinities, mixed with small finite values.
+special_floats = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf]), finite_floats)
+unit_q = st.floats(0.0, 1.0)
+open_q = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 
 class TestQuantileLoss:
@@ -257,3 +269,84 @@ class TestQuantileProxUpdate:
         out = quantile_prox_update(w, anchor, q, n, sigma)
         bound = max(q, 1 - q) / (n * sigma)
         assert np.abs(out - anchor).max() <= bound + 1e-15
+
+
+class TestKernelsMatchTextbook:
+    """The kernels equal the textbook forms of `_oracles` by np.array_equal
+    (signed zeros aside), on finite floats, exact ties and +-0.0, +-inf."""
+
+    @given(st.lists(any_finite, min_size=1, max_size=8), unit_q)
+    def test_loss_on_finite_floats(self, t, q):
+        assert np.array_equal(quantile_loss(np.array(t), q), quantile_loss_textbook(t, q))
+
+    # At q = 0 or 1 the textbook sum gives inf at an infinite t, the kernel NaN.
+    @given(st.lists(special_floats, min_size=1, max_size=8), open_q)
+    def test_loss_on_signed_zeros_and_infinities(self, t, q):
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            got, want = quantile_loss(np.array(t), q), quantile_loss_textbook(t, q)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @given(st.lists(any_finite, min_size=1, max_size=8), st.floats(0.0, 1e300))
+    def test_soft_threshold_on_finite_floats(self, v, thresh):
+        got = soft_threshold(np.array(v), thresh)
+        assert np.array_equal(got, soft_threshold_textbook(v, thresh))
+
+    @given(st.lists(st.booleans(), min_size=1, max_size=8), st.floats(0.0, 1e300))
+    def test_soft_threshold_on_ties(self, negative, thresh):
+        v = np.where(negative, -thresh, thresh)
+        assert np.array_equal(soft_threshold(v, thresh), soft_threshold_textbook(v, thresh))
+
+    @given(
+        st.lists(special_floats, min_size=1, max_size=8),
+        st.one_of(st.sampled_from([0.0, -0.0, math.inf]), st.floats(0.0, 10.0)),
+    )
+    def test_soft_threshold_on_signed_zeros_and_infinities(self, v, thresh):
+        with np.errstate(invalid="ignore"):  # inf - inf
+            got, want = soft_threshold(np.array(v), thresh), soft_threshold_textbook(v, thresh)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_soft_threshold_dead_zone_gives_positive_zero(self):
+        out = soft_threshold(np.array([-0.05, 0.05, -0.1]), 0.1)
+        assert np.array_equal(out, np.zeros(3)) and not np.signbit(out).any()
+        assert np.signbit(soft_threshold_textbook([-0.05, -0.1], 0.1)).all()
+
+    @given(
+        st.lists(st.tuples(any_finite, any_finite), min_size=1, max_size=8),
+        unit_q,
+        st.integers(1, 10**6),
+        st.floats(1e-12, 1e12),
+    )
+    def test_prox_on_finite_floats(self, pairs, q, n, sigma):
+        w, anchor = np.array(pairs).T
+        got = quantile_prox_update(w, anchor, q, n, sigma)
+        assert np.array_equal(got, quantile_prox_update_cases(w, anchor, q, n, sigma))
+
+    @given(
+        st.lists(st.tuples(finite_floats, st.booleans()), min_size=1, max_size=8),
+        unit_q,
+        st.integers(1, 1000),
+        st.floats(1e-6, 1e6),
+    )
+    def test_prox_on_ties(self, entries, q, n, sigma):
+        anchor, at_lo = (np.array(column) for column in zip(*entries))
+        # w on the bound itself, computed as the kernel computes it.
+        w = np.where(at_lo, anchor + q / (n * sigma), anchor - (1.0 - q) / (n * sigma))
+        got = quantile_prox_update(w, anchor, q, n, sigma)
+        assert np.array_equal(got, quantile_prox_update_cases(w, anchor, q, n, sigma))
+
+    @given(
+        st.lists(st.tuples(special_floats, special_floats), min_size=1, max_size=8),
+        unit_q,
+        st.integers(1, 100),
+        st.floats(1e-3, 1e3),
+    )
+    def test_prox_on_signed_zeros_and_infinities(self, pairs, q, n, sigma):
+        w, anchor = np.array(pairs).T
+        got = quantile_prox_update(w, anchor, q, n, sigma)
+        want = quantile_prox_update_cases(w, anchor, q, n, sigma)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_prox_nan_anchor_or_response_gives_nan(self):
+        out = quantile_prox_update(np.array([1.0, 2.0]), np.array([math.nan, 0.0]), 0.5, 2, 1.0)
+        assert math.isnan(out[0]) and out[1] == 0.25
+        assert math.isnan(quantile_prox_update(math.nan, 0.0, 0.5, 2, 1.0))

@@ -11,8 +11,11 @@ from ncadmm.prox import quantile_loss
 
 from _oracles import (
     quantile_l1_optimum,
+    quantile_loss_textbook,
+    quantile_prox_update_cases,
     quantile_x_update,
     quantile_y_update,
+    soft_threshold_textbook,
     stepsize_margin,
     validate_stepsizes,
 )
@@ -208,6 +211,43 @@ class TestUpdates:
         assert np.abs(stepped.x - x_ref).max() <= 1e-12
         assert np.abs(stepped.y - y_ref).max() <= 1e-12
         assert np.abs(stepped.u - (u + spec.sigma * (ds.phi @ x_ref - y_ref))).max() <= 1e-14
+
+    def test_nan_anchor_raises_and_leaves_state(self):
+        # A NaN y entry next to a finite cached Sigma(Ax - y) reaches the y
+        # prox's anchor only: the x step stays finite.
+        spec = small_spec()
+        ds = Q.generate_dataset(spec)
+        problem = Q.build_problem(spec, ds)
+        zeros = (np.zeros(spec.d), np.zeros(spec.n), np.zeros(spec.n))
+        state = engine.admm_step(problem, AdmmState.initial(*zeros))
+        y = state.y.copy()
+        y[3] = math.nan
+        state = replace(state, y=y)
+        before = [v.copy() for v in (state.x, state.y, state.u, state.sum_x.total)]
+        with pytest.raises(engine.AdmmStepError, match="iteration 2: y update produced non-finite"):
+            engine.admm_step(problem, state)
+        assert state.t == 1 and len(state.trace) == 1
+        for kept, old in zip((state.x, state.y, state.u, state.sum_x.total), before):
+            assert np.array_equal(kept, old, equal_nan=True)
+
+    def test_probe_run_keeps_its_bits_under_the_textbook_kernels(self, monkeypatch):
+        # The d=50, n=100 probe problem; x may differ only in dead-zone zero signs.
+        spec = Q.QuantileProblemSpec(d=50, n=100, s_star=3, sigma=5e-3)
+        ds = Q.generate_dataset(spec)
+        gamma = Q.quantile_gamma(ds.phi)
+        runs = []
+        for textbook in (False, True):
+            if textbook:
+                monkeypatch.setattr(Q, "quantile_loss", quantile_loss_textbook)
+                monkeypatch.setattr(Q, "soft_threshold", soft_threshold_textbook)
+                monkeypatch.setattr(Q, "quantile_prox_update", quantile_prox_update_cases)
+            result, avg = Q.run_quantile(spec, ds, 2000, gamma=gamma, record_time=False)
+            trace = [(r.objective, r.primal_residual) for r in result.trace]
+            kept = (trace, avg, result.state.y, result.state.u, result.x_bar)
+            runs.append((result.state.x, [np.array(v).tobytes() for v in kept]))
+        (x, kept), (x_textbook, kept_textbook) = runs
+        assert kept == kept_textbook
+        assert np.array_equal(x, x_textbook)
 
     def test_ball_projection_path(self):
         spec = small_spec(radius=0.05)

@@ -49,19 +49,31 @@ def test_every_swapped_attribute_restored_after_a_round_that_raises(bench_profil
     assert counts.seconds["matvec"] > 0 and not counts.in_run
 
 
-def test_ct_step_writes_the_committed_key_sets_and_keeps_other_rows(bench_profile, tmp_path):
-    committed = json.loads((ROOT / "BENCH_ct_step.json").read_text())
+def writes_the_committed_key_sets_and_keeps_other_rows(bench_profile, tmp_path, mode, name):
+    committed = json.loads((ROOT / name).read_text())
     path = tmp_path / "bench.json"
     path.write_text(json.dumps({"parent": committed["parent"]}))
-    assert bench_profile.main(["ct-step", "--rounds", "1", "--iters", "2", "--write", str(path)]) == 0
+    assert bench_profile.main([mode, "--rounds", "1", "--iters", "2", "--write", str(path)]) == 0
     written = json.loads(path.read_text())
     assert set(written) == {"settings", "machine", "parent", "run"}
     for key in ("settings", "machine"):
         assert set(written[key]) == set(committed[key])
-    assert written["settings"]["active_rays"] == committed["settings"]["active_rays"]
-    assert set(written["run"]) == set(committed["change"])
+    assert written["settings"].get("active_rays") == committed["settings"].get("active_rays")
+    assert set(written["run"]) == set(committed["change"]) == set(committed["parent"])
     assert all(set(stats) == {"median", "q1", "q3"} for stats in written["run"].values())
     assert written["parent"] == committed["parent"]
+
+
+def test_ct_step_writes_the_committed_key_sets_and_keeps_other_rows(bench_profile, tmp_path):
+    writes_the_committed_key_sets_and_keeps_other_rows(
+        bench_profile, tmp_path, "ct-step", "BENCH_ct_step.json"
+    )
+
+
+def test_quantile_step_writes_the_committed_key_sets_and_keeps_other_rows(bench_profile, tmp_path):
+    writes_the_committed_key_sets_and_keeps_other_rows(
+        bench_profile, tmp_path, "quantile-step", "BENCH_quantile_step.json"
+    )
 
 
 def test_importing_the_script_loads_neither_numpy_nor_ncadmm():
