@@ -15,6 +15,13 @@
   `quantile_prox_update` (y) and `soft_threshold` (x), and in the whole
   step; the median number of nonzeros of x_t, read from the matvec
   argument.
+- `engine-step` (BENCH_engine_step.json): `engine.run` on the RSC probe
+  problem (d=50, n=100, s*=3, sigma 5e-3), keeping every iterate as the
+  probe does, and on the same problem with identity callbacks (both proxes
+  return their center, the objective is 0, x_0 = 1 so that A x takes the
+  full product as the probe's iterates do): the step, and the engine's own
+  share of it. Microseconds per step, timed around whole runs; no library
+  name is swapped.
 - `peak-rss` (BENCH_peak_rss.json): `ru_maxrss` in MB after one call of each
   entry point in PEAK_ENTRIES, as `perfbench/run.py` reports `peak_rss_mb`,
   in `--processes` fresh interpreters per entry point, taken in turn. The
@@ -206,6 +213,37 @@ def quantile_step(args):
     return step_rounds(args, one_round, 5, settings)
 
 
+def engine_step(args):
+    import numpy as np
+
+    from ncadmm import engine
+    from ncadmm import quantile as Q
+
+    spec = Q.QuantileProblemSpec(**PROBE_QUANTILE, seed=args.seed)
+    probe = Q.build_problem(spec, Q.generate_dataset(spec))
+    keep = engine.CompositeObjective(prox_step=lambda lin, D, center: center)
+    identity = replace(probe, f=keep, g=keep, objective=lambda x, y, ax: 0.0)
+    runs = {
+        "probe": (probe, None),
+        "identity": (identity, (np.ones(spec.d), np.zeros(spec.n), np.zeros(spec.n))),
+    }
+
+    def one_round(iters) -> dict:
+        out = {}
+        for name, (problem, init) in runs.items():
+            iterates = []
+            t0 = time.perf_counter()
+            engine.run(
+                problem, init=init, iters=iters,
+                iteration_hook=lambda t, state: iterates.append((state.x, state.y)),
+            )
+            out[f"{name}_us_per_step"] = 1e6 * (time.perf_counter() - t0) / iters
+        return out
+
+    settings = {"size": f"d={spec.d}, n={spec.n}, s*={spec.s_star}, sigma={spec.sigma}"}
+    return step_rounds(args, one_round, 500, settings)
+
+
 def quantile_sweep(iters):
     from ncadmm import quantile as Q
 
@@ -380,7 +418,12 @@ def write(path, label, settings, summary) -> None:
         fh.write("\n")
 
 
-MODES = {"ct-step": ct_step, "quantile-step": quantile_step, "peak-rss": peak_rss}
+MODES = {
+    "ct-step": ct_step,
+    "quantile-step": quantile_step,
+    "engine-step": engine_step,
+    "peak-rss": peak_rss,
+}
 
 
 def main(argv=None) -> int:
@@ -392,12 +435,15 @@ def main(argv=None) -> int:
     quantile = modes.add_parser("quantile-step", help="the quantile step at the paper size")
     quantile.add_argument("--iters", type=int, default=500, help="iterations per sigma")
     quantile.add_argument("--seed", type=int, default=SEED, help="dataset seed")
+    step = modes.add_parser("engine-step", help="the engine's step at the RSC probe size")
+    step.add_argument("--iters", type=int, default=PEAK_ITERS["quantile-probe"], help="iterations")
+    step.add_argument("--seed", type=int, default=SEED, help="dataset seed")
     peak = modes.add_parser("peak-rss", help="peak resident memory, one process per call")
     peak.add_argument("--processes", type=int, default=5, help="fresh processes per entry point")
     peak.add_argument("--entry", choices=PEAK_ENTRIES, help=argparse.SUPPRESS)
-    for mode in (ct, quantile):
+    for mode in (ct, quantile, step):
         mode.add_argument("--rounds", type=int, default=5)
-    for mode in (ct, quantile, peak):
+    for mode in (ct, quantile, step, peak):
         mode.add_argument("--label", default="run")
         mode.add_argument("--write", default=None, help="JSON file to merge this run into")
     args = parser.parse_args(argv)

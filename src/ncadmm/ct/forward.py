@@ -539,11 +539,12 @@ class CtLoss:
     t = -mu.y to the per-ray rows, one block at a time. One object serves
     every loss evaluation of a run (the gradient of g_d at y_t, the value at
     P x_{t+1}, the gradient the alpha diagnostic takes at y_{t+1}) and lends
-    t and d1 to the per-ray Newton solve. An evaluation with the gradient
-    also contracts d2 into the (ray, entry) rows of the Hessian of g_c and
-    holds on to its point: its parts and Hessian rows are handed out again
-    for a y equal to that point, and for no other y. Any other evaluation,
-    and one that fails, holds no point. `newton_ray_steps` and
+    t and d1 to the per-ray Newton solve. A `parts` evaluation with the
+    gradient also contracts d2 into the (ray, entry) rows of the Hessian of
+    g_c and holds on to its point: its parts and Hessian rows are handed out
+    again for a y equal to that point, and for no other y. Any other
+    evaluation, `gradient` included, and one that fails, holds no point.
+    `newton_ray_steps` and
     `newton_capped` count the work of the Newton solves that used its
     arrays: rays updated, summed over steps, and rays still moving when the
     step cap ended a solve.
@@ -588,11 +589,25 @@ class CtLoss:
         are not formed, and the values have the same bits. A nonpositive
         window mean raises ValueError.
         """
+        y = self._point(y)
+        if want_grad and self.held_rows(y) is not None:
+            return self._parts
+        return self._evaluate(y, want_grad, hold=want_grad)
+
+    def gradient(self, y: np.ndarray) -> np.ndarray:
+        """The gradient of g at y, the bits of `parts(y).grad`, for a point no
+        step comes back to: it forms no Hessian rows and holds no point."""
+        return self._evaluate(self._point(y), want_grad=True, hold=False).grad
+
+    def _point(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         if y.shape != self._at.shape:
             raise ValueError("y must be (n_rays, n_materials)")
-        if want_grad and self.held_rows(y) is not None:
-            return self._parts
+        return y
+
+    def _evaluate(self, y: np.ndarray, want_grad: bool, hold: bool) -> LossParts:
+        """The parts at y, formed afresh; with `hold`, also the Hessian rows,
+        and y becomes the held point."""
         model = self.model
         sb = model.response                              # (n_w, n_i)
         n_rays = y.shape[0]
@@ -601,6 +616,7 @@ class CtLoss:
         ray_c = np.empty(n_rays)  # each ray's term of g_c
         if want_grad:
             grad_c, grad_d = np.empty(y.shape), np.empty(y.shape)
+        if hold:
             hess = np.empty((n_rays, len(self.mu_pairs)))
         for rays in ray_blocks(n_rays, model.n_energies):
             t = np.matmul(y[rays], self.neg_mu, out=self.t[: rays.stop - rays.start])
@@ -622,7 +638,8 @@ class CtLoss:
             np.matmul(val, model.beam, out=ray_c[rays])
             if want_grad:
                 np.matmul(d1, self.neg_mu_b.T, out=grad_c[rays])
-                np.matmul(d2, self.mu_pairs.T, out=hess[rays])
+                if hold:
+                    np.matmul(d2, self.mu_pairs.T, out=hess[rays])
                 ratio = self.counts[:, rays] / block_means
                 weighted = np.matmul(ratio.T, sb, out=val)
                 weighted *= d1
@@ -631,10 +648,11 @@ class CtLoss:
         g_d = float(-(self.counts * np.log(means)).sum())
         if not want_grad:
             return LossParts(g_c=g_c, g_d=g_d)
-        np.copyto(self._at, y)
-        self._parts = LossParts(g_c=g_c, g_d=g_d, grad_c=grad_c, grad_d=grad_d)
-        self._hess = hess
-        return self._parts
+        parts = LossParts(g_c=g_c, g_d=g_d, grad_c=grad_c, grad_d=grad_d)
+        if hold:
+            np.copyto(self._at, y)
+            self._parts, self._hess = parts, hess
+        return parts
 
 
 def ct_loss_parts(

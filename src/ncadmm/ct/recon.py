@@ -258,8 +258,8 @@ def alpha_t_diagnostic(
 def fosp_ratio(model: SpectralModel, counts: np.ndarray, y_star: np.ndarray) -> float:
     """||grad g(y*)|| / ||grad g(0)||: near-zero certifies approximate stationarity."""
     loss = CtLoss(model, counts)
-    grad_star = loss.parts(y_star).grad
-    grad_zero = loss.parts(np.zeros_like(y_star)).grad
+    grad_star = loss.gradient(y_star)
+    grad_zero = loss.gradient(np.zeros_like(y_star))
     denom = float(np.linalg.norm(grad_zero))
     if denom == 0.0:
         raise ValueError("gradient at zero vanishes; ratio undefined")
@@ -330,7 +330,7 @@ def run_ct_reconstruction(
     solve).
     """
     problem, loss = build_ct_problem(model, projector, counts, sigma)
-    grad_star = loss.parts(y_star).grad
+    grad_star = loss.gradient(y_star)
 
     def alpha_hook(t, x, y, u, proj):
         return alpha_t_diagnostic(

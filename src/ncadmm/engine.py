@@ -245,6 +245,8 @@ class Trace(RecordColumns):
 
     alpha_t is kept as a double beside a presence mask, so an alpha_t of None
     (no hook, or a hook that returned None) stays distinct from a NaN one.
+    `admm_step` appends each row as values with `append_row`, building no
+    TraceRecord; `append(rec)` takes a record.
     """
 
     def __init__(self):
@@ -252,12 +254,19 @@ class Trace(RecordColumns):
         super().__init__(_trace_record, columns)
 
     def append(self, rec: TraceRecord) -> None:
+        self.append_row(rec.t, rec.objective, rec.primal_residual, rec.alpha_t, rec.seconds)
+
+    def append_row(self, t, objective, primal_residual, alpha_t, seconds) -> None:
         # alpha_t first: it alone comes from a caller's hook, so a value that
         # is no number fails before any column has grown.
-        alpha = 0.0 if rec.alpha_t is None else float(rec.alpha_t)
-        row = (rec.t, rec.objective, rec.primal_residual, alpha, rec.alpha_t is not None, rec.seconds)
-        for column, value in zip(self._columns, row):
-            column.append(value)
+        alpha = 0.0 if alpha_t is None else float(alpha_t)
+        ts, objectives, residuals, alphas, has_alpha, times = self._columns
+        ts.append(t)
+        objectives.append(objective)
+        residuals.append(primal_residual)
+        alphas.append(alpha)
+        has_alpha.append(alpha_t is not None)
+        times.append(seconds)
 
 
 class KahanSum:
@@ -275,7 +284,7 @@ class KahanSum:
         self.total = t
 
 
-@dataclass
+@dataclass(slots=True)
 class AdmmState:
     """Iterate (x_t, y_t, u_t), the running sum of the x iterates and the trace so far.
 
@@ -326,11 +335,17 @@ class AdmmStepError(RuntimeError):
 
 
 def _checked(v, shape: tuple, iteration: int, what: str) -> np.ndarray:
-    """v as a float array, or AdmmStepError if it has the wrong shape or a non-finite entry."""
+    """v as a float array, or AdmmStepError if it has the wrong shape or a non-finite entry.
+
+    Finiteness takes one reduction, the sum of v: a NaN or +-inf entry makes
+    the sum NaN or +-inf, so a finite sum proves every entry finite. A sum
+    that is not finite runs the elementwise test, which passes only when
+    finite entries overflowed the sum (numpy then warns of the overflow).
+    """
     v = np.asarray(v, dtype=float)
     if v.shape != shape:
         raise AdmmStepError(iteration, f"{what} has shape {v.shape}, expected {shape}")
-    if not np.isfinite(v).all():
+    if not math.isfinite(np.add.reduce(v, axis=None)) and not np.isfinite(v).all():
         raise AdmmStepError(iteration, f"{what} produced non-finite values")
     return v
 
@@ -395,13 +410,11 @@ def admm_step(
     if alpha_hook is not None:
         alpha = _call(it, "alpha_hook", alpha_hook, it, x_new, y_new, u_new, ax_new)
 
-    state.sum_x.add(x_new)
+    sum_x, trace = state.sum_x, state.trace
+    sum_x.add(x_new)
     seconds = time.perf_counter() - t0 if record_time else 0.0
-    state.trace.append(TraceRecord(it, obj, math.sqrt(np.vdot(residual, residual)), alpha, seconds))
-    return AdmmState(
-        t=it, x=x_new, y=y_new, u=u_new, sum_x=state.sum_x, trace=state.trace,
-        ax=ax_new, sr=sr_new,
-    )
+    trace.append_row(it, obj, math.sqrt(np.vdot(residual, residual)), alpha, seconds)
+    return AdmmState(it, x_new, y_new, u_new, sum_x, trace, ax_new, sr_new)
 
 
 @dataclass
@@ -436,7 +449,7 @@ def run(
     state = AdmmState.initial(*init)
     try:
         for _ in range(iters):
-            state = admm_step(problem, state, alpha_hook=alpha_hook, record_time=record_time)
+            state = admm_step(problem, state, alpha_hook, record_time)
             if iteration_hook is not None:
                 iteration_hook(state.t, state)
     except AdmmStepError as exc:

@@ -25,7 +25,11 @@ __all__ = [
 
 def quantile_loss(t, q: float):
     """Pinball loss q*max(t,0) + (1-q)*max(-t,0) as max(q*t, (q-1)*t): for q in (0, 1),
-    the same bits but for a zero's sign, as (q-1)*t is exactly (1-q)*(-t)."""
+    the same bits but for a zero's sign, as (q-1)*t is exactly (1-q)*(-t).
+
+    q must lie in the open interval (0, 1), as `QuantileProblemSpec` ensures;
+    it is not checked per call. At q = 0 or 1 an infinite t gives NaN (0 * inf).
+    """
     t = np.asarray(t, dtype=float)
     out = np.maximum(q * t, (q - 1.0) * t)
     return float(out) if out.ndim == 0 else out

@@ -135,16 +135,21 @@ def build_problem(
     The x subproblem quadratic is D_f = sigma*gamma*I, i.e. the step-size
     matrix is H_f = sigma*(gamma*I - Phi'Phi), so the prox is the
     soft-threshold/ball composition; the y subproblem quadratic is sigma*I.
+    D_f is fixed, so the x prox takes its entry and the threshold once, here,
+    and projects onto the ball only when the radius is finite.
     """
     if gamma is None:
         gamma = quantile_gamma(dataset.phi)
-    sig, lam, q, n = spec.sigma, spec.lam, spec.q, spec.n
+    sig, lam, q, n, radius = spec.sigma, spec.lam, spec.q, spec.n, spec.radius
     penalty = spec.penalty
+    scale = sig * gamma
+    thresh = lam / scale
+    bounded = math.isfinite(radius)
 
     def prox_x(lin, D, center):
-        scale = float(D.diag[0])
-        x_tilde = center - lin / scale
-        return ball_project(soft_threshold(x_tilde, lam / scale), spec.radius)
+        # soft_threshold is looked up by name at each call: the benchmark's tracer patches it
+        x_new = soft_threshold(center - lin / scale, thresh)
+        return ball_project(x_new, radius) if bounded else x_new
 
     def prox_y(lin, D, center):
         anchor = center - lin / D.diag
@@ -159,7 +164,7 @@ def build_problem(
         sigma=DiagonalMatrix(np.full(spec.n, sig)),
         f=CompositeObjective(prox_step=prox_x, grad_d=grad_d),
         g=CompositeObjective(prox_step=prox_y),
-        D_f=DiagonalMatrix(np.full(spec.d, sig * gamma)),
+        D_f=DiagonalMatrix(np.full(spec.d, scale)),
         D_g=DiagonalMatrix(np.full(spec.n, sig)),
         objective=lambda x, y, phi_x: _objective_at(q, penalty, dataset.w, phi_x, x),
     )

@@ -548,6 +548,18 @@ class TestLossEvaluator:
                     assert got.grad_c.tobytes() == ref.grad_c.tobytes()
                     assert got.grad_d.tobytes() == ref.grad_d.tobytes()
 
+    def test_gradient_is_the_parts_gradient_and_holds_no_point(self, small_ct):
+        model, loss, y, _, _ = loss_and_newton_inputs(small_ct)
+        counts = small_ct[4]
+        for point in (y, np.zeros_like(y), -5.0 * np.abs(y)):
+            loss.parts(y)
+            got = loss.gradient(point)
+            ref = F.ct_loss_parts(model, point.copy(), counts).grad
+            assert got.tobytes() == ref.tobytes()
+            assert loss.held_rows(point) is None and loss.held_rows(y) is None
+        with pytest.raises(ValueError, match="y must be"):
+            loss.gradient(y[:-1])
+
     def test_newton_reusing_held_rows_matches_fresh_rows(self, small_ct, monkeypatch):
         counting = CountingSlopes(monkeypatch)
         cases = [loss_and_newton_inputs(small_ct)]

@@ -223,6 +223,56 @@ class TestAdmmStep:
             state = new
 
 
+def fixed_update_problem(x_new, y_new):
+    """A = Sigma = I on R^2, with proxes that return the given updates."""
+    two = DiagonalMatrix(np.ones(2))
+    return AdmmProblem(
+        A=ScaledIdentity(2, 1.0),
+        sigma=two,
+        f=CompositeObjective(prox_step=lambda lin, D, center: x_new),
+        g=CompositeObjective(prox_step=lambda lin, D, center: y_new),
+        D_f=two,
+        D_g=two,
+        objective=zero_objective,
+    )
+
+
+def step_with_update(var, value):
+    """The state and the step whose `var` update is `value`: x and y come from
+    their proxes, u from u_0 (x and y stay zero, so u_1 = u_0)."""
+    v, zero = np.array(value), np.zeros(2)
+    x_new, y_new, u0 = {"x": (v, zero, zero), "y": (zero, v, zero), "u": (zero, zero, v)}[var]
+    state = AdmmState.initial(zero, zero, u0)
+    return state, lambda: engine.admm_step(fixed_update_problem(x_new, y_new), state)
+
+
+class TestFinitenessCheck:
+    @pytest.mark.parametrize("var", ["x", "y", "u"])
+    def test_finite_entries_whose_sum_overflows_are_accepted(self, var):
+        value = [1.7e308, 1.7e308]
+        _, step = step_with_update(var, value)
+        with np.errstate(over="ignore"):  # the sums overflow; numpy's warning is not under test
+            new = step()
+        assert np.array_equal(getattr(new, var), value)
+        assert new.t == 1 and len(new.trace) == 1
+
+    @pytest.mark.parametrize("var", ["x", "y", "u"])
+    @pytest.mark.parametrize(
+        "value",
+        [[math.nan, 1.0], [1.0, math.inf], [-math.inf, 1.0], [math.inf, -math.inf]],
+        ids=["nan", "+inf", "-inf", "+inf,-inf"],
+    )
+    def test_nan_or_inf_rejected(self, var, value):
+        state, step = step_with_update(var, value)
+        with np.errstate(invalid="ignore"), pytest.raises(
+            AdmmStepError, match=re.escape(f"{var} update produced non-finite values")
+        ) as err:
+            step()
+        assert err.value.iteration == 1
+        assert state.t == 0 and state.trace == []
+        assert not state.sum_x.total.any()
+
+
 class CountingMap(DenseMap):
     """DenseMap that counts its products and remembers the last matvec."""
 
@@ -298,20 +348,40 @@ class TestProductReuse:
 
 
 class TestLeanStepMatchesReference:
-    def test_quantile_probe_problem_2000_steps(self):
-        spec = Q.QuantileProblemSpec(d=50, n=100, s_star=3, sigma=5e-3)
-        prob = Q.build_problem(spec, Q.generate_dataset(spec))
-        lean = AdmmState.initial(np.zeros(spec.d), np.zeros(spec.n), np.zeros(spec.n))
-        ref = AdmmState.initial(np.zeros(spec.d), np.zeros(spec.n), np.zeros(spec.n))
-        for _ in range(2000):
-            lean = engine.admm_step(prob, lean, record_time=False)
-            ref = admm_step_reference(prob, ref, record_time=False)
+    @staticmethod
+    def assert_same_run(build, init, steps, alpha_hook=None):
+        """`steps` lean and reference steps, each on its own problem from
+        `build()`: the same iterate, products, running sum and trace columns."""
+        runs = []
+        for step in (engine.admm_step, admm_step_reference):
+            prob, state = build(), AdmmState.initial(*init)
+            for _ in range(steps):
+                state = step(prob, state, alpha_hook=alpha_hook, record_time=False)
+            runs.append(state)
+        lean, ref = runs
         for v in ("x", "y", "u", "ax", "x_bar"):
             assert np.array_equal(getattr(lean, v), getattr(ref, v)), v
+        assert np.array_equal(lean.sum_x.total, ref.sum_x.total)
         assert np.array_equal(lean.sum_x._comp, ref.sum_x._comp)
-        assert [(r.t, r.objective, r.primal_residual) for r in lean.trace] == [
-            (r.t, r.objective, r.primal_residual) for r in ref.trace
-        ]
+        for got, want in zip(lean.trace._columns, ref.trace._columns, strict=True):
+            assert len(got) == steps and got == want
+        return lean
+
+    def test_quantile_probe_problem_2000_steps(self):
+        spec = Q.QuantileProblemSpec(d=50, n=100, s_star=3, sigma=5e-3)
+        dataset = Q.generate_dataset(spec)
+        init = (np.zeros(spec.d), np.zeros(spec.n), np.zeros(spec.n))
+        self.assert_same_run(lambda: Q.build_problem(spec, dataset), init, 2000)
+
+    def test_ct_problem_with_alpha_column(self):
+        prob = small_ct_problem()
+        init = (np.zeros(prob.x_shape), np.full(prob.y_shape, 0.1), np.zeros(prob.y_shape))
+
+        def alpha_hook(t, x, y, u, ax):  # None on odd steps: both alpha columns vary
+            return None if t % 2 else float(np.vdot(u, ax - y))
+
+        lean = self.assert_same_run(small_ct_problem, init, 30, alpha_hook)
+        assert [r.alpha_t is None for r in lean.trace] == [t % 2 == 1 for t in range(1, 31)]
 
 
 class TestRun:

@@ -59,9 +59,13 @@ class TestGenerateDataset:
         assert np.all(np.isfinite(z))
         assert z.shape == (spec.n,)
 
+    @pytest.mark.parametrize("q", [0.0, 1.0, 1.5, -0.5, math.nan])
+    def test_q_outside_the_open_unit_interval_rejected(self, q):
+        # prox.quantile_loss does not check q per call; the spec keeps it in (0, 1).
+        with pytest.raises(ValueError, match=r"q must lie in \(0, 1\)"):
+            small_spec(q=q)
+
     def test_invalid_specs_rejected(self):
-        with pytest.raises(ValueError):
-            small_spec(q=1.5)
         with pytest.raises(ValueError):
             small_spec(s_star=100, d=10)
         with pytest.raises(ValueError):

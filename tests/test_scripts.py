@@ -76,6 +76,12 @@ def test_quantile_step_writes_the_committed_key_sets_and_keeps_other_rows(bench_
     )
 
 
+def test_engine_step_writes_the_committed_key_sets_and_keeps_other_rows(bench_profile, tmp_path):
+    writes_the_committed_key_sets_and_keeps_other_rows(
+        bench_profile, tmp_path, "engine-step", "BENCH_engine_step.json"
+    )
+
+
 def test_importing_the_script_loads_neither_numpy_nor_ncadmm():
     code = (
         f"import sys; sys.path.insert(0, {str(SCRIPTS)!r}); import bench_profile; "
