@@ -192,7 +192,7 @@ def build_projector(geom: CtGeometry) -> SparseMatrix:
         cols.append(keys % geom.n_pixels)
 
     indptr = np.append(0, np.cumsum(np.concatenate(counts)))
-    return SparseMatrix.from_csr(
+    return SparseMatrix(
         geom.n_rays, geom.n_pixels, indptr, np.concatenate(cols), np.concatenate(lengths)
     )
 

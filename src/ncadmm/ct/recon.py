@@ -367,9 +367,9 @@ def run_ct_experiment(
     out_dir is given) one trace per sigma, with the projection-domain loss in
     the objective column and the curvature ratio in the alpha_t column, plus
     one reconstructed image grid per material (text and graymap). Sigmas
-    whose file names would coincide, and an output path that is a directory,
-    are rejected before the set-up. A step failure writes the rows of the
-    steps before it to that sigma's trace and re-raises.
+    whose file names would coincide, and outputs that `check_output_paths`
+    finds unwritable, are rejected before the set-up. A step failure writes
+    the rows of the steps before it to that sigma's trace and re-raises.
     """
     from .forward import build_projector, forward_counts
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,35 +69,17 @@ def rsc_probe(
     zeta_star: np.ndarray,
     t: int | None = None,
 ) -> RscProbeResult:
-    """Curvature inner product and slack terms at one probe point.
+    """Curvature inner product and slack terms at one probe point: the
+    `probe_trajectory` of that one point, with its t replaced.
 
     `subgrad_selector(xs, ys)` supplies one subgradient pair per row of the
     (k, dim_x) and (k, dim_y) stacks it is given, here a stack of one; the
     caller fixes (xi_star, zeta_star) once at the anchor.
     """
-    columns = _probe_block(
-        problem, subgrad_selector, np.asarray(x, dtype=float)[None],
-        np.asarray(y, dtype=float)[None], x_star, y_star, xi_star, zeta_star,
+    (result,) = probe_trajectory(
+        problem, subgrad_selector, [(x, y)], x_star, y_star, xi_star, zeta_star
     )
-    return RscProbeResult(t, *(column.item() for column in columns))
-
-
-def _probe_block(problem, subgrad_selector, xs, ys, x_star, y_star, xi_star, zeta_star):
-    """`rsc_probe` at every row of `xs` and `ys`: the lhs, penalty, dist_x
-    and dist_y columns, one entry per row.
-
-    One selector call, one product with A on the column stack, and row-wise
-    inner products and norms.
-    """
-    xi, zeta = subgrad_selector(xs, ys)
-    dx = xs - x_star
-    dy = ys - y_star
-    lhs = np.sum(dx * (xi - xi_star), axis=1) + np.sum(dy * (zeta - zeta_star), axis=1)
-    violation = problem.A.matmat(xs.T) - ys.T
-    penalty = 0.5 * np.sum(problem.sigma.diag[:, None] * violation * violation, axis=0)
-    dist_x = np.linalg.norm(dx, axis=1)
-    dist_y = np.linalg.norm(dy, axis=1)
-    return lhs, penalty, dist_x, dist_y
+    return replace(result, t=t)
 
 
 def fosp_residuals(
@@ -133,21 +115,24 @@ def probe_trajectory(
 
     The pairs are probed PROBE_BLOCK at a time, so the selector sees row
     stacks of at most that many iterates and never the whole trajectory.
-    Each block's lhs, penalty, dist_x and dist_y columns are appended to
-    columns of doubles, and the result hands out one RscProbeResult per
-    iterate from them (32 bytes an iterate); no iterates give an empty
-    sequence, equal to [].
+    Each block takes one selector call, one product with A on the column
+    stack, and row-wise inner products and norms; its lhs, penalty, dist_x
+    and dist_y columns are appended to columns of doubles. Indexing and
+    iteration of the result hand out one RscProbeResult per iterate, built
+    from the columns (32 bytes an iterate); no iterates give it length 0.
     """
     pairs = iter(iterates)
     columns = tuple(array("d") for _ in range(4))
     while block := list(itertools.islice(pairs, PROBE_BLOCK)):
-        xs, ys = zip(*block)
-        values = _probe_block(
-            problem, subgrad_selector, np.array(xs, dtype=float), np.array(ys, dtype=float),
-            x_star, y_star, xi_star, zeta_star,
-        )
-        for column, block_values in zip(columns, values):
-            column.extend(block_values.tolist())
+        xs, ys = (np.array(v, dtype=float) for v in zip(*block))
+        xi, zeta = subgrad_selector(xs, ys)
+        dx, dy = xs - x_star, ys - y_star
+        lhs = np.sum(dx * (xi - xi_star), axis=1) + np.sum(dy * (zeta - zeta_star), axis=1)
+        violation = problem.A.matmat(xs.T) - ys.T
+        penalty = 0.5 * np.sum(problem.sigma.diag[:, None] * violation * violation, axis=0)
+        dist_x, dist_y = np.linalg.norm(dx, axis=1), np.linalg.norm(dy, axis=1)
+        for column, values in zip(columns, (lhs, penalty, dist_x, dist_y)):
+            column.extend(values.tolist())
     return RecordColumns(RscProbeResult, (range(1, len(columns[0]) + 1), *columns))
 
 

@@ -23,7 +23,6 @@ x_bar is the averaged output, and one trace record per step.
 
 from __future__ import annotations
 
-import copy
 import errno
 import itertools
 import math
@@ -201,39 +200,25 @@ class TraceRecord:
 class RecordColumns(Sequence):
     """A read-only sequence of records kept as one column per field.
 
-    `columns` holds equal-length sequences that index and slice like a list
-    (stdlib arrays, ranges), one value per record each; `record(*values)`
-    builds the record of one index from one value per column. Indexing and
-    iteration hand out fresh records and a slice keeps columns, so a long
-    sequence costs its columns' bytes, not one Python object per record. It
-    equals any sequence of records that compare equal one by one, as a list
-    of them would.
+    `columns` holds equal-length sequences that index like a list (stdlib
+    arrays, ranges), one value per record each; `record(*values)` builds the
+    record of one index from one value per column. `len`, iteration and
+    indexing (`[-1]` too) hand out fresh records, so a long sequence costs its
+    columns' bytes, not one Python object per record.
     """
 
     def __init__(self, record: Callable, columns: tuple):
-        self._record = record
-        self._columns = columns
+        self._record, self._columns = record, columns
 
     def __len__(self) -> int:
         return len(self._columns[0])
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            part = copy.copy(self)
-            part._columns = tuple(column[i] for column in self._columns)
-            return part
+    def __getitem__(self, i: int):
+        i = operator.index(i)  # a slice would slice the columns into one record of slices
         return self._record(*(column[i] for column in self._columns))
 
     def __iter__(self):
         return itertools.starmap(self._record, zip(*self._columns))
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({list(self)!r})"
 
 
 def _trace_record(t, objective, primal_residual, alpha_t, has_alpha, seconds) -> TraceRecord:
@@ -245,16 +230,12 @@ class Trace(RecordColumns):
 
     alpha_t is kept as a double beside a presence mask, so an alpha_t of None
     (no hook, or a hook that returned None) stays distinct from a NaN one.
-    `admm_step` appends each row as values with `append_row`, building no
-    TraceRecord; `append(rec)` takes a record.
+    `admm_step` appends each row as values (`append_row`), building no record.
     """
 
     def __init__(self):
         columns = (array("q"), array("d"), array("d"), array("d"), array("b"), array("d"))
         super().__init__(_trace_record, columns)
-
-    def append(self, rec: TraceRecord) -> None:
-        self.append_row(rec.t, rec.objective, rec.primal_residual, rec.alpha_t, rec.seconds)
 
     def append_row(self, t, objective, primal_residual, alpha_t, seconds) -> None:
         # alpha_t first: it alone comes from a caller's hook, so a value that
@@ -484,10 +465,16 @@ def check_sigma_names(sigma_list) -> None:
 def check_output_paths(out_dir, names) -> None:
     """Raise the error that writing would raise for an output file under
     `out_dir`, so that a run fails before its set-up and not after its solve:
-    IsADirectoryError for a path that is an existing directory, and
-    PermissionError for an existing file, or a new file in an existing
-    directory, that this process may not write (`os.access`). Creates no file."""
-    dir_ok = not os.path.isdir(out_dir) or os.access(out_dir, os.W_OK | os.X_OK)
+    FileNotFoundError or NotADirectoryError when `out_dir` is missing or no
+    directory, IsADirectoryError for a path that is an existing directory, and
+    PermissionError for an existing file, or a new file in `out_dir`, that this
+    process may not write (`os.access`). Creates no file."""
+    try:
+        os.stat(os.path.join(out_dir, ""))  # the trailing separator asks for a directory
+    except OSError as exc:  # re-raised as its errno's subclass, at the first file's path
+        if names:
+            raise OSError(exc.errno, exc.strerror, os.path.join(out_dir, names[0])) from None
+    dir_ok = os.access(out_dir, os.W_OK | os.X_OK)
     for name in names:
         path = os.path.join(out_dir, name)
         if os.path.isdir(path):

@@ -54,44 +54,13 @@ def _as_float_array(v, name: str) -> np.ndarray:
 
 
 class SparseMatrix:
-    """Immutable sparse matrix stored as CSR, built from (row, col, value) triples
-    or, by `from_csr`, from its CSR arrays.
-
-    Duplicate (row, col) pairs are rejected rather than summed, so the triple
-    representation is canonical. Its read-only CSR arrays are `indptr`, `indices`
-    and `data`, with int32 indices when they fit, as scipy stores them.
+    """Immutable sparse matrix built from its CSR arrays: `indptr` (rows + 1
+    entries rising from 0 to nnz), `indices` (each entry's column) and `data`
+    (its finite value), checked in O(nnz), kept (not copied) and made
+    read-only, with int32 indices when they fit, as scipy stores them.
     """
 
-    def __init__(self, rows: int, cols: int, row_idx, col_idx, values):
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        row_idx = np.asarray(row_idx, dtype=np.int64)
-        col_idx = np.asarray(col_idx, dtype=np.int64)
-        # A copy: the matrix keeps it as its data and makes that read-only.
-        values = _as_float_array(values, "values").copy()
-        if not (row_idx.shape == col_idx.shape == values.shape):
-            raise ValueError("row/col/value arrays must have equal length")
-        indptr = np.zeros(rows + 1, dtype=np.int64)
-        if row_idx.size:
-            if row_idx.min() < 0 or row_idx.max() >= rows:
-                raise ValueError("row index out of range")
-            if col_idx.min() < 0 or col_idx.max() >= cols:
-                raise ValueError("col index out of range")
-            # The CSR order is the order of the keys; sort only if not in it.
-            keys = row_idx * cols + col_idx
-            if not (keys[1:] > keys[:-1]).all():
-                order = np.argsort(keys)
-                keys, values = keys[order], values[order]
-                if (keys[1:] == keys[:-1]).any():
-                    raise ValueError("duplicate (row, col) entries")
-            row_idx, col_idx = np.divmod(keys, cols)
-            np.cumsum(np.bincount(row_idx, minlength=rows), out=indptr[1:])
-        self._set_csr(rows, cols, indptr, col_idx, values)
-
-    @classmethod
-    def from_csr(cls, rows: int, cols: int, indptr, indices, data) -> "SparseMatrix":
-        """The matrix with these CSR arrays, kept (not copied) and made read-only,
-        after O(nnz) checks of their lengths, of indptr and of the column range."""
+    def __init__(self, rows: int, cols: int, indptr, indices, data):
         indptr, indices = np.asarray(indptr), np.asarray(indices)
         data = _as_float_array(data, "values")
         if rows < 0 or cols < 0 or indptr.shape != (rows + 1,) or indices.shape != data.shape:
@@ -100,11 +69,6 @@ class SparseMatrix:
             raise ValueError("indptr must rise from 0 to nnz")
         if indices.size and (indices.min() < 0 or indices.max() >= cols):
             raise ValueError("col index out of range")
-        matrix = cls.__new__(cls)
-        matrix._set_csr(rows, cols, indptr, indices, data)
-        return matrix
-
-    def _set_csr(self, rows: int, cols: int, indptr, indices, data) -> None:
         idx = np.int32 if max(rows, cols, data.size) <= np.iinfo(np.int32).max else np.int64
         self.rows, self.cols, self.data = rows, cols, data
         self.indptr, self.indices = indptr.astype(idx, copy=False), indices.astype(idx, copy=False)
@@ -157,8 +121,7 @@ class SparseMatrix:
         lengths = np.diff(self.indptr)
         keep = np.repeat(mask, lengths)
         indptr = np.append(0, np.cumsum(lengths[mask]))
-        return SparseMatrix.from_csr(indptr.size - 1, self.cols, indptr, self.indices[keep],
-                                     self.data[keep])
+        return SparseMatrix(indptr.size - 1, self.cols, indptr, self.indices[keep], self.data[keep])
 
     def __repr__(self) -> str:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.data.size})"

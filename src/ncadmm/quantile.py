@@ -220,9 +220,9 @@ def run_sigma_sweep(
 
     Each trace carries the per-iterate loss in the objective column and the
     running-average loss as the extra `objective_avg` column. Sigmas whose
-    file names would coincide, and a trace path that is a directory, are
-    rejected before the set-up. A step failure writes the rows of the steps
-    before it to that sigma's trace and re-raises.
+    file names would coincide, and traces that `engine.check_output_paths`
+    finds unwritable, are rejected before the set-up. A step failure writes
+    the rows of the steps before it to that sigma's trace and re-raises.
     """
     engine.check_sigma_names(sigma_list)
     if out_dir is not None:

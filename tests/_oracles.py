@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import coo_array
 
 from ncadmm.config import ExperimentConfig, config_from_sections, read_sections
 from ncadmm.ct import recon as R
@@ -39,7 +40,6 @@ from ncadmm.engine import (
     AdmmState,
     AdmmStepError,
     CompositeObjective,
-    TraceRecord,
     quadratic_prox,
     run,
 )
@@ -254,7 +254,7 @@ def build_projector_loop(geom):
             rows.extend([ray] * len(pix))
             cols.extend(pix)
             vals.extend(lens)
-    return SparseMatrix(geom.n_rays, geom.n_pixels, rows, cols, vals)
+    return sparse_from_triples(geom.n_rays, geom.n_pixels, rows, cols, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +288,25 @@ def zero_objective(x, y, ax):
     return 0.0
 
 
+def sparse_from_triples(rows, cols, row_idx, col_idx, values):
+    """SparseMatrix of (row, col, value) triples, through scipy's COO to CSR
+    conversion: rows in order, each row's columns sorted, and duplicate
+    (row, col) pairs summed (the oracles pass none, so no entry changes bits)."""
+    ij = (np.asarray(row_idx, dtype=np.int64), np.asarray(col_idx, dtype=np.int64))
+    csr = coo_array((np.asarray(values, dtype=float), ij), shape=(rows, cols)).tocsr()
+    return SparseMatrix(rows, cols, csr.indptr, csr.indices, csr.data)
+
+
 def sparse_from_dense(a):
     """SparseMatrix holding the nonzero entries of a dense 2-D array."""
     a = np.asarray(a, dtype=float)
     r, c = np.nonzero(a)
-    return SparseMatrix(a.shape[0], a.shape[1], r, c, a[r, c])
+    return sparse_from_triples(a.shape[0], a.shape[1], r, c, a[r, c])
 
 
 def sparse_identity(n, scale=1.0):
     idx = np.arange(n)
-    return SparseMatrix(n, n, idx, idx, np.full(n, float(scale)))
+    return sparse_from_triples(n, n, idx, idx, np.full(n, float(scale)))
 
 
 def sparse_nnz(m):
@@ -501,7 +510,7 @@ def build_projector_triples(geom):
     keys, where = np.unique(np.concatenate(keys), return_inverse=True)
     lengths = np.bincount(where, weights=np.concatenate(lengths))
     rows, cols = np.divmod(keys, geom.n_pixels)
-    return SparseMatrix(geom.n_rays, geom.n_pixels, rows, cols, lengths)
+    return sparse_from_triples(geom.n_rays, geom.n_pixels, rows, cols, lengths)
 
 
 def forward_counts_whole(model, projector, image, seed):
@@ -834,7 +843,7 @@ def admm_step_reference(problem, state, alpha_hook=None, record_time=True):
 
     kahan_add_reference(state.sum_x, x_new)
     seconds = time.perf_counter() - t0 if record_time else 0.0
-    state.trace.append(TraceRecord(it, obj, float(np.linalg.norm(residual)), alpha, seconds))
+    state.trace.append_row(it, obj, float(np.linalg.norm(residual)), alpha, seconds)
     return AdmmState(
         t=it, x=x_new, y=y_new, u=u_new, sum_x=state.sum_x, trace=state.trace, ax=ax_new,
     )

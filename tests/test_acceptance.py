@@ -183,7 +183,7 @@ def test_ct_reconstruction_quality(ct_sweep):
     late = {
         sigma: float(
             np.median(
-                [r.objective for r in summary["runs"][sigma]["result"].trace[899:1000]]
+                [r.objective for r in summary["runs"][sigma]["result"].trace][899:1000]
             )
         )
         for sigma in CT_SIGMAS

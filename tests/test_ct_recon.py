@@ -7,7 +7,7 @@ from ncadmm import engine
 from ncadmm.ct import forward as F
 from ncadmm.ct import recon as R
 from ncadmm.engine import load_trace
-from ncadmm.numerics import DiagonalMatrix
+from ncadmm.numerics import DiagonalMatrix, SparseMatrix
 from ncadmm.prox import qexp
 
 import _oracles
@@ -91,9 +91,7 @@ class TestXUpdate:
 
     def test_scalar_hand_trace(self):
         # one pixel, one ray, one material: everything is a number
-        p = __import__("ncadmm.numerics", fromlist=["SparseMatrix"]).SparseMatrix(
-            1, 1, [0], [0], [0.7]
-        )
+        p = SparseMatrix(1, 1, [0, 1], [0], [0.7])
         sigma = 2.0
         pre = R.build_preconditioners(p, sigma)
         q_f = sigma * 0.7
@@ -811,6 +809,16 @@ class TestExperimentRunner:
             )
         assert info.value.filename == str(tmp_path / blocked)
         assert [p.name for p in tmp_path.iterdir()] == [blocked]
+        # an out_dir that is missing, or is a file, fails as the first write would
+        (tmp_path / "file").write_text("")
+        for out, error in (("missing", FileNotFoundError), ("file", NotADirectoryError)):
+            with pytest.raises(error) as info:
+                R.run_ct_experiment(
+                    geom, model, F.default_phantom(geom), sigma_list=[1.0], iters=2,
+                    seed=13, out_dir=str(tmp_path / out),
+                )
+            assert info.value.filename == str(tmp_path / out / R.trace_filename(1.0))
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([blocked, "file"])
 
     def test_failed_step_leaves_rows_of_completed_steps(self, tmp_path, monkeypatch):
         geom = F.CtGeometry(grid_nx=5, grid_ny=5, pixel_size=0.5, n_angles=6, n_detectors=6)

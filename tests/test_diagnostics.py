@@ -173,17 +173,26 @@ class TestBlockProbe:
         block = D.probe_trajectory(problem, selector, iterates, *anchors)
         loop = probe_trajectory_loop(problem, selector, iterates, *anchors)
         assert [r.t for r in block] == list(range(1, iters + 1))
-        for field in ("lhs", "penalty", "dist_x", "dist_y"):
+        fields = ("lhs", "penalty", "dist_x", "dist_y")
+        for field in fields:
             got = np.array([getattr(r, field) for r in block])
             want = np.array([getattr(r, field) for r in loop])
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=field)
+        # rsc_probe is the block probe at one point, with its t passed through
+        for i in (0, D.PROBE_BLOCK, iters - 1):
+            (x, y), want = iterates[i], loop[i]
+            plain = D.rsc_probe(problem, selector, x, y, *anchors)
+            for got, t in ((plain, None), (D.rsc_probe(problem, selector, x, y, *anchors, t=i), i)):
+                assert got.t == t
+                np.testing.assert_allclose([getattr(got, f) for f in fields],
+                                           [getattr(want, f) for f in fields], rtol=1e-12, atol=0)
 
     def test_empty_and_generator_input(self):
         _, problem, selector, iterates, anchors = quantile_probe_setup(D.PROBE_BLOCK + 3)
-        assert D.probe_trajectory(problem, selector, [], *anchors) == []
+        assert len(D.probe_trajectory(problem, selector, [], *anchors)) == 0
         from_list = D.probe_trajectory(problem, selector, iterates, *anchors)
         from_gen = D.probe_trajectory(problem, selector, (pair for pair in iterates), *anchors)
-        assert from_gen == from_list
+        assert list(from_gen) == list(from_list)
 
     def test_results_cost_columns_not_one_object_per_iterate(self):
         # A list of RscProbeResults traced ~195 B an iterate; four doubles

@@ -12,7 +12,7 @@ import textwrap
 import pytest
 
 import ncadmm
-from ncadmm import cli, config, engine, numerics, prox, quantile
+from ncadmm import cli, config, diagnostics, engine, numerics, prox, quantile
 from ncadmm.ct import forward, recon
 
 from _oracles import ScaledIdentity
@@ -34,13 +34,16 @@ GONE = [
     (engine.AdmmState, ["by", "sum_y", "y_bar"]),
     (engine.RunResult, ["y_bar"]),
     (engine.DenseMap, ["dense"]),
+    (engine.Trace, ["append"]),
     (ScaledIdentity, ["dense"]),
     (engine.KronEye, ["dense"]),
     (numerics, ["check_psd", "spmv"]),
     (prox, ["qexp_value"]),
+    (diagnostics, ["_probe_block"]),
     (numerics.DiagonalMatrix, ["dense", "shape", "rmatvec"]),
     (numerics.SparseMatrix, [
-        "save", "load", "to_triples", "dense", "from_dense", "identity", "nnz",
+        "save", "load", "to_triples", "dense", "from_dense", "identity", "nnz", "from_csr",
+        "_set_csr",
     ]),
     (quantile, ["quantile_x_update", "quantile_y_update", "stepsize_margin"]),
     (quantile.QuantileProblemSpec, ["noise_df"]),

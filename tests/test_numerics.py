@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from ncadmm.numerics import DiagonalMatrix, SparseMatrix, spectral_norm
 
-from _oracles import check_psd, dense, sparse_from_dense, sparse_identity, sparse_nnz
+from _oracles import (
+    check_psd, dense, sparse_from_dense, sparse_from_triples, sparse_identity, sparse_nnz,
+)
 
 
 def random_sparse(rng, rows, cols, density=0.3):
@@ -64,7 +66,7 @@ class TestSpmv:
         assert repr(m) == f"SparseMatrix(50x30, nnz={np.count_nonzero(a)})"
 
     def test_zero_rows_cols_allowed(self):
-        m = SparseMatrix(3, 2, [0], [1], [2.0])
+        m = SparseMatrix(3, 2, [0, 1, 1, 1], [1], [2.0])
         assert np.array_equal(m.matvec(np.array([5.0, 1.0])), [2.0, 0.0, 0.0])
 
     @given(st.integers(0, 2**32 - 1))
@@ -80,55 +82,25 @@ class TestSpmv:
 
 
 class TestSparseMatrixValidation:
-    def test_duplicate_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            SparseMatrix(2, 2, [0, 0], [1, 1], [1.0, 2.0])
-
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            SparseMatrix(2, 2, [2], [0], [1.0])
+            SparseMatrix(2, 2, [0, 1, 1], [2], [1.0])
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            SparseMatrix(2, 2, [0], [0], [np.nan])
-
-    def test_far_apart_duplicate_rejected(self):
-        rng = np.random.default_rng(3)
-        keys = rng.permutation(200 * 300)[:10_000]  # distinct and shuffled
-        keys[-1] = keys[0]  # one duplicate pair, 9999 places apart
-        rows, cols = np.divmod(keys, 300)
-        with pytest.raises(ValueError, match=r"duplicate \(row, col\) entries"):
-            SparseMatrix(200, 300, rows, cols, rng.standard_normal(keys.size))
-        SparseMatrix(200, 300, rows[:-1], cols[:-1], np.ones(keys.size - 1))
+            SparseMatrix(2, 2, [0, 1, 1], [0], [np.nan])
 
 
 class TestCsrBuild:
-    @pytest.mark.parametrize("shuffle", [True, False])
-    def test_matches_scipy_coo_build_bitwise(self, shuffle):
-        import scipy.sparse as sp
-
-        rng = np.random.default_rng(5)
-        keys = np.sort(rng.permutation(60 * 40)[:500])
-        rows, cols = np.divmod(keys, 40)
-        keys = keys[(rows % 7 != 3) & (rows < 55)]  # empty rows inside and at the end
-        if shuffle:
-            keys = rng.permutation(keys)
-        r, c = np.divmod(keys, 40)
-        v = rng.standard_normal(keys.size)
-        got = SparseMatrix(60, 40, r, c, v)
-        want = sp.csr_matrix((v, (r, c)), shape=(60, 40))
-        for name in ("indptr", "indices", "data"):
-            g, w = getattr(got, name), getattr(want, name)
-            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
-        assert v.flags.writeable  # the matrix froze its own copy
-
     def test_no_entries(self):
-        m = SparseMatrix(3, 2, [], [], [])
+        m = SparseMatrix(3, 2, [0, 0, 0, 0], [], [])
         assert m.indptr.tolist() == [0, 0, 0, 0]
         assert np.array_equal(m.matvec(np.ones(2)), np.zeros(3))
 
 
 class TestFromCsr:
+    """The constructor on the CSR arrays of a matrix built through scipy."""
+
     def setup_method(self):
         rng = np.random.default_rng(6)
         self.m, _ = random_sparse(rng, 12, 9)
@@ -136,7 +108,7 @@ class TestFromCsr:
                     self.m.data.copy())
 
     def test_round_trip_keeps_bits_and_int32_indices(self):
-        got = SparseMatrix.from_csr(12, 9, *self.csr)
+        got = SparseMatrix(12, 9, *self.csr)
         for name in ("indptr", "indices", "data"):
             g, w = getattr(got, name), getattr(self.m, name)
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
@@ -159,7 +131,7 @@ class TestFromCsr:
     )
     def test_malformed_arrays_rejected(self, edit, match):
         with pytest.raises(ValueError, match=match):
-            SparseMatrix.from_csr(12, 9, *edit(*self.csr))
+            SparseMatrix(12, 9, *edit(*self.csr))
 
 
 class TestSelectRows:
@@ -171,7 +143,7 @@ class TestSelectRows:
     def test_matches_rebuild_from_triples_bitwise(self):
         sub = self.m.select_rows(self.mask)
         r, c = np.nonzero(self.a[self.mask])
-        ref = SparseMatrix(int(self.mask.sum()), 25, r, c, self.a[self.mask][r, c])
+        ref = sparse_from_triples(int(self.mask.sum()), 25, r, c, self.a[self.mask][r, c])
         assert (sub.rows, sub.cols) == (ref.rows, ref.cols)
         for name in ("indptr", "indices", "data"):
             got, want = getattr(sub, name), getattr(ref, name)
@@ -257,7 +229,7 @@ class TestSpectralNorm:
         assert spectral_norm(dense(m)) == pytest.approx(3.0, rel=1e-9)
 
     def test_zero_matrix(self):
-        assert spectral_norm(dense(SparseMatrix(4, 4, [], [], []))) == 0.0
+        assert spectral_norm(dense(sparse_from_triples(4, 4, [], [], []))) == 0.0
 
     def test_against_svd_oracle(self):
         rng = np.random.default_rng(7)

@@ -394,6 +394,13 @@ class TestSigmaSweepRunner:
             Q.run_sigma_sweep(small_spec(), [1e-3, 2e-3], iters=2, out_dir=str(tmp_path))
         assert info.value.filename == str(tmp_path / "quantile_sigma0.002.csv")
         assert [p.name for p in tmp_path.iterdir()] == ["quantile_sigma0.002.csv"]
+        # an out_dir that is missing, or is a file, fails as the first write would
+        (tmp_path / "file").write_text("")
+        for out, error in (("missing", FileNotFoundError), ("file", NotADirectoryError)):
+            with pytest.raises(error) as info:
+                Q.run_sigma_sweep(small_spec(), [1e-3], iters=2, out_dir=str(tmp_path / out))
+            assert info.value.filename == str(tmp_path / out / "quantile_sigma0.001.csv")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "quantile_sigma0.002.csv"]
 
     def test_failed_step_leaves_rows_of_completed_steps(self, tmp_path, monkeypatch):
         spec = small_spec(d=12, n=20, s_star=2, seed=3)
