@@ -4,9 +4,10 @@
 - `ct-step` (BENCH_ct_step.json): the CT sweep of `recon.run_ct_experiment`
   at the paper geometry (25x25 grid, 50 angles x 50 detectors, 100 energies,
   sigmas 1, 10, 100, alpha diagnostic on). Per outer iteration: ms in the
-  per-ray Newton solve, in the loss with its gradient and in the value-only
-  loss (`CtLoss.parts`) and in the whole step (engine.run over its
-  iterations); Newton ray-steps per active ray; minor page faults.
+  per-ray Newton solve, in the loss with its gradient (`CtLoss.parts` and
+  `CtLoss.gradient`), in the value-only loss (`CtLoss.parts`) and in the
+  whole step (engine.run over its iterations); Newton ray-steps per active
+  ray; minor page faults.
 - `quantile-step` (BENCH_quantile_step.json): the sweep of `run_sigma_sweep`
   at the paper size (d=2000, n=1000, s*=10, sigmas 5e-5, 1e-4, 2e-4, 5e-4,
   one dataset and gamma). Per iteration: ms in `DenseMap.matvec` (Phi x),
@@ -156,7 +157,11 @@ def ct_step(args):
         want_grad = parts.bind(*a, **kw).arguments.get("want_grad", True)
         return "loss_grad" if want_grad else "loss_value"
 
-    timed = {(R, "newton_ray_solve"): lambda a, kw: "newton", (F.CtLoss, "parts"): loss_name}
+    timed = {
+        (R, "newton_ray_solve"): lambda a, kw: "newton",
+        (F.CtLoss, "parts"): loss_name,
+        (F.CtLoss, "gradient"): lambda a, kw: "loss_grad",
+    }
     settings = {
         "geometry": "paper (25x25 grid, 50 angles x 50 detectors, 100 energies)",
         "active_rays": None,

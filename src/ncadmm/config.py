@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 from .ct import forward as F
 from .ct import recon as R
-from .engine import check_sigma_names
+from .engine import check_sweep
 from .quantile import QuantileProblemSpec
 
 __all__ = [
@@ -103,19 +103,10 @@ class ExperimentConfig:
         return {name: value for name, value in named if name in names}
 
     def validate(self):
-        if not self.sigma_list:
-            raise ConfigError("[experiment] sigma_list must not be empty")
-        if not all(0.0 < s < math.inf for s in self.sigma_list):
-            raise ConfigError(
-                f"[experiment] sigma_list entries must be positive and finite, "
-                f"got {list(self.sigma_list)}"
-            )
         try:
-            check_sigma_names(self.sigma_list)
+            check_sweep(self.sigma_list, self.iters)
         except ValueError as exc:
             raise ConfigError(f"[experiment] {exc}") from None
-        if self.iters < 1:
-            raise ConfigError("[experiment] iters must be at least 1")
         if self.seed < 0:
             raise ConfigError(f"[experiment] seed must be nonnegative, got {self.seed}")
 

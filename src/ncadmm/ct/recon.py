@@ -28,20 +28,16 @@ and (n_rays, n_materials) for y and u.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from ..engine import (
     AdmmProblem,
-    AdmmStepError,
     CompositeObjective,
     KronEye,
     RunResult,
-    check_output_paths,
-    check_sigma_names,
     quadratic_prox,
-    save_trace,
+    save_trace,  # unused here; the benchmark calls and its tracer patches recon.save_trace
+    sweep,
 )
 from ..engine import run as engine_run
 from ..numerics import DiagonalMatrix, SparseMatrix
@@ -56,7 +52,6 @@ __all__ = [
     "alpha_ratio",
     "run_ct_experiment",
     "trace_filename",
-    "image_filenames",
     "active_ray_mask",
     "build_preconditioners",
     "spd_solve",
@@ -324,7 +319,8 @@ def run_ct_reconstruction(
     The alpha hook evaluates the loss gradient at y_{t+1} with the problem's
     `CtLoss`, which hands the parts found there to the next step's grad_d
     and the gradient and Hessian rows of g_c to its Newton solve, both at
-    that same y_{t+1}. Returns the run and its Newton work:
+    that same y_{t+1}; after the last step it takes `CtLoss.gradient`, which
+    forms no Hessian rows. Returns the run and its Newton work:
     `newton_ray_steps` (rays updated, summed over Newton steps and
     iterations) and `newton_capped` (rays still moving when the cap ended a
     solve).
@@ -333,9 +329,8 @@ def run_ct_reconstruction(
     grad_star = loss.gradient(y_star)
 
     def alpha_hook(t, x, y, u, proj):
-        return alpha_t_diagnostic(
-            problem.sigma.diag, proj, y, y_star, grad_star, loss.parts(y).grad
-        )
+        grad = loss.gradient(y) if t == iters else loss.parts(y).grad
+        return alpha_t_diagnostic(problem.sigma.diag, proj, y, y_star, grad_star, grad)
 
     result = engine_run(problem, iters=iters, alpha_hook=alpha_hook, record_time=record_time)
     return result, {"newton_ray_steps": loss.newton_ray_steps, "newton_capped": loss.newton_capped}
@@ -343,12 +338,6 @@ def run_ct_reconstruction(
 
 def trace_filename(sigma: float) -> str:
     return f"ct_sigma{sigma:g}.csv"
-
-
-def image_filenames(sigma: float, material: str) -> tuple[str, str]:
-    """The text grid and the graymap file of one material's image at sigma."""
-    stem = f"ct_sigma{sigma:g}_{material}"
-    return f"{stem}.txt", f"{stem}.pgm"
 
 
 def run_ct_experiment(
@@ -361,65 +350,45 @@ def run_ct_experiment(
     out_dir=None,
     record_time: bool = True,
 ) -> dict:
-    """Full simulation + sigma sweep: sample counts once, reconstruct per sigma.
+    """Full simulation + sigma sweep (`engine.sweep`): counts sampled once, one solve per sigma.
 
     Rays that miss the grid are dropped before reconstruction. Persists (when
     out_dir is given) one trace per sigma, with the projection-domain loss in
     the objective column and the curvature ratio in the alpha_t column, plus
-    one reconstructed image grid per material (text and graymap). Sigmas
-    whose file names would coincide, and outputs that `check_output_paths`
-    finds unwritable, are rejected before the set-up. A step failure writes
-    the rows of the steps before it to that sigma's trace and re-raises.
+    one reconstructed image grid per material (text and graymap).
     """
     from .forward import build_projector, forward_counts
 
-    check_sigma_names(sigma_list)
-    if out_dir is not None:
-        names = []
-        for sigma in sigma_list:
-            names.append(trace_filename(sigma))
-            for material in model.materials:
-                names += image_filenames(sigma, material)
-        check_output_paths(out_dir, names)
-    projector = build_projector(geom)
-    counts_full = forward_counts(model, projector, phantom, seed)
-    mask = active_ray_mask(projector)
-    if not mask.any():
-        raise ValueError("no ray crosses the grid")
-    active = projector.select_rows(mask)
-    counts = counts_full[:, mask]
-    y_star = active.matmat(phantom)
-    ratio = fosp_ratio(model, counts, y_star)
+    def setup():
+        projector = build_projector(geom)
+        counts_full = forward_counts(model, projector, phantom, seed)
+        mask = active_ray_mask(projector)
+        if not mask.any():
+            raise ValueError("no ray crosses the grid")
+        active = projector.select_rows(mask)
+        counts = counts_full[:, mask]
+        y_star = active.matmat(phantom)
+        return active, counts, y_star, mask, fosp_ratio(model, counts, y_star)
 
-    runs = {}
-    for sigma in sigma_list:
-        sigma = float(sigma)
-        path = None if out_dir is None else os.path.join(out_dir, trace_filename(sigma))
-        try:
-            result, newton = run_ct_reconstruction(
-                model, active, counts, sigma=sigma, iters=iters, y_star=y_star,
-                record_time=record_time,
-            )
-        except AdmmStepError as exc:
-            if path is not None:
-                save_trace(path, exc.trace)
-            raise
-        x_final = result.state.x
-        entry = {"result": result, "image": x_final, "newton": newton}
-        if path is not None:
-            save_trace(path, result.trace)
-            entry["path"] = path
-            for m, name in enumerate(model.materials):
-                grid, pgm = (os.path.join(out_dir, f) for f in image_filenames(sigma, name))
-                save_image_grid(grid, x_final[:, m], geom.grid_nx, geom.grid_ny)
-                save_pgm(pgm, x_final[:, m], geom.grid_nx, geom.grid_ny)
-        runs[sigma] = entry
-    return {
-        "runs": runs,
-        "fosp_ratio": ratio,
-        "active_rays": int(mask.sum()),
-        "phantom": phantom,
-    }
+    def solve(shared, sigma):
+        active, counts, y_star = shared[:3]
+        result, newton = run_ct_reconstruction(
+            model, active, counts, sigma, iters, y_star, record_time=record_time
+        )
+        return {"result": result, "image": result.state.x, "newton": newton}, None
+
+    def filenames(sigma):  # the trace, then each material's text grid and graymap
+        stems = [f"ct_sigma{sigma:g}_{name}" for name in model.materials]
+        return [trace_filename(sigma), *(stem + ext for stem in stems for ext in (".txt", ".pgm"))]
+
+    def write_images(entry, paths):
+        for m, (grid, pgm) in enumerate(zip(paths[::2], paths[1::2])):
+            save_image_grid(grid, entry["image"][:, m], geom.grid_nx, geom.grid_ny)
+            save_pgm(pgm, entry["image"][:, m], geom.grid_nx, geom.grid_ny)
+
+    shared, runs = sweep(sigma_list, iters, out_dir, filenames, setup, solve, write_images)
+    *_, mask, ratio = shared
+    return {"runs": runs, "fosp_ratio": ratio, "active_rays": int(mask.sum()), "phantom": phantom}
 
 
 # ---------------------------------------------------------------------------

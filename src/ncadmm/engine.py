@@ -53,7 +53,8 @@ __all__ = [
     "admm_step",
     "run",
     "quadratic_prox",
-    "check_sigma_names",
+    "check_sweep",
+    "sweep",
     "check_output_paths",
     "save_trace",
     "load_trace",
@@ -306,13 +307,15 @@ class AdmmStepError(RuntimeError):
     """Raised when a step callback fails or goes non-finite; carries the iteration index.
 
     `run` sets `trace` to the `Trace` of the steps completed before the
-    failure; it is empty until then.
+    failure; it is empty until then. A caller that logs columns per step
+    beside the trace sets `extra_columns` to their values so far.
     """
 
     def __init__(self, iteration: int, message: str):
         super().__init__(f"iteration {iteration}: {message}")
         self.iteration = iteration
         self.trace = Trace()
+        self.extra_columns = {}
 
 
 def _checked(v, shape: tuple, iteration: int, what: str) -> np.ndarray:
@@ -440,7 +443,7 @@ def run(
 
 
 # ---------------------------------------------------------------------------
-# Trace persistence
+# Sigma sweeps and trace persistence
 
 TRACE_HEADER = "iter,objective,primal_residual,alpha_t,seconds"
 
@@ -449,8 +452,14 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def check_sigma_names(sigma_list) -> None:
-    """Raise ValueError if two sigmas share the `{sigma:g}` name of their output files."""
+def check_sweep(sigma_list, iters) -> None:
+    """Raise ValueError unless `sigma_list` is non-empty, its entries are
+    positive and finite and no two share the `{sigma:g}` name of their output
+    files, and `iters` is at least 1."""
+    if len(sigma_list) == 0:
+        raise ValueError("sigma_list must not be empty")
+    if not all(0.0 < s < math.inf for s in sigma_list):
+        raise ValueError(f"sigma_list entries must be positive and finite, got {list(sigma_list)}")
     by_name = {}
     for sigma in sigma_list:
         name = f"{sigma:g}"
@@ -460,6 +469,8 @@ def check_sigma_names(sigma_list) -> None:
                 f"share the output name sigma{name}"
             )
         by_name[name] = sigma
+    if iters < 1:
+        raise ValueError("iters must be at least 1")
 
 
 def check_output_paths(out_dir, names) -> None:
@@ -481,6 +492,42 @@ def check_output_paths(out_dir, names) -> None:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         if not (os.access(path, os.W_OK) if os.path.exists(path) else dir_ok):
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
+def sweep(sigma_list, iters, out_dir, filenames, setup, solve, write=None) -> tuple:
+    """Run `solve(shared, sigma)` for each sigma after one `shared = setup()`;
+    returns (shared, {sigma: entry}).
+
+    Before `setup` runs, `check_sweep(sigma_list, iters)` and, given an
+    `out_dir`, `check_output_paths` over each sigma's `filenames(sigma)` (its
+    trace first) raise for a bad input, so that a sweep fails before its
+    set-up and not after a solve. `solve` returns the sigma's entry, whose
+    "result" is its RunResult, and the trace's extra columns (or None). With an
+    `out_dir` the trace is written, its path added to the entry as "path", and
+    then `write(entry, paths)` writes the sigma's other files. An AdmmStepError
+    writes the rows of the steps before it, with its `extra_columns`, to that
+    sigma's trace and is re-raised.
+    """
+    check_sweep(sigma_list, iters)
+    if out_dir is not None:
+        check_output_paths(out_dir, [name for sigma in sigma_list for name in filenames(sigma)])
+    shared = setup()
+    outputs = {}
+    for sigma in map(float, sigma_list):
+        paths = [] if out_dir is None else [os.path.join(out_dir, f) for f in filenames(sigma)]
+        try:
+            entry, columns = solve(shared, sigma)
+        except AdmmStepError as exc:
+            if paths:
+                save_trace(paths[0], exc.trace, exc.extra_columns)
+            raise
+        if paths:
+            save_trace(paths[0], entry["result"].trace, columns)
+            entry["path"] = paths[0]
+            if write is not None:
+                write(entry, paths[1:])
+        outputs[sigma] = entry
+    return shared, outputs
 
 
 def save_trace(path, trace: Sequence[TraceRecord], extra_columns: Optional[dict] = None) -> None:

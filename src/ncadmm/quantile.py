@@ -9,7 +9,6 @@ sigma-sweep experiment runner.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -181,8 +180,8 @@ def run_quantile(
 
     Phi x_bar_t is the running mean of the Phi x_t the engine already
     computed (by linearity), so the average loss costs no extra product. An
-    AdmmStepError leaves with the losses of its completed steps as
-    `objective_avg`, next to their records in its `trace`.
+    AdmmStepError leaves with the losses of its completed steps as the
+    `objective_avg` of its `extra_columns`, next to their records in its `trace`.
     """
     problem = build_problem(spec, dataset, gamma=gamma)
     penalty = spec.penalty
@@ -200,7 +199,7 @@ def run_quantile(
             problem, iters=iters, iteration_hook=log_average, record_time=record_time
         )
     except engine.AdmmStepError as exc:
-        exc.objective_avg = avg_losses
+        exc.extra_columns = {"objective_avg": avg_losses}
         raise
     return result, avg_losses
 
@@ -216,39 +215,26 @@ def run_sigma_sweep(
     out_dir=None,
     record_time: bool = True,
 ) -> dict:
-    """Sigma sweep on one shared dataset; persists one trace file per sigma.
+    """Sigma sweep (`engine.sweep`) on one shared dataset; one trace file per sigma.
 
     Each trace carries the per-iterate loss in the objective column and the
-    running-average loss as the extra `objective_avg` column. Sigmas whose
-    file names would coincide, and traces that `engine.check_output_paths`
-    finds unwritable, are rejected before the set-up. A step failure writes
-    the rows of the steps before it to that sigma's trace and re-raises.
+    running-average loss as the extra `objective_avg` column.
     """
-    engine.check_sigma_names(sigma_list)
-    if out_dir is not None:
-        engine.check_output_paths(out_dir, [trace_filename(sigma) for sigma in sigma_list])
-    dataset = generate_dataset(spec)
-    gamma = quantile_gamma(dataset.phi)
-    outputs = {}
-    for sigma in sigma_list:
-        sigma = float(sigma)
-        path = None if out_dir is None else os.path.join(out_dir, trace_filename(sigma))
-        run_spec = replace(spec, sigma=sigma)
-        try:
-            result, avg_losses = run_quantile(
-                run_spec, dataset, iters, gamma=gamma, record_time=record_time
-            )
-        except engine.AdmmStepError as exc:
-            if path is not None:
-                extra = {"objective_avg": exc.objective_avg}
-                engine.save_trace(path, exc.trace, extra_columns=extra)
-            raise
-        entry = {"result": result, "objective_avg": avg_losses}
-        if path is not None:
-            engine.save_trace(path, result.trace, extra_columns={"objective_avg": avg_losses})
-            entry["path"] = path
-        outputs[sigma] = entry
-    return outputs
+
+    def setup():
+        dataset = generate_dataset(spec)
+        return dataset, quantile_gamma(dataset.phi)
+
+    def solve(shared, sigma):
+        dataset, gamma = shared
+        result, avg_losses = run_quantile(
+            replace(spec, sigma=sigma), dataset, iters, gamma=gamma, record_time=record_time
+        )
+        return {"result": result, "objective_avg": avg_losses}, {"objective_avg": avg_losses}
+
+    return engine.sweep(
+        sigma_list, iters, out_dir, lambda sigma: [trace_filename(sigma)], setup, solve
+    )[1]
 
 
 # ---------------------------------------------------------------------------

@@ -56,3 +56,19 @@ def test_every_library_entry_point_runs(harness, tmp_path):
         for solve in values["solves"].values():
             assert all(math.isfinite(v) for v in solve.values()), name
         assert all(math.isfinite(v) for v in values["shared"].values()), name
+
+
+def test_composition_writes_the_library_outputs(harness, tmp_path):
+    # The benchmark times its own composition of each library sweep; both
+    # must write the same files, byte for byte.
+    test_harness, _, workloads = harness
+    for name in workloads.WORKLOADS:
+        size = test_harness.TINY[name]
+        library, composed = tmp_path / name / "library", tmp_path / name / "composed"
+        library.parent.mkdir()
+        test_harness._library(name, size, library)
+        test_harness._composed(name, size, composed, record_time=False)
+        files = sorted(p.name for p in library.iterdir())
+        assert files == sorted(p.name for p in composed.iterdir()), name
+        for file in files:
+            assert (library / file).read_bytes() == (composed / file).read_bytes(), (name, file)

@@ -737,6 +737,27 @@ class TestDiagnostics:
             assert np.array_equal(getattr(plain.state, v), getattr(with_alpha.state, v))
         assert [r.objective for r in plain.trace] == [r.objective for r in with_alpha.trace]
 
+    def test_last_alpha_forms_no_hessian_rows(self, small_ct, monkeypatch):
+        # No step follows the last alpha, so its gradient holds no Hessian rows,
+        # and it has the bits a longer run's alpha at that step takes from parts.
+        _, model, phantom, active, counts = small_ct
+        real, built = R.build_ct_problem, []
+
+        def build(*args):
+            built.append(real(*args))
+            return built[-1]
+
+        monkeypatch.setattr(R, "build_ct_problem", build)
+        runs = [
+            R.run_ct_reconstruction(
+                model, active, counts, sigma=5.0, iters=iters, y_star=active.matmat(phantom),
+                record_time=False,
+            )[0]
+            for iters in (6, 7)
+        ]
+        assert runs[0].trace[-1].alpha_t == runs[1].trace[5].alpha_t
+        assert built[0][1].held_rows(runs[0].state.y) is None
+
     def test_fosp_zero_for_exact_single_bin_counts(self):
         rng = np.random.default_rng(9)
         model = random_ray_model(rng, n_i=1, n_m=2)
@@ -782,17 +803,6 @@ class TestExperimentRunner:
             b1 = (out1 / R.trace_filename(sigma)).read_bytes()
             b2 = (out2 / R.trace_filename(sigma)).read_bytes()
             assert b1 == b2
-
-    def test_sigmas_sharing_an_output_name_rejected_before_any_solve(self, tmp_path, monkeypatch):
-        geom = F.CtGeometry(grid_nx=5, grid_ny=5, pixel_size=0.5, n_angles=6, n_detectors=6)
-        model = F.build_spectral_model(n_energies=20)
-        monkeypatch.setattr(F, "build_projector", None)  # set-up must not start
-        with pytest.raises(ValueError, match="share the output name sigma1"):
-            R.run_ct_experiment(
-                geom, model, F.default_phantom(geom), sigma_list=[1.0, 1.0000001], iters=2,
-                seed=13, out_dir=tmp_path,
-            )
-        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("blocked", ["ct_sigma2.csv", "ct_sigma2_gadolinium.pgm"])
     def test_directory_at_an_output_path_rejected_before_any_set_up(

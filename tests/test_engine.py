@@ -724,3 +724,44 @@ class TestTracePersistence:
         trace = [TraceRecord(1, 1.0, 1.0, None, 0.0)]
         with pytest.raises(ValueError, match="wrong length"):
             save_trace(tmp_path / "x.csv", trace, extra_columns={"bad": [1.0, 2.0]})
+
+
+# sigma_list, iters and the message of each sweep input rejected before the set-up
+BAD_SWEEPS = {
+    "names_collide": ([1.0000001e-3, 1.0000002e-3], 2, "share the output name sigma0.001"),
+    "negative": ([1e-3, -1.0], 2, r"positive and finite, got \[0.001, -1.0\]"),
+    "nan": ([math.nan], 2, "positive and finite"),
+    "inf": ([1e-3, math.inf], 2, "positive and finite"),
+    "empty": ([], 2, "sigma_list must not be empty"),
+    "no_iterations": ([1e-3], 0, "iters must be at least 1"),
+}
+
+
+def set_up_free_sweep(experiment, monkeypatch):
+    """The library sweep of `experiment`, whose set-up fails the test if it starts."""
+    def never(*args):
+        pytest.fail("the set-up started")
+
+    if experiment == "quantile":
+        monkeypatch.setattr(Q, "generate_dataset", never)
+        spec = Q.QuantileProblemSpec(d=12, n=20, s_star=2, seed=3)
+        return lambda sigmas, iters, out: Q.run_sigma_sweep(spec, sigmas, iters, out_dir=out)
+    monkeypatch.setattr(F, "build_projector", never)
+    geom = F.CtGeometry(grid_nx=5, grid_ny=5, pixel_size=0.5, n_angles=6, n_detectors=6)
+    model, phantom = F.build_spectral_model(n_energies=20), F.default_phantom(geom)
+    return lambda sigmas, iters, out: R.run_ct_experiment(
+        geom, model, phantom, sigmas, iters, seed=13, out_dir=out
+    )
+
+
+class TestSweep:
+    @pytest.mark.parametrize("case", BAD_SWEEPS)
+    @pytest.mark.parametrize("experiment", ["quantile", "ct"])
+    def test_bad_inputs_rejected_before_any_set_up(
+        self, experiment, case, tmp_path, monkeypatch
+    ):
+        sigma_list, iters, message = BAD_SWEEPS[case]
+        sweep = set_up_free_sweep(experiment, monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            sweep(sigma_list, iters, tmp_path)
+        assert list(tmp_path.iterdir()) == []

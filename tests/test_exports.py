@@ -28,7 +28,7 @@ MODULES = sorted(
 GONE = [
     (engine, [
         "DenseQuadratic", "_map_dense", "validate_stepsizes", "StepsizeReport", "_min_eig",
-        "ScaledIdentity",
+        "ScaledIdentity", "check_sigma_names",
     ]),
     (engine.AdmmProblem, ["_build_quadratic"]),
     (engine.AdmmState, ["by", "sum_y", "y_bar"]),
@@ -52,7 +52,7 @@ GONE = [
     (recon, [
         "ct_x_update", "ct_y_update", "ct_u_update", "run_ct_specialized",
         "ray_subproblem_objective", "stepsize_matrix_factor", "check_newton_iters",
-        "CtPreconditioners",
+        "CtPreconditioners", "image_filenames",
     ]),
     (config, ["CustomConfig", "QuantileConfig", "CtConfig", "parse_config", "default_config"]),
     (cli, ["_run_custom", "_run_custom_sigma", "_quantile_spec", "_ct_pieces"]),

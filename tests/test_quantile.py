@@ -379,14 +379,6 @@ class TestSigmaSweepRunner:
         expected = [Q.quantile_objective(spec, ds, x_bar) for x_bar in x_bars]
         assert avg_losses == pytest.approx(expected, rel=1e-12, abs=0.0)
 
-    def test_sigmas_sharing_an_output_name_rejected_before_any_solve(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(Q, "generate_dataset", None)  # set-up must not start
-        with pytest.raises(ValueError, match="share the output name sigma0.001"):
-            Q.run_sigma_sweep(
-                small_spec(), [1.0000001e-3, 1.0000002e-3], iters=2, out_dir=tmp_path
-            )
-        assert list(tmp_path.iterdir()) == []
-
     def test_directory_at_a_trace_path_rejected_before_any_set_up(self, tmp_path, monkeypatch):
         monkeypatch.setattr(Q, "generate_dataset", None)  # set-up must not start
         (tmp_path / "quantile_sigma0.002.csv").mkdir()
